@@ -48,14 +48,23 @@ class BitReader {
     return bits_->get(pos_++);
   }
 
-  /// Reads `width` bits, least-significant first.
+  /// Reads `width` bits, least-significant first. A read past the end
+  /// throws before the position moves.
   [[nodiscard]] std::uint64_t read_bits(unsigned width) {
     if (width > 64) throw std::invalid_argument("read_bits: width > 64");
-    std::uint64_t value = 0;
-    for (unsigned i = 0; i < width; ++i) {
-      value |= static_cast<std::uint64_t>(read_bit()) << i;
-    }
+    if (width > remaining()) throw std::out_of_range("BitReader: past end");
+    const std::uint64_t value = bits_->get_bits(pos_, width);
+    pos_ += width;
     return value;
+  }
+
+  /// Reads the next `len` bits as a vector (bounds-checked before any
+  /// allocation; a read past the end throws before the position moves).
+  [[nodiscard]] BitVector read_vector(std::size_t len) {
+    if (len > remaining()) throw std::out_of_range("BitReader: past end");
+    BitVector v = bits_->slice(pos_, len);
+    pos_ += len;
+    return v;
   }
 
   [[nodiscard]] std::size_t position() const noexcept { return pos_; }

@@ -6,6 +6,13 @@
 // Every scheme in src/schemes serializes its local routing functions into
 // BitVectors and routes by decoding them, so BitVector::size() is the honest
 // space cost.
+//
+// Storage: bit i lives in words()[i / 64] at bit i % 64 (LSB-first packing),
+// and every bit past size() in the last word is zero (the zero-tail
+// invariant). Together these make the little-endian bytes of words() the
+// LSB-first byte packing of the bits with zero padding — exactly what
+// schemes::to_bytes writes and bitio::crc32 checksums — and let append,
+// slice and the bit readers move whole words instead of single bits.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +29,11 @@ class BitVector {
 
   /// Constructs a bit vector of `n` bits, all zero.
   explicit BitVector(std::size_t n) : size_(n), words_((n + 63) / 64, 0) {}
+
+  /// Adopts `words` as the first `n` bits, LSB-first. Throws
+  /// std::invalid_argument unless `words` holds exactly ⌈n/64⌉ words and
+  /// every bit past `n` is zero.
+  BitVector(std::vector<std::uint64_t> words, std::size_t n);
 
   BitVector(const BitVector&) = default;
   BitVector& operator=(const BitVector&) = default;
@@ -69,11 +81,28 @@ class BitVector {
     ++size_;
   }
 
+  /// Reads `width` <= 64 bits starting at `pos`, least-significant bit
+  /// first. Precondition: pos + width <= size().
+  [[nodiscard]] std::uint64_t get_bits(std::size_t pos,
+                                       unsigned width) const noexcept {
+    if (width == 0) return 0;
+    const std::size_t idx = pos >> 6;
+    const unsigned off = pos & 63;
+    std::uint64_t value = words_[idx] >> off;
+    if (off + width > 64) value |= words_[idx + 1] << (64 - off);
+    return width == 64 ? value : value & ((std::uint64_t{1} << width) - 1);
+  }
+
   /// Appends the low `width` bits of `value`, least-significant bit first.
   void append_bits(std::uint64_t value, unsigned width);
 
-  /// Appends all bits of `other`.
+  /// Appends all bits of `other` (as they were before the call, so
+  /// `v.append(v)` doubles `v`).
   void append(const BitVector& other);
+
+  /// Bits [start, start + len) as a new vector. Throws std::out_of_range
+  /// if the range runs past size().
+  [[nodiscard]] BitVector slice(std::size_t start, std::size_t len) const;
 
   /// Number of one-bits.
   [[nodiscard]] std::size_t popcount() const noexcept;
@@ -81,7 +110,7 @@ class BitVector {
   /// Renders as a '0'/'1' string (tests and debugging).
   [[nodiscard]] std::string to_string() const;
 
-  /// Raw 64-bit words (tail bits beyond size() are zero).
+  /// Raw 64-bit words: ⌈size()/64⌉ of them, tail bits beyond size() zero.
   [[nodiscard]] const std::vector<std::uint64_t>& words() const noexcept {
     return words_;
   }

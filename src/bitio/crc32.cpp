@@ -40,15 +40,16 @@ std::uint32_t crc32(const BitVector& bits) noexcept {
   for (int i = 0; i < 8; ++i) {
     crc = update(crc, static_cast<std::uint8_t>(n >> (8 * i)));
   }
-  std::uint8_t current = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits.get(i)) current |= static_cast<std::uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      crc = update(crc, current);
-      current = 0;
+  // LSB-first packing with zero padding is the little-endian byte image of
+  // the words (the BitVector zero-tail invariant), cut at ⌈n/8⌉ bytes.
+  std::size_t bytes_left = (bits.size() + 7) / 8;
+  for (const std::uint64_t w : bits.words()) {
+    const std::size_t take = bytes_left < 8 ? bytes_left : 8;
+    for (std::size_t b = 0; b < take; ++b) {
+      crc = update(crc, static_cast<std::uint8_t>(w >> (8 * b)));
     }
+    bytes_left -= take;
   }
-  if (bits.size() % 8 != 0) crc = update(crc, current);
   return crc ^ 0xFFFFFFFFu;
 }
 

@@ -21,9 +21,10 @@ namespace optrt::bitio {
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                                   std::uint32_t seed = 0) noexcept;
 
-/// CRC-32 of a bit string, packed LSB-first into bytes (the final partial
-/// byte, if any, is zero-padded high). Includes the bit length in the
-/// checksum so e.g. "0" and "00" hash differently.
+/// CRC-32 of a bit string: the 8 little-endian bytes of its bit length,
+/// then the bits packed LSB-first into bytes (the final partial byte, if
+/// any, zero-padded high) — the bytes schemes::to_bytes writes. Including
+/// the length makes e.g. "0" and "00" hash differently.
 [[nodiscard]] std::uint32_t crc32(const BitVector& bits) noexcept;
 
 }  // namespace optrt::bitio

@@ -44,9 +44,7 @@ graph::Graph load_graph(const std::string& path) {
     throw schemes::DecodeError(schemes::DecodeErrorKind::kSemanticInvalid,
                                "graph file size does not match E(G) for n");
   }
-  bitio::BitVector eg;
-  for (std::size_t i = 0; i < pairs; ++i) eg.push_back(r.read_bit());
-  return graph::decode(eg, static_cast<std::size_t>(n));
+  return graph::decode(r.read_vector(pairs), static_cast<std::size_t>(n));
 }
 
 }  // namespace optrt::core

@@ -1,8 +1,8 @@
 // Query-optimized routing: compiled fast paths and batched lookups.
 //
 // RoutingScheme::next_hop is the honesty-disciplined reference path: it
-// re-decodes the serialized routing function (BitReader, bit at a time)
-// on every call. A FastPath is the same routing function *compiled once*
+// re-decodes the serialized routing function (through a BitReader) on
+// every call. A FastPath is the same routing function *compiled once*
 // into flat, cache-friendly structures — succinct rank directories
 // (bitio::RankSelect) over membership bit-vectors, bit-packed fixed-width
 // value arrays, and CSR port→neighbour tables (graph::CsrGraph) — so a

@@ -123,14 +123,16 @@ LandmarkScheme::LandmarkScheme(const graph::Graph& g,
     }
     landmark_index_[landmarks_[i]] = i;
   }
-  // Nearest landmarks are a deterministic function of the graph.
+  // Nearest landmarks are a deterministic function of the graph: one BFS
+  // per landmark, visited in stored order with a strict <, so every node
+  // keeps the first landmark (in that order) at its least distance.
   landmark_of_.assign(n_, landmarks_[0]);
-  for (NodeId v = 0; v < n_; ++v) {
-    const auto dist = graph::bfs_distances(g, v);
-    std::uint32_t best = graph::kUnreachable;
-    for (NodeId l : landmarks_) {
-      if (dist[l] < best) {
-        best = dist[l];
+  std::vector<std::uint32_t> best(n_, graph::kUnreachable);
+  for (NodeId l : landmarks_) {
+    const auto dist = graph::bfs_distances(g, l);
+    for (NodeId v = 0; v < n_; ++v) {
+      if (dist[v] < best[v]) {
+        best[v] = dist[v];
         landmark_of_[v] = l;
       }
     }

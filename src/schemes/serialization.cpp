@@ -1,7 +1,9 @@
 #include "schemes/serialization.hpp"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 
 #include "bitio/bit_stream.hpp"
@@ -53,8 +55,11 @@ struct Frame {
 
 /// Parses and validates the container framing of either format version.
 /// The returned payload is an owned copy: its extraction is bounded by the
-/// artifact's actual size, never by a decoded length field alone.
+/// artifact's actual size, never by a decoded length field alone. Every
+/// decode entry point parses (and, for v1, checksums) a frame exactly once;
+/// `schemes.artifact.frames_read` counts the parses.
 Frame read_frame(const bitio::BitVector& artifact) {
+  obs::counter("schemes.artifact.frames_read").inc();
   check(artifact.size() >= 32, DecodeErrorKind::kTruncated,
         "artifact shorter than its magic");
   BitReader r(artifact);
@@ -77,8 +82,7 @@ Frame read_frame(const bitio::BitVector& artifact) {
           "v0 artifact names an unknown scheme kind");
     f.info.kind = static_cast<SchemeKind>(kind_raw);
     f.info.payload_bits = r.remaining();
-    f.payload = bitio::BitVector();
-    while (!r.exhausted()) f.payload.push_back(r.read_bit());
+    f.payload = r.read_vector(r.remaining());
     return f;
   }
   check(magic == kFrameMagic, DecodeErrorKind::kBadMagic,
@@ -101,8 +105,7 @@ Frame read_frame(const bitio::BitVector& artifact) {
   check(payload_bits == available, DecodeErrorKind::kSemanticInvalid,
         "trailing bits after the declared payload");
   f.info.payload_bits = static_cast<std::size_t>(payload_bits);
-  f.payload = bitio::BitVector();
-  while (!r.exhausted()) f.payload.push_back(r.read_bit());
+  f.payload = r.read_vector(r.remaining());
   f.info.crc_computed = bitio::crc32(f.payload);
   if (f.info.crc_computed != f.info.crc_stored) {
     obs::counter("artifact.crc_mismatch").inc();
@@ -126,8 +129,15 @@ bitio::BitVector frame(SchemeKind kind, std::size_t n,
   return w.take();
 }
 
-/// Shared decode prologue: frame validation, kind and node-count binding.
-/// Returns the payload ready for the per-kind body reader.
+/// Binds a validated frame to the graph it is decoded against.
+void check_node_count(const ArtifactInfo& info, const graph::Graph& g) {
+  check(info.node_count == g.node_count(), DecodeErrorKind::kSemanticInvalid,
+        "artifact node count does not match the graph");
+}
+
+/// Shared decode prologue of the per-kind entry points: frame validation,
+/// kind and node-count binding. Returns the payload ready for the per-kind
+/// body decoder.
 bitio::BitVector open_payload(const bitio::BitVector& artifact,
                               SchemeKind expected, const graph::Graph& g) {
   Frame f = read_frame(artifact);
@@ -136,9 +146,7 @@ bitio::BitVector open_payload(const bitio::BitVector& artifact,
          std::string("artifact holds a ") + to_string(f.info.kind) +
              " scheme, expected " + to_string(expected));
   }
-  check(f.info.node_count == g.node_count(),
-        DecodeErrorKind::kSemanticInvalid,
-        "artifact node count does not match the graph");
+  check_node_count(f.info, g);
   return std::move(f.payload);
 }
 
@@ -170,6 +178,16 @@ auto guarded_decode(F&& body) -> decltype(body()) {
   }
 }
 
+/// A per-kind entry point: counts the attempt, opens the frame as
+/// `expected`, and decodes its payload with `body` under the taxonomy.
+template <typename Body>
+auto deserialize_as(const bitio::BitVector& artifact, SchemeKind expected,
+                    const graph::Graph& g, Body body) {
+  record_deserialize(artifact);
+  return guarded_decode(
+      [&] { return body(open_payload(artifact, expected, g), g); });
+}
+
 void write_bit_vector(BitWriter& w, const bitio::BitVector& bits) {
   bitio::write_prime(w, bits.size());
   w.write_vector(bits);
@@ -182,9 +200,7 @@ bitio::BitVector read_bit_vector(BitReader& r) {
   const std::uint64_t len = bitio::read_prime(r);
   check(len <= r.remaining(), DecodeErrorKind::kResourceLimit,
         "bit-vector length exceeds the remaining payload");
-  bitio::BitVector bits;
-  for (std::uint64_t i = 0; i < len; ++i) bits.push_back(r.read_bit());
-  return bits;
+  return r.read_vector(static_cast<std::size_t>(len));
 }
 
 /// Reads a count of items occupying >= `min_bits_per_item` bits each,
@@ -238,24 +254,29 @@ bitio::BitVector serialize(const CompactDiam2Scheme& scheme) {
       frame(SchemeKind::kCompactDiam2, scheme.node_count(), w.take()));
 }
 
+namespace {
+
+CompactDiam2Scheme decode_compact_diam2(const bitio::BitVector& payload,
+                                        const graph::Graph& g) {
+  BitReader r(payload);
+  const std::size_t n = g.node_count();
+  CompactDiam2Scheme::Options opt;
+  opt.neighbors_known = r.read_bit();
+  std::vector<bitio::BitVector> node_bits;
+  node_bits.reserve(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    node_bits.push_back(read_bit_vector(r));
+  }
+  require_exhausted(r);
+  return CompactDiam2Scheme(g, opt, std::move(node_bits));
+}
+
+}  // namespace
+
 CompactDiam2Scheme deserialize_compact_diam2(const bitio::BitVector& artifact,
                                              const graph::Graph& g) {
-  record_deserialize(artifact);
-  return guarded_decode([&] {
-    const bitio::BitVector payload =
-        open_payload(artifact, SchemeKind::kCompactDiam2, g);
-    BitReader r(payload);
-    const std::size_t n = g.node_count();
-    CompactDiam2Scheme::Options opt;
-    opt.neighbors_known = r.read_bit();
-    std::vector<bitio::BitVector> node_bits;
-    node_bits.reserve(n);
-    for (std::size_t u = 0; u < n; ++u) {
-      node_bits.push_back(read_bit_vector(r));
-    }
-    require_exhausted(r);
-    return CompactDiam2Scheme(g, opt, std::move(node_bits));
-  });
+  return deserialize_as(artifact, SchemeKind::kCompactDiam2, g,
+                        decode_compact_diam2);
 }
 
 bitio::BitVector serialize(const FullTableScheme& scheme) {
@@ -283,55 +304,59 @@ bitio::BitVector serialize(const FullTableScheme& scheme) {
   return record_serialize(frame(SchemeKind::kFullTable, n, w.take()));
 }
 
+namespace {
+
+FullTableScheme decode_full_table(const bitio::BitVector& payload,
+                                  const graph::Graph& g) {
+  BitReader r(payload);
+  const std::size_t n = g.node_count();
+  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  std::vector<graph::NodeId> labels(n);
+  for (auto& l : labels) {
+    l = static_cast<graph::NodeId>(r.read_bits(id_width));
+    check(l < n, DecodeErrorKind::kSemanticInvalid,
+          "full-table label out of range");
+  }
+  std::vector<std::vector<graph::NodeId>> port_maps(n);
+  for (graph::NodeId u = 0; u < n; ++u) {
+    const std::size_t d =
+        read_count(r, id_width, "port map larger than the payload");
+    check(d == g.degree(u), DecodeErrorKind::kSemanticInvalid,
+          "port map size does not match the node degree");
+    port_maps[u].resize(d);
+    for (auto& v : port_maps[u]) {
+      v = static_cast<graph::NodeId>(r.read_bits(id_width));
+      check(v < n, DecodeErrorKind::kSemanticInvalid,
+            "port map entry out of range");
+    }
+  }
+  model::Model m;
+  const std::uint64_t knowledge = bitio::read_prime(r);
+  const std::uint64_t relabeling = bitio::read_prime(r);
+  check(knowledge <= static_cast<std::uint64_t>(
+                         model::Knowledge::kNeighborsKnown),
+        DecodeErrorKind::kSemanticInvalid, "unknown knowledge model");
+  check(relabeling <= static_cast<std::uint64_t>(
+                          model::Relabeling::kArbitrary),
+        DecodeErrorKind::kSemanticInvalid, "unknown relabeling model");
+  m.knowledge = static_cast<model::Knowledge>(knowledge);
+  m.relabeling = static_cast<model::Relabeling>(relabeling);
+  std::vector<bitio::BitVector> tables;
+  tables.reserve(n);
+  for (std::size_t u = 0; u < n; ++u) tables.push_back(read_bit_vector(r));
+  require_exhausted(r);
+  // The table-validating constructor checks per-entry port bounds.
+  return FullTableScheme(g, graph::PortAssignment::from_port_maps(
+                                g, std::move(port_maps)),
+                         graph::Labeling::permutation(std::move(labels)), m,
+                         std::move(tables));
+}
+
+}  // namespace
+
 FullTableScheme deserialize_full_table(const bitio::BitVector& artifact,
                                        const graph::Graph& g) {
-  record_deserialize(artifact);
-  return guarded_decode([&] {
-    const bitio::BitVector payload =
-        open_payload(artifact, SchemeKind::kFullTable, g);
-    BitReader r(payload);
-    const std::size_t n = g.node_count();
-    const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
-    std::vector<graph::NodeId> labels(n);
-    for (auto& l : labels) {
-      l = static_cast<graph::NodeId>(r.read_bits(id_width));
-      check(l < n, DecodeErrorKind::kSemanticInvalid,
-            "full-table label out of range");
-    }
-    std::vector<std::vector<graph::NodeId>> port_maps(n);
-    for (graph::NodeId u = 0; u < n; ++u) {
-      const std::size_t d =
-          read_count(r, id_width, "port map larger than the payload");
-      check(d == g.degree(u), DecodeErrorKind::kSemanticInvalid,
-            "port map size does not match the node degree");
-      port_maps[u].resize(d);
-      for (auto& v : port_maps[u]) {
-        v = static_cast<graph::NodeId>(r.read_bits(id_width));
-        check(v < n, DecodeErrorKind::kSemanticInvalid,
-              "port map entry out of range");
-      }
-    }
-    model::Model m;
-    const std::uint64_t knowledge = bitio::read_prime(r);
-    const std::uint64_t relabeling = bitio::read_prime(r);
-    check(knowledge <= static_cast<std::uint64_t>(
-                           model::Knowledge::kNeighborsKnown),
-          DecodeErrorKind::kSemanticInvalid, "unknown knowledge model");
-    check(relabeling <= static_cast<std::uint64_t>(
-                            model::Relabeling::kArbitrary),
-          DecodeErrorKind::kSemanticInvalid, "unknown relabeling model");
-    m.knowledge = static_cast<model::Knowledge>(knowledge);
-    m.relabeling = static_cast<model::Relabeling>(relabeling);
-    std::vector<bitio::BitVector> tables;
-    tables.reserve(n);
-    for (std::size_t u = 0; u < n; ++u) tables.push_back(read_bit_vector(r));
-    require_exhausted(r);
-    // The table-validating constructor checks per-entry port bounds.
-    return FullTableScheme(g, graph::PortAssignment::from_port_maps(
-                                  g, std::move(port_maps)),
-                           graph::Labeling::permutation(std::move(labels)), m,
-                           std::move(tables));
-  });
+  return deserialize_as(artifact, SchemeKind::kFullTable, g, decode_full_table);
 }
 
 bitio::BitVector serialize(const HubScheme& scheme) {
@@ -345,25 +370,30 @@ bitio::BitVector serialize(const HubScheme& scheme) {
       frame(SchemeKind::kHub, scheme.node_count(), w.take()));
 }
 
+namespace {
+
+HubScheme decode_hub(const bitio::BitVector& payload,
+                     const graph::Graph& g) {
+  BitReader r(payload);
+  const std::size_t n = g.node_count();
+  const std::uint64_t hub = bitio::read_prime(r);
+  check(hub < n, DecodeErrorKind::kSemanticInvalid, "hub id out of range");
+  const std::uint64_t rank_width = bitio::read_prime(r);
+  check(rank_width <= 64, DecodeErrorKind::kSemanticInvalid,
+        "hub rank width exceeds 64 bits");
+  std::vector<bitio::BitVector> node_bits;
+  node_bits.reserve(n);
+  for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
+  require_exhausted(r);
+  return HubScheme(g, static_cast<graph::NodeId>(hub),
+                   static_cast<unsigned>(rank_width), std::move(node_bits));
+}
+
+}  // namespace
+
 HubScheme deserialize_hub(const bitio::BitVector& artifact,
                           const graph::Graph& g) {
-  record_deserialize(artifact);
-  return guarded_decode([&] {
-    const bitio::BitVector payload = open_payload(artifact, SchemeKind::kHub, g);
-    BitReader r(payload);
-    const std::size_t n = g.node_count();
-    const std::uint64_t hub = bitio::read_prime(r);
-    check(hub < n, DecodeErrorKind::kSemanticInvalid, "hub id out of range");
-    const std::uint64_t rank_width = bitio::read_prime(r);
-    check(rank_width <= 64, DecodeErrorKind::kSemanticInvalid,
-          "hub rank width exceeds 64 bits");
-    std::vector<bitio::BitVector> node_bits;
-    node_bits.reserve(n);
-    for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
-    require_exhausted(r);
-    return HubScheme(g, static_cast<graph::NodeId>(hub),
-                     static_cast<unsigned>(rank_width), std::move(node_bits));
-  });
+  return deserialize_as(artifact, SchemeKind::kHub, g, decode_hub);
 }
 
 bitio::BitVector serialize(const RoutingCenterScheme& scheme) {
@@ -378,31 +408,36 @@ bitio::BitVector serialize(const RoutingCenterScheme& scheme) {
   return record_serialize(frame(SchemeKind::kRoutingCenter, n, w.take()));
 }
 
+namespace {
+
+RoutingCenterScheme decode_routing_center(const bitio::BitVector& payload,
+                                          const graph::Graph& g) {
+  BitReader r(payload);
+  const std::size_t n = g.node_count();
+  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const std::size_t count =
+      read_count(r, id_width, "center set larger than the payload");
+  check(count <= n, DecodeErrorKind::kSemanticInvalid,
+        "more centers than nodes");
+  std::vector<graph::NodeId> centers(count);
+  for (auto& b : centers) {
+    b = static_cast<graph::NodeId>(r.read_bits(id_width));
+    check(b < n, DecodeErrorKind::kSemanticInvalid,
+          "center id out of range");
+  }
+  std::vector<bitio::BitVector> node_bits;
+  node_bits.reserve(n);
+  for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
+  require_exhausted(r);
+  return RoutingCenterScheme(g, std::move(centers), std::move(node_bits));
+}
+
+}  // namespace
+
 RoutingCenterScheme deserialize_routing_center(const bitio::BitVector& artifact,
                                                const graph::Graph& g) {
-  record_deserialize(artifact);
-  return guarded_decode([&] {
-    const bitio::BitVector payload =
-        open_payload(artifact, SchemeKind::kRoutingCenter, g);
-    BitReader r(payload);
-    const std::size_t n = g.node_count();
-    const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
-    const std::size_t count =
-        read_count(r, id_width, "center set larger than the payload");
-    check(count <= n, DecodeErrorKind::kSemanticInvalid,
-          "more centers than nodes");
-    std::vector<graph::NodeId> centers(count);
-    for (auto& b : centers) {
-      b = static_cast<graph::NodeId>(r.read_bits(id_width));
-      check(b < n, DecodeErrorKind::kSemanticInvalid,
-            "center id out of range");
-    }
-    std::vector<bitio::BitVector> node_bits;
-    node_bits.reserve(n);
-    for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
-    require_exhausted(r);
-    return RoutingCenterScheme(g, std::move(centers), std::move(node_bits));
-  });
+  return deserialize_as(artifact, SchemeKind::kRoutingCenter, g,
+                        decode_routing_center);
 }
 
 bitio::BitVector serialize(const LandmarkScheme& scheme) {
@@ -417,31 +452,35 @@ bitio::BitVector serialize(const LandmarkScheme& scheme) {
   return record_serialize(frame(SchemeKind::kLandmark, n, w.take()));
 }
 
+namespace {
+
+LandmarkScheme decode_landmark(const bitio::BitVector& payload,
+                               const graph::Graph& g) {
+  BitReader r(payload);
+  const std::size_t n = g.node_count();
+  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const std::size_t count =
+      read_count(r, id_width, "landmark set larger than the payload");
+  check(count <= n, DecodeErrorKind::kSemanticInvalid,
+        "more landmarks than nodes");
+  std::vector<graph::NodeId> landmarks(count);
+  for (auto& l : landmarks) {
+    l = static_cast<graph::NodeId>(r.read_bits(id_width));
+    check(l < n, DecodeErrorKind::kSemanticInvalid,
+          "landmark id out of range");
+  }
+  std::vector<bitio::BitVector> node_bits;
+  node_bits.reserve(n);
+  for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
+  require_exhausted(r);
+  return LandmarkScheme(g, std::move(landmarks), std::move(node_bits));
+}
+
+}  // namespace
+
 LandmarkScheme deserialize_landmark(const bitio::BitVector& artifact,
                                     const graph::Graph& g) {
-  record_deserialize(artifact);
-  return guarded_decode([&] {
-    const bitio::BitVector payload =
-        open_payload(artifact, SchemeKind::kLandmark, g);
-    BitReader r(payload);
-    const std::size_t n = g.node_count();
-    const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
-    const std::size_t count =
-        read_count(r, id_width, "landmark set larger than the payload");
-    check(count <= n, DecodeErrorKind::kSemanticInvalid,
-          "more landmarks than nodes");
-    std::vector<graph::NodeId> landmarks(count);
-    for (auto& l : landmarks) {
-      l = static_cast<graph::NodeId>(r.read_bits(id_width));
-      check(l < n, DecodeErrorKind::kSemanticInvalid,
-            "landmark id out of range");
-    }
-    std::vector<bitio::BitVector> node_bits;
-    node_bits.reserve(n);
-    for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
-    require_exhausted(r);
-    return LandmarkScheme(g, std::move(landmarks), std::move(node_bits));
-  });
+  return deserialize_as(artifact, SchemeKind::kLandmark, g, decode_landmark);
 }
 
 bitio::BitVector serialize(const HierarchicalScheme& scheme) {
@@ -459,40 +498,45 @@ bitio::BitVector serialize(const HierarchicalScheme& scheme) {
   return record_serialize(frame(SchemeKind::kHierarchical, n, w.take()));
 }
 
+namespace {
+
+HierarchicalScheme decode_hierarchical(const bitio::BitVector& payload,
+                                       const graph::Graph& g) {
+  BitReader r(payload);
+  const std::size_t n = g.node_count();
+  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const std::uint64_t levels = bitio::read_prime(r);
+  check(levels >= 2, DecodeErrorKind::kSemanticInvalid,
+        "hierarchy needs at least 2 levels");
+  check(levels <= n, DecodeErrorKind::kResourceLimit,
+        "more hierarchy levels than nodes");
+  std::vector<std::vector<graph::NodeId>> pivot_sets(
+      static_cast<std::size_t>(levels));
+  for (std::size_t i = 1; i < levels; ++i) {
+    const std::size_t count =
+        read_count(r, id_width, "pivot set larger than the payload");
+    check(count <= n, DecodeErrorKind::kSemanticInvalid,
+          "more pivots than nodes");
+    pivot_sets[i].resize(count);
+    for (auto& t : pivot_sets[i]) {
+      t = static_cast<graph::NodeId>(r.read_bits(id_width));
+      check(t < n, DecodeErrorKind::kSemanticInvalid,
+            "pivot id out of range");
+    }
+  }
+  std::vector<bitio::BitVector> node_bits;
+  node_bits.reserve(n);
+  for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
+  require_exhausted(r);
+  return HierarchicalScheme(g, std::move(pivot_sets), std::move(node_bits));
+}
+
+}  // namespace
+
 HierarchicalScheme deserialize_hierarchical(const bitio::BitVector& artifact,
                                             const graph::Graph& g) {
-  record_deserialize(artifact);
-  return guarded_decode([&] {
-    const bitio::BitVector payload =
-        open_payload(artifact, SchemeKind::kHierarchical, g);
-    BitReader r(payload);
-    const std::size_t n = g.node_count();
-    const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
-    const std::uint64_t levels = bitio::read_prime(r);
-    check(levels >= 2, DecodeErrorKind::kSemanticInvalid,
-          "hierarchy needs at least 2 levels");
-    check(levels <= n, DecodeErrorKind::kResourceLimit,
-          "more hierarchy levels than nodes");
-    std::vector<std::vector<graph::NodeId>> pivot_sets(
-        static_cast<std::size_t>(levels));
-    for (std::size_t i = 1; i < levels; ++i) {
-      const std::size_t count =
-          read_count(r, id_width, "pivot set larger than the payload");
-      check(count <= n, DecodeErrorKind::kSemanticInvalid,
-            "more pivots than nodes");
-      pivot_sets[i].resize(count);
-      for (auto& t : pivot_sets[i]) {
-        t = static_cast<graph::NodeId>(r.read_bits(id_width));
-        check(t < n, DecodeErrorKind::kSemanticInvalid,
-              "pivot id out of range");
-      }
-    }
-    std::vector<bitio::BitVector> node_bits;
-    node_bits.reserve(n);
-    for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
-    require_exhausted(r);
-    return HierarchicalScheme(g, std::move(pivot_sets), std::move(node_bits));
-  });
+  return deserialize_as(artifact, SchemeKind::kHierarchical, g,
+                        decode_hierarchical);
 }
 
 bitio::BitVector serialize(const SequentialSearchScheme& scheme) {
@@ -500,16 +544,21 @@ bitio::BitVector serialize(const SequentialSearchScheme& scheme) {
                                 scheme.node_count(), bitio::BitVector()));
 }
 
+namespace {
+
+SequentialSearchScheme decode_sequential_search(
+    const bitio::BitVector& payload, const graph::Graph& g) {
+  check(payload.empty(), DecodeErrorKind::kSemanticInvalid,
+        "sequential-search payload must be empty");
+  return SequentialSearchScheme(g);
+}
+
+}  // namespace
+
 SequentialSearchScheme deserialize_sequential_search(
     const bitio::BitVector& artifact, const graph::Graph& g) {
-  record_deserialize(artifact);
-  return guarded_decode([&] {
-    const bitio::BitVector payload =
-        open_payload(artifact, SchemeKind::kSequentialSearch, g);
-    check(payload.empty(), DecodeErrorKind::kSemanticInvalid,
-          "sequential-search payload must be empty");
-    return SequentialSearchScheme(g);
-  });
+  return deserialize_as(artifact, SchemeKind::kSequentialSearch, g,
+                        decode_sequential_search);
 }
 
 bitio::BitVector serialize(const TzScheme& scheme) {
@@ -524,96 +573,121 @@ bitio::BitVector serialize(const TzScheme& scheme) {
   return record_serialize(frame(SchemeKind::kThorupZwick, n, w.take()));
 }
 
-TzScheme deserialize_tz(const bitio::BitVector& artifact,
-                        const graph::Graph& g) {
-  record_deserialize(artifact);
-  return guarded_decode([&] {
-    const bitio::BitVector payload =
-        open_payload(artifact, SchemeKind::kThorupZwick, g);
-    BitReader r(payload);
-    const std::size_t n = g.node_count();
-    const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
-    const std::size_t count =
-        read_count(r, id_width, "landmark set larger than the payload");
-    check(count <= n, DecodeErrorKind::kSemanticInvalid,
-          "more landmarks than nodes");
-    std::vector<graph::NodeId> landmarks(count);
-    for (auto& l : landmarks) {
-      l = static_cast<graph::NodeId>(r.read_bits(id_width));
-      check(l < n, DecodeErrorKind::kSemanticInvalid,
-            "landmark id out of range");
-    }
-    std::vector<bitio::BitVector> node_bits;
-    node_bits.reserve(n);
-    for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
-    require_exhausted(r);
-    // The table-validating constructor checks ordering and port bounds.
-    return TzScheme(g, std::move(landmarks), std::move(node_bits));
-  });
+namespace {
+
+TzScheme decode_tz(const bitio::BitVector& payload,
+                   const graph::Graph& g) {
+  BitReader r(payload);
+  const std::size_t n = g.node_count();
+  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const std::size_t count =
+      read_count(r, id_width, "landmark set larger than the payload");
+  check(count <= n, DecodeErrorKind::kSemanticInvalid,
+        "more landmarks than nodes");
+  std::vector<graph::NodeId> landmarks(count);
+  for (auto& l : landmarks) {
+    l = static_cast<graph::NodeId>(r.read_bits(id_width));
+    check(l < n, DecodeErrorKind::kSemanticInvalid,
+          "landmark id out of range");
+  }
+  std::vector<bitio::BitVector> node_bits;
+  node_bits.reserve(n);
+  for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
+  require_exhausted(r);
+  // The table-validating constructor checks ordering and port bounds.
+  return TzScheme(g, std::move(landmarks), std::move(node_bits));
 }
 
-std::unique_ptr<model::RoutingScheme> deserialize_any(
-    const bitio::BitVector& artifact, const graph::Graph& g) {
-  SchemeKind kind;
-  try {
-    kind = peek_kind(artifact);
-  } catch (const DecodeError&) {
-    // Frame-level rejections below never reach a per-kind decoder (whose
-    // guard would count them), so count the attempt here.
-    obs::counter("artifact.decode_rejected").inc();
-    throw;
-  }
+}  // namespace
+
+TzScheme deserialize_tz(const bitio::BitVector& artifact,
+                        const graph::Graph& g) {
+  return deserialize_as(artifact, SchemeKind::kThorupZwick, g, decode_tz);
+}
+
+namespace {
+
+/// Dispatches a validated, bound payload to its kind's body decoder.
+std::unique_ptr<model::RoutingScheme> decode_payload(
+    SchemeKind kind, const bitio::BitVector& payload, const graph::Graph& g) {
   switch (kind) {
     case SchemeKind::kCompactDiam2:
       return std::make_unique<CompactDiam2Scheme>(
-          deserialize_compact_diam2(artifact, g));
+          decode_compact_diam2(payload, g));
     case SchemeKind::kFullTable:
-      return std::make_unique<FullTableScheme>(
-          deserialize_full_table(artifact, g));
+      return std::make_unique<FullTableScheme>(decode_full_table(payload, g));
     case SchemeKind::kHub:
-      return std::make_unique<HubScheme>(deserialize_hub(artifact, g));
+      return std::make_unique<HubScheme>(decode_hub(payload, g));
     case SchemeKind::kRoutingCenter:
       return std::make_unique<RoutingCenterScheme>(
-          deserialize_routing_center(artifact, g));
+          decode_routing_center(payload, g));
     case SchemeKind::kLandmark:
-      return std::make_unique<LandmarkScheme>(
-          deserialize_landmark(artifact, g));
+      return std::make_unique<LandmarkScheme>(decode_landmark(payload, g));
     case SchemeKind::kHierarchical:
       return std::make_unique<HierarchicalScheme>(
-          deserialize_hierarchical(artifact, g));
+          decode_hierarchical(payload, g));
     case SchemeKind::kSequentialSearch:
       return std::make_unique<SequentialSearchScheme>(
-          deserialize_sequential_search(artifact, g));
+          decode_sequential_search(payload, g));
     case SchemeKind::kThorupZwick:
-      return std::make_unique<TzScheme>(deserialize_tz(artifact, g));
+      return std::make_unique<TzScheme>(decode_tz(payload, g));
   }
   fail(DecodeErrorKind::kSemanticInvalid, "unknown scheme kind");
 }
 
+/// The kind-dispatching decode: one frame parse and CRC, then the body
+/// decode of whatever kind the frame names. The result's fast path is
+/// left empty.
+FastScheme decode_any(const bitio::BitVector& artifact,
+                      const graph::Graph& g) {
+  Frame f;
+  try {
+    f = read_frame(artifact);
+  } catch (const DecodeError&) {
+    // Frame-level rejections never reach the body guard (which would
+    // count them), so count the attempt here.
+    obs::counter("artifact.decode_rejected").inc();
+    throw;
+  }
+  record_deserialize(artifact);
+  FastScheme result;
+  result.kind = f.info.kind;
+  result.scheme = guarded_decode([&] {
+    check_node_count(f.info, g);
+    return decode_payload(f.info.kind, f.payload, g);
+  });
+  return result;
+}
+
+}  // namespace
+
+std::unique_ptr<model::RoutingScheme> deserialize_any(
+    const bitio::BitVector& artifact, const graph::Graph& g) {
+  return decode_any(artifact, g).scheme;
+}
+
 FastScheme compile_fast_from_artifact(const bitio::BitVector& artifact,
                                       const graph::Graph& g) {
-  FastScheme result;
-  result.scheme = deserialize_any(artifact, g);
+  FastScheme result = decode_any(artifact, g);
   result.fast = result.scheme->compile_fast();
   return result;
 }
 
 std::vector<std::uint8_t> to_bytes(const bitio::BitVector& bits) {
-  std::vector<std::uint8_t> bytes;
-  // 64-bit little-endian bit-count prefix.
   const std::uint64_t count = bits.size();
-  for (int i = 0; i < 8; ++i) {
-    bytes.push_back(static_cast<std::uint8_t>(count >> (8 * i)));
+  std::vector<std::uint8_t> bytes(8 + (count + 7) / 8);
+  // 64-bit little-endian bit-count prefix.
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<std::uint8_t>(count >> (8 * i));
   }
-  std::uint8_t current = 0;
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits.get(i)) current |= static_cast<std::uint8_t>(1u << (i % 8));
-    if (i % 8 == 7) {
-      bytes.push_back(current);
-      current = 0;
+  // LSB-first packing with zero padding is the little-endian byte image of
+  // the words (BitVector's zero-tail invariant).
+  std::size_t at = 8;
+  for (const std::uint64_t w : bits.words()) {
+    for (std::size_t b = 0; b < 8 && at < bytes.size(); ++b) {
+      bytes[at++] = static_cast<std::uint8_t>(w >> (8 * b));
     }
   }
-  if (bits.size() % 8 != 0) bytes.push_back(current);
   return bytes;
 }
 
@@ -643,12 +717,11 @@ bitio::BitVector from_bytes(std::span<const std::uint8_t> bytes) {
     check((tail >> (count % 8)) == 0, DecodeErrorKind::kSemanticInvalid,
           "from_bytes: nonzero padding bits");
   }
-  bitio::BitVector bits;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint8_t byte = bytes[static_cast<std::size_t>(8 + i / 8)];
-    bits.push_back((byte >> (i % 8)) & 1u);
+  std::vector<std::uint64_t> words(static_cast<std::size_t>((count + 63) / 64));
+  for (std::size_t i = 0; i < payload_bytes; ++i) {
+    words[i / 8] |= static_cast<std::uint64_t>(bytes[8 + i]) << (8 * (i % 8));
   }
-  return bits;
+  return bitio::BitVector(std::move(words), static_cast<std::size_t>(count));
 }
 
 void save_artifact(const std::string& path, const bitio::BitVector& bits) {
@@ -679,8 +752,15 @@ bitio::BitVector load_artifact(const std::string& path) {
   obs::counter("schemes.artifact.loads").inc();
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_artifact: cannot open " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
+  // One read of the whole file when its size is known; whatever is left
+  // (a file that grew, or one whose size cannot be asked) is read bytewise.
+  std::error_code ec;
+  const auto size = std::filesystem::file_size(path, ec);
+  std::vector<std::uint8_t> bytes(ec ? 0 : static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  bytes.resize(static_cast<std::size_t>(in.gcount()));
+  if (in) bytes.insert(bytes.end(), std::istreambuf_iterator<char>(in), {});
   return from_bytes(bytes);
 }
 

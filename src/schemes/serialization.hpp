@@ -153,16 +153,19 @@ struct ArtifactInfo {
     const bitio::BitVector& artifact, const graph::Graph& g);
 
 /// A deserialized scheme together with its compiled query-optimized form
-/// (model/fastpath.hpp). The scheme is kept alive alongside the fast path
-/// so even a borrowed fallback fast path stays valid.
+/// (model/fastpath.hpp) and the kind its frame named. The scheme is kept
+/// alive alongside the fast path so even a borrowed fallback fast path
+/// stays valid.
 struct FastScheme {
+  SchemeKind kind = SchemeKind::kCompactDiam2;
   std::unique_ptr<model::RoutingScheme> scheme;
   std::unique_ptr<model::FastPath> fast;
 };
 
-/// Decodes the artifact and compiles its fast path in one step. Exactly
-/// the deserialize_any error surface: any corruption throws the same
-/// typed DecodeError before compilation starts.
+/// Decodes the artifact and compiles its fast path in one step, parsing
+/// and checksumming the frame once. Exactly the deserialize_any error
+/// surface: any corruption throws the same typed DecodeError before
+/// compilation starts.
 [[nodiscard]] FastScheme compile_fast_from_artifact(
     const bitio::BitVector& artifact, const graph::Graph& g);
 

@@ -108,10 +108,10 @@ LoadReport ArtifactStore::load() {
       continue;
     }
     try {
-      const bitio::BitVector artifact = load_artifact_mmap(ort);
-      served->kind = schemes::peek_kind(artifact);
-      served->compiled =
-          schemes::compile_fast_from_artifact(artifact, *served->graph);
+      // One frame parse and CRC per artifact: the decode reports the kind.
+      served->compiled = schemes::compile_fast_from_artifact(
+          load_artifact_mmap(ort), *served->graph);
+      served->kind = served->compiled.kind;
     } catch (const std::exception& e) {
       report.failures.push_back({ort, e.what()});
       continue;

@@ -1,13 +1,18 @@
 // Unit and property tests for the bitio substrate: BitVector, streams,
-// prefix codes (Definition 4), and the complexity estimators.
+// prefix codes (Definition 4), and the complexity estimators. The
+// word-level BitVector/BitReader/crc32 paths are checked against a
+// bit-serial reference at every word boundary.
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "bitio/bit_stream.hpp"
 #include "bitio/bit_vector.hpp"
 #include "bitio/codes.hpp"
+#include "bitio/crc32.hpp"
 #include "bitio/entropy.hpp"
+#include "schemes/serialization.hpp"
 
 namespace optrt::bitio {
 namespace {
@@ -115,6 +120,164 @@ TEST(BitStream, SeekAndPosition) {
   EXPECT_TRUE(r.read_bit());
   EXPECT_EQ(r.remaining(), 3u);
   EXPECT_THROW(r.seek(9), std::out_of_range);
+}
+
+TEST(BitVector, SelfAppendAppendsTheOriginalBits) {
+  BitVector v = BitVector::from_string("1011");
+  v.append(v);
+  EXPECT_EQ(v.to_string(), "10111011");
+  for (const std::size_t n : {std::size_t{64}, std::size_t{100}}) {
+    BitVector w;
+    for (std::size_t i = 0; i < n; ++i) w.push_back(i % 3 == 0);
+    const std::string once = w.to_string();
+    w.append(w);
+    EXPECT_EQ(w.to_string(), once + once) << n;
+  }
+  BitWriter writer;
+  writer.write_bits(0b110, 3);
+  writer.write_vector(writer.bits());
+  EXPECT_EQ(writer.bits().to_string(), "011011");
+}
+
+TEST(BitVector, FromWordsEnforcesTheZeroTail) {
+  EXPECT_EQ(BitVector({0b101}, 3).to_string(), "101");
+  EXPECT_EQ(BitVector({}, 0), BitVector());
+  EXPECT_THROW(BitVector({0b1101}, 3), std::invalid_argument);  // bit 3 set
+  EXPECT_THROW(BitVector({0, 0}, 64), std::invalid_argument);   // extra word
+  EXPECT_THROW(BitVector({}, 1), std::invalid_argument);        // missing word
+  EXPECT_EQ(BitVector({~std::uint64_t{0}}, 64).popcount(), 64u);
+}
+
+// --- Word-boundary differential: word-level paths vs a bit-serial reference --
+
+/// The reference model: one bool per bit, built and read one bit at a time.
+using Bits = std::vector<bool>;
+
+Bits random_bits(std::mt19937_64& rng, std::size_t n) {
+  Bits bits(n);
+  for (std::size_t i = 0; i < n; ++i) bits[i] = (rng() & 1u) != 0;
+  return bits;
+}
+
+/// push_back only, so equality with a word-level result also pins the word
+/// count and the zero tail (operator== compares words).
+BitVector from_model(const Bits& bits) {
+  BitVector v;
+  for (const bool b : bits) v.push_back(b);
+  return v;
+}
+
+std::uint64_t model_bits(const Bits& bits, std::size_t pos, unsigned width) {
+  std::uint64_t value = 0;
+  for (unsigned i = 0; i < width; ++i) {
+    if (bits[pos + i]) value |= std::uint64_t{1} << i;
+  }
+  return value;
+}
+
+/// The to_bytes image, byte by byte: 8 little-endian length bytes, then the
+/// bits LSB-first with the final byte zero-padded.
+std::vector<std::uint8_t> model_bytes(const Bits& bits) {
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < 8; ++i) {
+    bytes.push_back(static_cast<std::uint8_t>(bits.size() >> (8 * i)));
+  }
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (i % 8 == 0) bytes.push_back(0);
+    if (bits[i]) bytes.back() |= static_cast<std::uint8_t>(1u << (i % 8));
+  }
+  return bytes;
+}
+
+TEST(BitVectorDifferential, AppendBitsEveryWidthFromEveryOffset) {
+  std::mt19937_64 rng(1205);
+  for (unsigned offset = 0; offset < 64; ++offset) {
+    for (unsigned width = 0; width <= 64; ++width) {
+      // A second word of prefix exercises appends past the first word.
+      for (const std::size_t prefix :
+           {std::size_t{offset}, std::size_t{offset} + 64}) {
+        Bits model = random_bits(rng, prefix);
+        BitVector v = from_model(model);
+        const std::uint64_t value = rng();  // junk above `width` is dropped
+        v.append_bits(value, width);
+        for (unsigned i = 0; i < width; ++i) {
+          model.push_back(((value >> i) & 1u) != 0);
+        }
+        ASSERT_EQ(v, from_model(model))
+            << "offset " << offset << " width " << width;
+      }
+    }
+  }
+}
+
+TEST(BitVectorDifferential, AppendSliceAndReadVectorRandomLengths) {
+  std::mt19937_64 rng(1307);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const Bits a = random_bits(rng, rng() % 300);
+    const Bits b = random_bits(rng, rng() % 300);
+    BitVector v = from_model(a);
+    v.append(from_model(b));
+    Bits joined = a;
+    joined.insert(joined.end(), b.begin(), b.end());
+    ASSERT_EQ(v, from_model(joined)) << "trial " << trial;
+
+    const std::size_t start = rng() % (joined.size() + 1);
+    const std::size_t len = rng() % (joined.size() - start + 1);
+    const Bits part(joined.begin() + static_cast<std::ptrdiff_t>(start),
+                    joined.begin() + static_cast<std::ptrdiff_t>(start + len));
+    ASSERT_EQ(v.slice(start, len), from_model(part)) << "trial " << trial;
+
+    BitReader r(v);
+    r.seek(start);
+    ASSERT_EQ(r.read_vector(len), from_model(part)) << "trial " << trial;
+    EXPECT_EQ(r.position(), start + len);
+  }
+  const BitVector v(10);
+  EXPECT_THROW((void)v.slice(4, 7), std::out_of_range);
+  EXPECT_THROW((void)v.slice(11, 0), std::out_of_range);
+  EXPECT_EQ(v.slice(10, 0), BitVector());
+}
+
+TEST(BitVectorDifferential, ReadBitsAtEveryOffset) {
+  std::mt19937_64 rng(1996);
+  const Bits model = random_bits(rng, 3 * 64 + 17);
+  const BitVector v = from_model(model);
+  BitReader r(v);
+  for (std::size_t pos = 0; pos <= model.size(); ++pos) {
+    for (unsigned width = 0; width <= 64 && pos + width <= model.size();
+         ++width) {
+      r.seek(pos);
+      ASSERT_EQ(r.read_bits(width), model_bits(model, pos, width))
+          << "pos " << pos << " width " << width;
+      ASSERT_EQ(r.position(), pos + width);
+    }
+  }
+}
+
+TEST(BitVectorDifferential, BytesAndCrcMatchTheBytePacking) {
+  std::mt19937_64 rng(42);
+  for (std::size_t n = 0; n < 400; ++n) {
+    const Bits model = random_bits(rng, n);
+    const BitVector v = from_model(model);
+    const std::vector<std::uint8_t> bytes = model_bytes(model);
+    ASSERT_EQ(schemes::to_bytes(v), bytes) << n;
+    ASSERT_EQ(schemes::from_bytes(bytes), v) << n;
+    ASSERT_EQ(crc32(v), crc32(bytes.data(), bytes.size())) << n;
+  }
+}
+
+TEST(BitStream, PastEndReadLeavesThePositionUnchanged) {
+  const BitVector v(70);
+  BitReader r(v);
+  (void)r.read_bits(10);
+  EXPECT_THROW((void)r.read_bits(61), std::out_of_range);
+  EXPECT_EQ(r.position(), 10u);
+  EXPECT_THROW((void)r.read_vector(61), std::out_of_range);
+  EXPECT_EQ(r.position(), 10u);
+  EXPECT_EQ(r.read_bits(60), 0u);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_THROW((void)r.read_bits(1), std::out_of_range);
+  EXPECT_EQ(r.position(), 70u);
 }
 
 // --- The paper's N <-> {0,1}* correspondence --------------------------------

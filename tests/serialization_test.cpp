@@ -117,10 +117,19 @@ TEST(Serialization, LandmarkRoundTrip) {
 }
 
 TEST(Serialization, LandmarkRoundTripOnSparseGraph) {
-  const Graph g = graph::grid(6, 8);
-  const LandmarkScheme original(g);
-  const LandmarkScheme loaded = deserialize_landmark(serialize(original), g);
-  expect_same_routing(g, original, loaded);
+  // Grids, rings and power-law graphs put many nodes at equal distance
+  // from two landmarks: the decoder must break every tie as the build did.
+  const std::vector<Graph> graphs = {
+      graph::grid(6, 8), graph::ring(40),
+      graph::TopologyFamily::parse("ba:2").make(96, 1205)};
+  for (const Graph& g : graphs) {
+    const LandmarkScheme original(g);
+    const LandmarkScheme loaded = deserialize_landmark(serialize(original), g);
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(loaded.landmark_of(v), original.landmark_of(v)) << "node " << v;
+    }
+    expect_same_routing(g, original, loaded);
+  }
 }
 
 TEST(Serialization, HierarchicalRoundTrip) {

@@ -90,6 +90,20 @@ Fixture add_fixture(const TempDir& dir, const std::string& stem,
   return {stem, std::make_unique<SchemeT>(std::move(scheme))};
 }
 
+/// Inverts the middle byte of a file on disk (inside an artifact's
+/// payload, so its frame CRC must catch it).
+void flip_middle_byte(const std::string& path) {
+  std::vector<std::uint8_t> raw;
+  {
+    std::ifstream in(path, std::ios::binary);
+    raw.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  raw[raw.size() / 2] ^= 0xFF;
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(raw.data()),
+            static_cast<std::streamsize>(raw.size()));
+}
+
 /// All eight serializable kinds over one graph, as served fixtures
 /// g0..g7 (ids are sorted-stem ranks, so id == index here).
 std::vector<Fixture> all_kinds(const TempDir& dir, const Graph& g) {
@@ -602,6 +616,40 @@ TEST(ServeServer, CounterDeltasArePinned) {
   EXPECT_EQ(reg.counter_value("serve.reloads"), 2u);
 }
 
+/// A reload parses and checksums each artifact's frame once: the decode
+/// that builds the fast path also reports the kind the store serves.
+TEST(ServeStore, LoadParsesEachFrameOnce) {
+  const Graph g = certified(48, 1996);
+  TempDir dir;
+  const std::vector<Fixture> fixtures = all_kinds(dir, g);
+
+  obs::ScopedRegistry scoped;
+  auto& reg = scoped.registry();
+  serve::ArtifactStore store(dir.str());
+  for (std::uint64_t round = 1; round <= 2; ++round) {
+    const serve::LoadReport report = store.load();
+    ASSERT_TRUE(report.ok()) << serve::format_load_failure(report.failures[0]);
+    ASSERT_EQ(report.loaded, fixtures.size());
+    EXPECT_EQ(reg.counter_value("schemes.artifact.frames_read"),
+              round * fixtures.size());
+    EXPECT_EQ(reg.counter_value("artifact.decode_ok"), round * fixtures.size());
+    EXPECT_EQ(reg.counter_value("artifact.decode_rejected"), 0u);
+  }
+  // Fixture ids follow SchemeKind order (g0 = compact-diam2 … g7 = tz).
+  for (const auto& artifact : store.catalog()->artifacts) {
+    EXPECT_EQ(static_cast<std::uint32_t>(artifact->kind), artifact->id + 1)
+        << artifact->name;
+  }
+
+  // A corrupt frame is still parsed once and rejected once.
+  flip_middle_byte(dir.file("g1.ort"));
+  EXPECT_FALSE(store.load().ok());
+  EXPECT_EQ(reg.counter_value("schemes.artifact.frames_read"),
+            3 * fixtures.size());
+  EXPECT_EQ(reg.counter_value("artifact.decode_rejected"), 1u);
+  EXPECT_EQ(reg.counter_value("artifact.crc_mismatch"), 1u);
+}
+
 /// load() must never swap in a half-loaded catalog: a corrupt artifact
 /// keeps the previous snapshot serving, with the failure attributed to
 /// the right file in reject_file format.
@@ -616,17 +664,7 @@ TEST(ServeStore, FailedReloadKeepsTheOldCatalog) {
   const auto catalog = store.catalog();
 
   // Corrupt the artifact on disk and reload: report the .ort, keep serving.
-  std::vector<std::uint8_t> raw;
-  {
-    std::ifstream in(dir.file("g0.ort"), std::ios::binary);
-    raw.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  raw[raw.size() / 2] ^= 0xFF;
-  {
-    std::ofstream out(dir.file("g0.ort"), std::ios::binary);
-    out.write(reinterpret_cast<const char*>(raw.data()),
-              static_cast<std::streamsize>(raw.size()));
-  }
+  flip_middle_byte(dir.file("g0.ort"));
   const serve::LoadReport bad = store.load();
   EXPECT_FALSE(bad.ok());
   ASSERT_EQ(bad.failures.size(), 1u);

@@ -22,8 +22,11 @@ if [ ${#STAGES[@]} -eq 0 ]; then
 fi
 
 # The sanitizer stages only need the suites they gate on; building
-# everything under TSan would double CI time for no coverage.
-SANITIZED_TARGETS=(parallel_test distance_cache_test verifier_test
+# everything under TSan would double CI time for no coverage. The bitio,
+# graph and landmark suites index raw words, so an off-by-one there is an
+# out-of-bounds read that only ASan reliably catches.
+SANITIZED_TARGETS=(bitio_test graph_test landmark_test
+  parallel_test distance_cache_test verifier_test
   faults_test resilience_test obs_test instrumentation_test
   serialization_test chaos_test fuzz_test fastpath_test rank_select_test
   serve_test serve_chaos_test topology_test tz_test congest_test
@@ -64,6 +67,14 @@ for stage in "${STAGES[@]}"; do
     # rebuild baseline on at least one family (nonzero exit if not).
     echo "=== [$stage] bench_churn --smoke ==="
     ./build/bench/bench_churn --smoke -o build/BENCH_churn_smoke.json
+    # Smoke-run the end-to-end benchmark (its own CMake project, Release):
+    # every workload's gates on n = 64 graphs, including the catalog gate
+    # (route_batch answers after a reload must equal the in-memory
+    # schemes').
+    echo "=== [$stage] optrt_bench --smoke ==="
+    cmake -S optrt_bench -B build-bench -DCMAKE_BUILD_TYPE=Release
+    cmake --build build-bench -j "$JOBS" --target optrt_bench
+    ./build-bench/optrt_bench --smoke --workdir build-bench/smoke.work
   fi
 done
 
