@@ -70,8 +70,7 @@ using namespace optrt;
       "uniform|targeted|partition|nodes]\n"
       "      [--fault-seed S] [--repair-after T] [--policy "
       "none|retry|deflect|fallback]\n"
-      "      [--retries N] [--backoff B] [--serialize-links] "
-      "[--batch-routing]\n"
+      "      [--retries N] [--backoff B] [--serialize-links]\n"
       "      [--churn MODEL[:EVENTS[,GAP[,QUIESCE]]] [--repair-lag T]]\n"
       "      (--churn replays a seeded fail/repair stream while the tables\n"
       "       are incrementally repaired; MODEL = uniform | targeted |\n"
@@ -117,7 +116,6 @@ struct Args {
   // sweep knobs.
   std::string ns_list = "16,24,32";
   std::size_t sweep_seeds = 3;
-  bool batch_routing = false;
   // route --batch input file (also query --batch).
   std::optional<std::string> batch;
   // serve / query knobs.
@@ -177,8 +175,6 @@ Args parse(int argc, char** argv) {
       args.backoff = std::strtoull(next().c_str(), nullptr, 10);
     } else if (a == "--serialize-links") {
       args.serialize_links = true;
-    } else if (a == "--batch-routing") {
-      args.batch_routing = true;
     } else if (a == "--dir") {
       args.dir = next();
     } else if (a == "--socket") {
@@ -574,7 +570,6 @@ int cmd_simulate(const Args& args) {
     net::ChurnSessionConfig scfg;
     scfg.sim.serialize_links = args.serialize_links;
     scfg.sim.measure_stretch = true;
-    scfg.sim.batch_routing = args.batch_routing;
     scfg.sim.resilience = {.policy = *policy,
                            .max_retries = args.retries,
                            .backoff_base = args.backoff};
@@ -638,7 +633,6 @@ int cmd_simulate(const Args& args) {
   net::SimulatorConfig config;
   config.serialize_links = args.serialize_links;
   config.measure_stretch = true;
-  config.batch_routing = args.batch_routing;
   config.resilience = {.policy = *policy,
                        .max_retries = args.retries,
                        .backoff_base = args.backoff};

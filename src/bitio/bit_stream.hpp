@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 
 #include "bitio/bit_vector.hpp"
@@ -83,5 +84,29 @@ class BitReader {
   const BitVector* bits_;
   std::size_t pos_ = 0;
 };
+
+/// Binary search over `count` fixed-width records laid out from bit
+/// `base`, `stride` bits apart: each opens with a `key_width`-bit key
+/// (strictly increasing across records) followed by a `value_width`-bit
+/// value. Returns the value stored under `key`, if any.
+[[nodiscard]] inline std::optional<std::uint64_t> find_sorted_record(
+    BitReader& r, std::size_t base, std::size_t count, std::size_t stride,
+    unsigned key_width, unsigned value_width, std::uint64_t key) {
+  std::size_t lo = 0;
+  std::size_t hi = count;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    r.seek(base + mid * stride);
+    if (r.read_bits(key_width) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == count) return std::nullopt;
+  r.seek(base + lo * stride);
+  if (r.read_bits(key_width) != key) return std::nullopt;
+  return r.read_bits(value_width);
+}
 
 }  // namespace optrt::bitio

@@ -1,5 +1,6 @@
 #include "model/fastpath.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 #include "model/scheme.hpp"
@@ -47,9 +48,10 @@ class FallbackFastPath final : public FastPath {
 
 }  // namespace
 
-std::unique_ptr<FastPath> make_fallback_fastpath(const RoutingScheme& scheme) {
+std::shared_ptr<const FastPath> make_fallback_fastpath(
+    const RoutingScheme& scheme) {
   note_fastpath_compiled("fallback");
-  return std::make_unique<FallbackFastPath>(scheme);
+  return std::make_shared<FallbackFastPath>(scheme);
 }
 
 void note_fastpath_compiled(const std::string& tag) {
@@ -57,16 +59,23 @@ void note_fastpath_compiled(const std::string& tag) {
   obs::counter("lookup.compiled." + tag).inc();
 }
 
-PackedValueArray::PackedValueArray(std::span<const std::uint32_t> values,
-                                   unsigned width)
-    : size_(values.size()), width_(width) {
-  if (width_ > 57) {
+namespace {
+
+/// Words needed to pack `count` values at `width` bits, plus the slack
+/// word that keeps read_packed's unconditional second load in bounds.
+/// Checked before anything is allocated.
+std::size_t packed_words(std::size_t count, unsigned width) {
+  if (width > 57) {
     throw std::invalid_argument("PackedValueArray: width > 57 unsupported");
   }
-  const std::uint64_t limit =
-      width_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width_);
-  // +1 slack word keeps read_packed's unconditional second load in bounds.
-  words_.assign((size_ * width_ + 63) / 64 + 1, 0);
+  return (count * width + 63) / 64 + 1;
+}
+
+/// Packs `values` at `width` (<= 57) bits each into zeroed `out`,
+/// LSB-first.
+void pack_values(std::span<const std::uint32_t> values, unsigned width,
+                 std::uint64_t* out) {
+  const std::uint64_t limit = std::uint64_t{1} << width;
   std::size_t pos = 0;
   for (const std::uint32_t v : values) {
     if (v >= limit) {
@@ -74,23 +83,39 @@ PackedValueArray::PackedValueArray(std::span<const std::uint32_t> values,
     }
     const std::size_t w = pos >> 6;
     const unsigned off = static_cast<unsigned>(pos & 63);
-    words_[w] |= static_cast<std::uint64_t>(v) << off;
-    if (off + width_ > 64) {
-      words_[w + 1] |= static_cast<std::uint64_t>(v) >> (64 - off);
+    out[w] |= static_cast<std::uint64_t>(v) << off;
+    if (off + width > 64) {
+      out[w + 1] |= static_cast<std::uint64_t>(v) >> (64 - off);
     }
-    pos += width_;
+    pos += width;
   }
 }
 
-PackedSparseArray::PackedSparseArray(bitio::BitVector mask,
+}  // namespace
+
+PackedValueArray::PackedValueArray(std::span<const std::uint32_t> values,
+                                   unsigned width)
+    : words_(packed_words(values.size(), width), 0),
+      size_(values.size()),
+      width_(width) {
+  pack_values(values, width, words_.data());
+}
+
+PackedSparseArray::PackedSparseArray(const bitio::BitVector& mask,
                                      std::span<const std::uint32_t> values,
-                                     unsigned width) {
-  if (mask.popcount() != values.size()) {
+                                     unsigned width)
+    : size_(mask.size()), values_at_(2 * mask.words().size()), width_(width) {
+  words_.assign(values_at_ + packed_words(values.size(), width), 0);
+  for (std::size_t i = 0; i < mask.words().size(); ++i) {
+    words_[2 * i] = mask.words()[i];
+    words_[2 * i + 1] = members_;
+    members_ += static_cast<std::size_t>(std::popcount(mask.words()[i]));
+  }
+  if (members_ != values.size()) {
     throw std::invalid_argument(
         "PackedSparseArray: values must align with mask population");
   }
-  mask_ = bitio::RankSelect(std::move(mask));
-  values_ = PackedValueArray(values, width);
+  pack_values(values, width, words_.data() + values_at_);
 }
 
 }  // namespace optrt::model
@@ -99,7 +124,7 @@ PackedSparseArray::PackedSparseArray(bitio::BitVector mask,
 // so scheme.cpp stays header-layout only.
 namespace optrt::model {
 
-std::unique_ptr<FastPath> RoutingScheme::compile_fast() const {
+std::shared_ptr<const FastPath> RoutingScheme::compile_fast() const {
   return make_fallback_fastpath(*this);
 }
 

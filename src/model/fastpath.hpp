@@ -1,24 +1,27 @@
 // Query-optimized routing: compiled fast paths and batched lookups.
 //
-// RoutingScheme::next_hop is the honesty-disciplined reference path: it
-// re-decodes the serialized routing function (through a BitReader) on
-// every call. A FastPath is the same routing function *compiled once*
-// into flat, cache-friendly structures — succinct rank directories
-// (bitio::RankSelect) over membership bit-vectors, bit-packed fixed-width
-// value arrays, and CSR port→neighbour tables (graph::CsrGraph) — so a
-// lookup is a handful of word reads instead of a decode loop.
+// A FastPath is a scheme's serialized routing function *compiled once*
+// into flat, cache-friendly structures — membership bit-vectors with
+// per-word rank counts, bit-packed fixed-width value arrays, and CSR
+// port→neighbour tables (graph::CsrGraph) — so a
+// lookup is a handful of word reads instead of a decode loop. Most
+// schemes build theirs in the constructor, through the same validating
+// decode that reads an artifact, and answer next_hop from it; the bits
+// stay the only other thing they store.
 //
 // Contract: a FastPath answers exactly the *first hop* question —
 // next_hop(u, dest) must equal what RoutingScheme::next_hop(u, dest, h)
-// returns for a fresh MessageHeader h, including thrown exceptions. The
-// differential suite (tests/fastpath_test.cpp) holds every compiled form
-// to that bit-for-bit standard before any benchmark number counts.
+// returns for a fresh MessageHeader h, and what the bit-decoding
+// RoutingScheme::reference_next_hop returns, including thrown exceptions.
+// The differential suite (tests/fastpath_test.cpp) holds every compiled
+// form to that bit-for-bit standard before any benchmark number counts.
 //
-// Compiled fast paths own copies of everything they consult and stay
-// valid after the source scheme is destroyed; only the generic fallback
-// (for schemes without a compiled form) borrows the scheme.
+// Compiled fast paths own everything they consult and stay valid after
+// the source scheme is destroyed; only the generic fallback (for schemes
+// without a compiled form) borrows the scheme.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -26,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "bitio/rank_select.hpp"
+#include "bitio/bit_vector.hpp"
 #include "graph/graph.hpp"
 
 namespace optrt::model {
@@ -70,10 +73,10 @@ class FastPath {
 /// Generic fallback: wraps the scheme's own next_hop with a fresh header
 /// per call. Used by schemes without a compiled form; borrows the scheme,
 /// which must outlive the fast path.
-[[nodiscard]] std::unique_ptr<FastPath> make_fallback_fastpath(
+[[nodiscard]] std::shared_ptr<const FastPath> make_fallback_fastpath(
     const RoutingScheme& scheme);
 
-/// Records a compile_fast() in the lookup.* counters
+/// Records one compiled-form build in the lookup.* counters
 /// (lookup.compiled and lookup.compiled.<tag>).
 void note_fastpath_compiled(const std::string& tag);
 
@@ -127,31 +130,42 @@ class PackedValueArray {
 /// This is the succinct backbone shared by the compiled table forms: the
 /// compact-node "next hop per non-neighbour" tables, the hub and
 /// routing-center tables, landmark vicinities, and hierarchical target
-/// sets all reduce to it.
+/// sets all reduce to it. Everything lives in one word array: each
+/// 64-position membership word is followed by the count of members
+/// before it, so contains() and the rank behind value() read one adjacent
+/// pair of words; the packed values come after the last pair.
 class PackedSparseArray {
  public:
   PackedSparseArray() = default;
   /// `mask` marks member positions; `values[i]` belongs to the i-th
   /// member in increasing position order (so values.size() must equal
   /// mask.popcount()).
-  PackedSparseArray(bitio::BitVector mask,
+  PackedSparseArray(const bitio::BitVector& mask,
                     std::span<const std::uint32_t> values, unsigned width);
 
+  /// Precondition: pos < size().
   [[nodiscard]] bool contains(std::size_t pos) const noexcept {
-    return mask_.get(pos);
+    return (words_[2 * (pos >> 6)] >> (pos & 63)) & 1u;
   }
   /// Value at a member position. Precondition: contains(pos).
-  [[nodiscard]] std::uint64_t value(std::size_t pos) const {
-    return values_.at(mask_.rank1(pos));
+  [[nodiscard]] std::uint64_t value(std::size_t pos) const noexcept {
+    const std::size_t pair = 2 * (pos >> 6);
+    const std::uint64_t below =
+        words_[pair] & ((std::uint64_t{1} << (pos & 63)) - 1);
+    const std::size_t rank = words_[pair + 1] + std::popcount(below);
+    return read_packed(words_.data() + values_at_, rank * width_, width_);
   }
-  [[nodiscard]] std::size_t size() const noexcept { return mask_.size(); }
-  [[nodiscard]] std::size_t member_count() const noexcept {
-    return mask_.ones();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] std::size_t member_count() const noexcept { return members_; }
 
  private:
-  bitio::RankSelect mask_;
-  PackedValueArray values_;
+  // [mask word, members before it] per 64 positions, then the packed
+  // values, then one slack word for read_packed.
+  std::vector<std::uint64_t> words_;
+  std::size_t size_ = 0;
+  std::size_t members_ = 0;
+  std::size_t values_at_ = 0;  // index of the first value word
+  unsigned width_ = 0;
 };
 
 /// Self-contained copy of a graph's packed adjacency matrix: the O(1)

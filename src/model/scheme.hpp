@@ -8,18 +8,26 @@
 // node labels themselves.
 //
 // Honesty discipline: every concrete scheme in src/schemes serializes each
-// local routing function into a BitVector at construction and *decodes that
-// bit string* (plus only the model's free knowledge: the port count, and
-// under II the neighbour labels) inside next_hop(). SpaceReport therefore
-// reports exactly the information the routing functions consult.
+// local routing function into a BitVector at construction, and those bits
+// are the only routing state it stores. next_hop() answers either by
+// decoding the bits on every call (full-table, interval, k-interval, …) or
+// from the one compiled form (model/fastpath.hpp) that a validating decode
+// of the bits built in the constructor (compact-diam2, hub,
+// routing-center, landmark, tz, hierarchical). reference_next_hop()
+// re-decodes the bits through a BitReader on every call, using only the
+// model's free knowledge (ports, and under II the neighbour labels) plus
+// the scheme's published label tables. SpaceReport therefore reports
+// exactly the information the routing functions consult.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "bitio/bit_vector.hpp"
 #include "graph/graph.hpp"
 #include "model/models.hpp"
 
@@ -49,6 +57,10 @@ struct SpaceReport {
   std::vector<std::size_t> function_bits;
   /// Charged label bits (model γ only; zero otherwise).
   std::size_t label_bits = 0;
+
+  /// Charges every node the size of its serialized function bits.
+  [[nodiscard]] static SpaceReport of(std::span<const bitio::BitVector> bits,
+                                      std::size_t label_bits = 0);
 
   [[nodiscard]] std::size_t total_function_bits() const {
     return std::accumulate(function_bits.begin(), function_bits.end(),
@@ -87,22 +99,26 @@ class RoutingScheme {
   [[nodiscard]] virtual NodeId next_hop(NodeId u, NodeId dest_label,
                                         MessageHeader& header) const = 0;
 
-  /// True when next_hop neither reads nor writes the MessageHeader — i.e.
-  /// every hop equals the answer for a fresh header, so a carrier may
-  /// batch hops through the compiled FastPath. Theorem 5's sequential
-  /// search and the hierarchical scheme carry per-message state and
-  /// return false.
-  [[nodiscard]] virtual bool stateless_next_hop() const { return true; }
+  /// The first hop for a fresh MessageHeader, re-decoded from u's function
+  /// bits through a BitReader on every call: the independent oracle the
+  /// compiled forms are held to. `g` supplies only the model's free
+  /// knowledge (ports; neighbours under II). The default is next_hop with
+  /// a fresh header, which already decodes the bits for the schemes that
+  /// keep no compiled form; the compiled kinds override it.
+  [[nodiscard]] virtual NodeId reference_next_hop(const graph::Graph& g,
+                                                  NodeId u,
+                                                  NodeId dest_label) const;
 
   /// Space used by this scheme under its model's accounting.
   [[nodiscard]] virtual SpaceReport space() const = 0;
 
-  /// Compiles the query-optimized form of this scheme (model/fastpath.hpp):
-  /// first hops identical to next_hop with a fresh MessageHeader. The
-  /// serializable schemes return self-contained compiled tables; the base
-  /// default returns a generic wrapper that borrows this scheme (the
-  /// scheme must then outlive the fast path).
-  [[nodiscard]] virtual std::unique_ptr<FastPath> compile_fast() const;
+  /// The query-optimized form of this scheme (model/fastpath.hpp): first
+  /// hops identical to next_hop with a fresh MessageHeader. Schemes that
+  /// route from a compiled form return the one built in their constructor
+  /// (self-contained: it outlives the scheme); full-table and sequential
+  /// search compile on demand; the base default returns a generic wrapper
+  /// that borrows this scheme (the scheme must then outlive it).
+  [[nodiscard]] virtual std::shared_ptr<const FastPath> compile_fast() const;
 
   /// The neighbours of `u` in the scheme's own port order — the
   /// enumeration a deflection policy consults when the primary hop is

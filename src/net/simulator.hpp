@@ -19,7 +19,6 @@
 
 #include "graph/csr.hpp"
 #include "graph/graph.hpp"
-#include "model/fastpath.hpp"
 #include "model/scheme.hpp"
 #include "net/faults.hpp"
 #include "net/resilience.hpp"
@@ -43,13 +42,6 @@ struct SimulatorConfig {
   /// Accumulate pre-failure shortest-path distances of delivered messages
   /// (SimulationStats::mean_stretch); costs one cached all-pairs BFS.
   bool measure_stretch = false;
-  /// Route batches of same-time deliveries through the scheme's compiled
-  /// FastPath (one route_batch per timestep) instead of per-hop decode.
-  /// Applies only while the scheme is stateless (stateless_next_hop())
-  /// and no failures are active — otherwise each event falls back to the
-  /// per-hop path — so stats, records, and link loads are bit-identical
-  /// to the unbatched loop (tests/simulator_test.cpp pins this).
-  bool batch_routing = false;
 };
 
 /// Outcome of one message.
@@ -136,8 +128,8 @@ class Simulator {
   SimulationStats run_until(std::uint64_t limit);
 
   /// Swaps the routing scheme mid-stream (topology fixed): re-resolves
-  /// the full-information capability, rebuilds the resilience engine, and
-  /// recompiles the batching fast path when configured. In-flight
+  /// the full-information capability and rebuilds the resilience engine.
+  /// In-flight
   /// messages continue with the new tables on their next hop — the
   /// repaired-table activation point of a churn session.
   void rebind(const model::RoutingScheme& scheme);
@@ -186,9 +178,6 @@ class Simulator {
   const model::RoutingScheme* scheme_;
   const model::FullInformationRouting* full_info_;  // non-null if capable
   SimulatorConfig config_;
-  // Compiled form for batch_routing (null unless enabled and the scheme
-  // is stateless). May borrow scheme_, which outlives the simulator.
-  std::unique_ptr<model::FastPath> fast_;
   std::unique_ptr<ResilienceEngine> resilience_;  // non-null if policy set
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;

@@ -3,79 +3,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "bitio/codes.hpp"
 #include "model/fastpath.hpp"
-#include "schemes/succinct_node_table.hpp"
 
 namespace optrt::schemes {
-
-CompactDiam2Scheme::Options CompactDiam2Scheme::Options::for_model(
-    const model::Model& m) {
-  Options opt;
-  opt.neighbors_known = m.neighbors_known();
-  opt.node.include_adjacency = !m.neighbors_known();
-  return opt;
-}
-
-CompactDiam2Scheme::CompactDiam2Scheme(const graph::Graph& g, Options options)
-    : n_(g.node_count()), options_(options) {
-  options_.node.include_adjacency = !options_.neighbors_known;
-  bits_.reserve(n_);
-  decoded_.reserve(n_);
-  for (NodeId u = 0; u < n_; ++u) {
-    bits_.push_back(build_compact_node(g, u, options_.node));
-    std::vector<NodeId> free_neighbors;
-    if (options_.neighbors_known) {
-      const auto nbrs = g.neighbors(u);
-      free_neighbors.assign(nbrs.begin(), nbrs.end());
-    }
-    decoded_.push_back(decode_compact_node(bits_.back().bits, n_, u,
-                                           options_.node,
-                                           std::move(free_neighbors)));
-  }
-}
-
-CompactDiam2Scheme::CompactDiam2Scheme(const graph::Graph& g, Options options,
-                                       std::vector<bitio::BitVector> node_bits)
-    : n_(g.node_count()), options_(options) {
-  options_.node.include_adjacency = !options_.neighbors_known;
-  if (node_bits.size() != n_) {
-    throw std::invalid_argument("CompactDiam2Scheme: node count mismatch");
-  }
-  bits_.reserve(n_);
-  decoded_.reserve(n_);
-  for (NodeId u = 0; u < n_; ++u) {
-    CompactNodeBits nb;
-    nb.bits = std::move(node_bits[u]);
-    bits_.push_back(std::move(nb));
-    std::vector<NodeId> free_neighbors;
-    if (options_.neighbors_known) {
-      const auto nbrs = g.neighbors(u);
-      free_neighbors.assign(nbrs.begin(), nbrs.end());
-    }
-    decoded_.push_back(decode_compact_node(bits_.back().bits, n_, u,
-                                           options_.node,
-                                           std::move(free_neighbors)));
-  }
-}
-
-model::Model CompactDiam2Scheme::routing_model() const {
-  return model::Model{options_.neighbors_known
-                          ? model::Knowledge::kNeighborsKnown
-                          : model::Knowledge::kFreePorts,
-                      model::Relabeling::kNone};
-}
-
-NodeId CompactDiam2Scheme::next_hop(NodeId u, NodeId dest_label,
-                                    model::MessageHeader&) const {
-  const NodeId hop = decoded_[u].next_of[dest_label];
-  if (hop == DecodedCompactNode::kInvalid) {
-    throw std::invalid_argument("CompactDiam2Scheme: routing to self");
-  }
-  return hop;
-}
-
-namespace {
 
 class CompactDiam2FastPath final : public model::FastPath {
  public:
@@ -102,16 +32,80 @@ class CompactDiam2FastPath final : public model::FastPath {
   std::vector<model::PackedSparseArray> tables_;
 };
 
-}  // namespace
+CompactDiam2Scheme::Options CompactDiam2Scheme::Options::for_model(
+    const model::Model& m) {
+  Options opt;
+  opt.neighbors_known = m.neighbors_known();
+  opt.node.include_adjacency = !m.neighbors_known();
+  return opt;
+}
 
-std::unique_ptr<model::FastPath> CompactDiam2Scheme::compile_fast() const {
+CompactDiam2Scheme::CompactDiam2Scheme(const graph::Graph& g, Options options)
+    : n_(g.node_count()), options_(options) {
+  options_.node.include_adjacency = !options_.neighbors_known;
+  bits_.reserve(n_);
+  for (NodeId u = 0; u < n_; ++u) {
+    bits_.push_back(build_compact_node(g, u, options_.node));
+  }
+  compile(g);
+}
+
+CompactDiam2Scheme::CompactDiam2Scheme(const graph::Graph& g, Options options,
+                                       std::vector<bitio::BitVector> node_bits)
+    : n_(g.node_count()), options_(options) {
+  options_.node.include_adjacency = !options_.neighbors_known;
+  if (node_bits.size() != n_) {
+    throw std::invalid_argument("CompactDiam2Scheme: node count mismatch");
+  }
+  bits_.reserve(n_);
+  for (auto& bits : node_bits) bits_.push_back({std::move(bits)});
+  compile(g);
+}
+
+std::vector<NodeId> CompactDiam2Scheme::free_neighbors(const graph::Graph& g,
+                                                       NodeId u) const {
+  if (!options_.neighbors_known) return {};
+  const auto nbrs = g.neighbors(u);
+  return {nbrs.begin(), nbrs.end()};
+}
+
+void CompactDiam2Scheme::compile(const graph::Graph& g) {
   std::vector<model::PackedSparseArray> tables;
   tables.reserve(n_);
   for (NodeId u = 0; u < n_; ++u) {
-    tables.push_back(compile_node_table(u, decoded_[u].next_of));
+    tables.push_back(compile_compact_node(bits_[u].bits, n_, u, options_.node,
+                                          free_neighbors(g, u)));
   }
+  fast_ = std::make_shared<CompactDiam2FastPath>(std::move(tables));
   model::note_fastpath_compiled("compact_diam2");
-  return std::make_unique<CompactDiam2FastPath>(std::move(tables));
+}
+
+model::Model CompactDiam2Scheme::routing_model() const {
+  return model::Model{options_.neighbors_known
+                          ? model::Knowledge::kNeighborsKnown
+                          : model::Knowledge::kFreePorts,
+                      model::Relabeling::kNone};
+}
+
+NodeId CompactDiam2Scheme::next_hop(NodeId u, NodeId dest_label,
+                                    model::MessageHeader&) const {
+  return fast_->next_hop(u, dest_label);
+}
+
+NodeId CompactDiam2Scheme::reference_next_hop(const graph::Graph& g, NodeId u,
+                                              NodeId dest_label) const {
+  const NodeId hop = decode_compact_node(bits_[u].bits, n_, u, options_.node,
+                                         free_neighbors(g, u))
+                         .next_of[dest_label];
+  if (hop == DecodedCompactNode::kInvalid) {
+    throw std::invalid_argument("CompactDiam2Scheme: routing to self");
+  }
+  return hop;
+}
+
+std::shared_ptr<const model::FastPath> CompactDiam2Scheme::compile_fast()
+    const {
+  return fast_;
 }
 
 model::SpaceReport CompactDiam2Scheme::space() const {

@@ -17,6 +17,8 @@
 
 namespace optrt::schemes {
 
+class CompactDiam2FastPath;
+
 class CompactDiam2Scheme final : public model::RoutingScheme {
  public:
   struct Options {
@@ -43,13 +45,17 @@ class CompactDiam2Scheme final : public model::RoutingScheme {
   [[nodiscard]] std::size_t node_count() const override { return n_; }
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
+  [[nodiscard]] NodeId reference_next_hop(const graph::Graph& g, NodeId u,
+                                          NodeId dest_label) const override;
   [[nodiscard]] model::SpaceReport space() const override;
-  /// Compiled form: per node, a rank-indexed sparse table of the routed
-  /// (non-neighbour) destinations; direct destinations answer themselves.
-  [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
+  /// Compiled form, built in the constructor: per node, a rank-indexed
+  /// sparse table of the routed (non-neighbour) destinations; direct
+  /// destinations answer themselves.
+  [[nodiscard]] std::shared_ptr<const model::FastPath> compile_fast()
+      const override;
 
-  /// Serialized local routing function of `u` (exactly what next_hop
-  /// decodes).
+  /// Serialized local routing function of `u` (exactly what the compiled
+  /// form was decoded from).
   [[nodiscard]] const bitio::BitVector& function_bits(NodeId u) const {
     return bits_[u].bits;
   }
@@ -60,12 +66,18 @@ class CompactDiam2Scheme final : public model::RoutingScheme {
   }
 
  private:
+  /// Free neighbour knowledge of `u`: its sorted neighbours under II,
+  /// nothing under IB (the table carries its own interconnection vector).
+  [[nodiscard]] std::vector<NodeId> free_neighbors(const graph::Graph& g,
+                                                   NodeId u) const;
+  /// The validating decode of bits_ into fast_, shared by both
+  /// constructors.
+  void compile(const graph::Graph& g);
+
   std::size_t n_;
   Options options_;
   std::vector<CompactNodeBits> bits_;
-  // Decoded-once routing caches; built purely by decode_compact_node from
-  // bits_ (+ free neighbour knowledge under II).
-  std::vector<DecodedCompactNode> decoded_;
+  std::shared_ptr<const CompactDiam2FastPath> fast_;
 };
 
 }  // namespace optrt::schemes

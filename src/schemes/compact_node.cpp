@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
@@ -160,7 +161,28 @@ DecodedCompactNode decode_compact_node(const bitio::BitVector& bits,
     if (index >= m) throw std::out_of_range("decode_compact_node: bad index");
     node.next_of[v] = centers[index];
   }
+  if (!r.exhausted()) {
+    throw std::invalid_argument(
+        "decode_compact_node: trailing bits in a node table");
+  }
   return node;
+}
+
+model::PackedSparseArray compile_compact_node(
+    const bitio::BitVector& bits, std::size_t n, NodeId u,
+    const CompactNodeOptions& opt, std::vector<NodeId> free_neighbors) {
+  const DecodedCompactNode node =
+      decode_compact_node(bits, n, u, opt, std::move(free_neighbors));
+  bitio::BitVector mask(n);
+  std::vector<std::uint32_t> centers;
+  for (NodeId v = 0; v < n; ++v) {
+    const NodeId hop = node.next_of[v];
+    if (hop == DecodedCompactNode::kInvalid || hop == v) continue;
+    mask.set(v, true);
+    centers.push_back(hop);
+  }
+  return model::PackedSparseArray(std::move(mask), centers,
+                                  ceil_log2(std::max<std::size_t>(n, 2)));
 }
 
 }  // namespace optrt::schemes

@@ -26,6 +26,7 @@
 #include "bitio/bit_vector.hpp"
 #include "graph/cover.hpp"
 #include "graph/graph.hpp"
+#include "model/fastpath.hpp"
 
 namespace optrt::schemes {
 
@@ -72,8 +73,19 @@ struct DecodedCompactNode {
 /// Decodes a compact node table. `free_neighbors` must be the sorted
 /// neighbour list when the table was built without the adjacency prefix
 /// (model II); it is ignored (and may be empty) when the table embeds its
-/// interconnection vector (model IB).
+/// interconnection vector (model IB). Throws std::out_of_range on a
+/// truncated or out-of-range field and std::invalid_argument when bits
+/// remain after the last table entry (tables are consumed exactly).
 [[nodiscard]] DecodedCompactNode decode_compact_node(
+    const bitio::BitVector& bits, std::size_t n, NodeId u,
+    const CompactNodeOptions& opt, std::vector<NodeId> free_neighbors);
+
+/// Decodes (with every decode_compact_node check) and compiles one table
+/// into the sparse form the compiled fast paths read: a membership
+/// bit-vector of the destinations routed through a center, with O(1) rank
+/// into their bit-packed centers. A destination outside the set is u
+/// itself or a neighbour, which answers itself.
+[[nodiscard]] model::PackedSparseArray compile_compact_node(
     const bitio::BitVector& bits, std::size_t n, NodeId u,
     const CompactNodeOptions& opt, std::vector<NodeId> free_neighbors);
 

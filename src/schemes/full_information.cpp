@@ -64,12 +64,7 @@ std::vector<NodeId> FullInformationScheme::port_enumeration(NodeId u) const {
 }
 
 model::SpaceReport FullInformationScheme::space() const {
-  model::SpaceReport report;
-  report.function_bits.reserve(n_);
-  for (const auto& bits : matrix_bits_) {
-    report.function_bits.push_back(bits.size());
-  }
-  return report;
+  return model::SpaceReport::of(matrix_bits_);
 }
 
 }  // namespace optrt::schemes

@@ -216,7 +216,7 @@ class FullTableFastPath final : public model::FastPath {
 
 }  // namespace
 
-std::unique_ptr<model::FastPath> FullTableScheme::compile_fast() const {
+std::shared_ptr<const model::FastPath> FullTableScheme::compile_fast() const {
   // Straddle-free width is a divisor of 64 — always a power of two — and
   // rows pad to the next power of two of n, so lookups address by shifts.
   const unsigned width = model::straddle_free_width(bitio::ceil_log2_plus1(n_));
@@ -249,17 +249,12 @@ std::unique_ptr<model::FastPath> FullTableScheme::compile_fast() const {
     }
   }
   model::note_fastpath_compiled("full_table");
-  return std::make_unique<FullTableFastPath>(n_, std::move(words), row_shift,
+  return std::make_shared<FullTableFastPath>(n_, std::move(words), row_shift,
                                              entry_shift);
 }
 
 model::SpaceReport FullTableScheme::space() const {
-  model::SpaceReport report;
-  report.function_bits.reserve(n_);
-  for (const auto& bits : table_bits_) {
-    report.function_bits.push_back(bits.size());
-  }
-  return report;
+  return model::SpaceReport::of(table_bits_);
 }
 
 }  // namespace optrt::schemes

@@ -49,7 +49,8 @@ class FullTableScheme final : public model::RoutingScheme {
   [[nodiscard]] model::SpaceReport space() const override;
   /// Compiled form: all tables concatenated into one word array read with
   /// word-aligned extraction, plus a port-order CSR for port → neighbour.
-  [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
+  [[nodiscard]] std::shared_ptr<const model::FastPath> compile_fast()
+      const override;
 
   /// The serialized table of node u (n fixed-width port entries).
   [[nodiscard]] const bitio::BitVector& function_bits(NodeId u) const {

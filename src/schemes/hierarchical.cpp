@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -22,18 +23,142 @@ namespace {
 constexpr std::uint32_t kNoWaypoint = 0;
 constexpr std::uint32_t kWaypointSet = 1;
 
-}  // namespace
-
-int HierarchicalScheme::DecodedNode::find(NodeId target) const {
-  const auto it = std::lower_bound(targets.begin(), targets.end(), target);
-  if (it == targets.end() || *it != target) return -1;
-  return static_cast<int>(it - targets.begin());
+unsigned id_width_of(std::size_t n) {
+  return bitio::ceil_log2(std::max<std::size_t>(n, 2));
 }
 
+unsigned port_width_of(std::size_t degree) {
+  return bitio::ceil_log2(std::max<std::size_t>(degree, 1));
+}
+
+/// p_i(v) for every level (p₀ = identity), least id on ties. Throws
+/// std::invalid_argument on an empty level or a pivot id out of range.
+std::vector<std::vector<NodeId>> nearest_pivots(
+    const graph::DistanceMatrix& dist, std::size_t n,
+    const std::vector<std::vector<NodeId>>& pivot_sets) {
+  std::vector<std::vector<NodeId>> pivot_of(pivot_sets.size());
+  pivot_of[0].resize(n);
+  std::iota(pivot_of[0].begin(), pivot_of[0].end(), 0);
+  for (std::size_t i = 1; i < pivot_sets.size(); ++i) {
+    if (pivot_sets[i].empty()) {
+      throw std::invalid_argument("HierarchicalScheme: empty pivot set");
+    }
+    pivot_of[i].assign(n, pivot_sets[i][0]);
+    for (NodeId v = 0; v < n; ++v) {
+      std::uint32_t best = graph::kUnreachable;
+      for (NodeId t : pivot_sets[i]) {
+        if (t >= n) {
+          throw std::invalid_argument("HierarchicalScheme: bad pivot id");
+        }
+        if (dist.at(v, t) < best) {
+          best = dist.at(v, t);
+          pivot_of[i][v] = t;
+        }
+      }
+    }
+  }
+  return pivot_of;
+}
+
+/// Reference decode of one node's bits: the stored port toward `target`
+/// (entries are fixed-width and target-sorted after the prime-coded
+/// count).
+std::optional<graph::PortId> read_entry_port(const bitio::BitVector& bits,
+                                             std::size_t n,
+                                             std::size_t degree,
+                                             NodeId target) {
+  const unsigned id_width = id_width_of(n);
+  const unsigned port_width = port_width_of(degree);
+  bitio::BitReader r(bits);
+  const auto count = static_cast<std::size_t>(bitio::read_prime(r));
+  const auto port =
+      bitio::find_sorted_record(r, r.position(), count,
+                                id_width + port_width + 1, id_width,
+                                port_width, target);
+  if (!port) return std::nullopt;
+  return static_cast<graph::PortId>(*port);
+}
+
+}  // namespace
+
+class HierarchicalFastPath final : public model::FastPath {
+ public:
+  /// A fresh-header answer: the hop and the target it heads for.
+  struct Decision {
+    NodeId hop;
+    NodeId target;
+  };
+
+  HierarchicalFastPath(std::vector<model::PackedSparseArray> tables,
+                       std::vector<std::vector<NodeId>> pivot_of,
+                       graph::CsrGraph csr)
+      : tables_(std::move(tables)),
+        pivot_of_(std::move(pivot_of)),
+        csr_(std::move(csr)) {}
+
+  [[nodiscard]] std::string name() const override { return "hierarchical"; }
+  [[nodiscard]] std::size_t node_count() const override {
+    return tables_.size();
+  }
+
+  [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label) const override {
+    return decide(u, dest_label).hop;
+  }
+
+  // The fresh-header decision ladder: destination first, then its pivots
+  // bottom-up, with the handoff throw when u is the pivot but the
+  // installed leg is missing.
+  [[nodiscard]] Decision decide(NodeId u, NodeId v) const {
+    if (v == u) {
+      throw std::invalid_argument("HierarchicalScheme: routing to self");
+    }
+    const auto& table = tables_[u];
+    const auto head_for = [&](NodeId target) {
+      return Decision{hop(u, target), target};
+    };
+    if (table.contains(v)) return head_for(v);
+    for (std::size_t i = 1; i < pivot_of_.size(); ++i) {
+      const NodeId t = pivot_of_[i][v];  // from the destination's label
+      if (t == u) {
+        // u is v's level-i pivot: hand off to the level-(i−1) pivot via
+        // the installed path (it starts here).
+        const NodeId x = pivot_of_[i - 1][v];
+        if (x == u || !table.contains(x)) {
+          throw std::logic_error("HierarchicalScheme: missing handoff entry");
+        }
+        return head_for(x);
+      }
+      if (table.contains(t)) return head_for(t);
+    }
+    throw std::logic_error("HierarchicalScheme: unresolvable destination");
+  }
+
+  /// The next hop of an active leg toward `target`, if u resolves it.
+  [[nodiscard]] std::optional<NodeId> follow(NodeId u, NodeId target) const {
+    if (target >= tables_.size() || !tables_[u].contains(target)) {
+      return std::nullopt;
+    }
+    return hop(u, target);
+  }
+
+  [[nodiscard]] NodeId pivot_of(std::size_t level, NodeId v) const {
+    return pivot_of_[level][v];
+  }
+  [[nodiscard]] const graph::CsrGraph& csr() const { return csr_; }
+
+ private:
+  [[nodiscard]] NodeId hop(NodeId u, NodeId target) const {
+    return csr_.neighbor_at(
+        u, static_cast<graph::PortId>(tables_[u].value(target)));
+  }
+
+  std::vector<model::PackedSparseArray> tables_;
+  std::vector<std::vector<NodeId>> pivot_of_;  // [level][v]
+  graph::CsrGraph csr_;  // sorted = port order for this scheme
+};
+
 HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
-    : n_(g.node_count()),
-      levels_(options.levels),
-      ports_(graph::PortAssignment::sorted(g)) {
+    : n_(g.node_count()), levels_(options.levels) {
   if (levels_ < 2) {
     throw SchemeInapplicable("hierarchical: need levels >= 2");
   }
@@ -52,9 +177,6 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
   std::shuffle(order.begin(), order.end(), rng);
 
   pivot_sets_.resize(levels_);
-  pivot_of_.resize(levels_);
-  pivot_of_[0].resize(n_);
-  std::iota(pivot_of_[0].begin(), pivot_of_[0].end(), 0);
   for (std::size_t i = 1; i < levels_; ++i) {
     const auto size = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::ceil(
@@ -63,24 +185,15 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
                           order.begin() + static_cast<std::ptrdiff_t>(
                                               std::min(size, n_)));
     std::sort(pivot_sets_[i].begin(), pivot_sets_[i].end());
-    // Nearest level-i pivot per node (least id on ties — pivots sorted).
-    pivot_of_[i].assign(n_, pivot_sets_[i][0]);
-    for (NodeId v = 0; v < n_; ++v) {
-      std::uint32_t best = graph::kUnreachable;
-      for (NodeId t : pivot_sets_[i]) {
-        if (dist.at(v, t) < best) {
-          best = dist.at(v, t);
-          pivot_of_[i][v] = t;
-        }
-      }
-    }
   }
+  const auto pivot_of = nearest_pivots(dist, n_, pivot_sets_);
 
   // Entry assembly: target → (port, installed?). Vicinity/top entries win
   // over installed duplicates.
+  const auto ports = graph::PortAssignment::sorted(g);
   std::vector<std::map<NodeId, std::pair<graph::PortId, bool>>> entries(n_);
   auto hop_port = [&](NodeId from, NodeId to) {
-    return ports_.port_of(
+    return ports.port_of(
         from, graph::shortest_path_successors(g, dist, from, to).front());
   };
   auto add_direct = [&](NodeId at, NodeId target) {
@@ -100,7 +213,7 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
   // (V) vicinity C(w) = {v : d(w, v) ≤ d(v, p₁(v))}.
   for (NodeId w = 0; w < n_; ++w) {
     for (NodeId v = 0; v < n_; ++v) {
-      if (v != w && dist.at(w, v) <= dist.at(v, pivot_of_[1][v])) {
+      if (v != w && dist.at(w, v) <= dist.at(v, pivot_of[1][v])) {
         add_direct(w, v);
       }
     }
@@ -110,8 +223,8 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
   std::set<std::pair<NodeId, NodeId>> installed_pairs;
   for (std::size_t i = 2; i < levels_; ++i) {
     for (NodeId v = 0; v < n_; ++v) {
-      const NodeId t = pivot_of_[i][v];
-      const NodeId x = pivot_of_[i - 1][v];
+      const NodeId t = pivot_of[i][v];
+      const NodeId x = pivot_of[i - 1][v];
       if (t == x) continue;
       if (!installed_pairs.emplace(t, x).second) continue;
       // Walk the canonical (least-successor) shortest path t → x,
@@ -123,16 +236,13 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
       }
     }
   }
-  // Also install the final handoff target for top-level pivots' children
-  // when k == 2 there are no handoffs (vicinity + top suffice).
 
-  // Serialize and decode back.
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
-  function_bits_.resize(n_);
-  decoded_.resize(n_);
+  // Serialize: a prime-coded entry count, then (target, port, installed)
+  // in increasing target order.
+  const unsigned id_width = id_width_of(n_);
+  std::vector<bitio::BitVector> bits(n_);
   for (NodeId w = 0; w < n_; ++w) {
-    const unsigned port_width =
-        bitio::ceil_log2(std::max<std::size_t>(g.degree(w), 1));
+    const unsigned port_width = port_width_of(g.degree(w));
     bitio::BitWriter out;
     bitio::write_prime(out, entries[w].size());
     for (const auto& [target, entry] : entries[w]) {
@@ -140,19 +250,9 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
       out.write_bits(entry.first, port_width);
       out.write_bit(entry.second);
     }
-    function_bits_[w] = out.take();
-
-    bitio::BitReader r(function_bits_[w]);
-    const auto count = static_cast<std::size_t>(bitio::read_prime(r));
-    DecodedNode& node = decoded_[w];
-    node.targets.resize(count);
-    node.port_for.resize(count);
-    for (std::size_t e = 0; e < count; ++e) {
-      node.targets[e] = static_cast<NodeId>(r.read_bits(id_width));
-      node.port_for[e] = static_cast<graph::PortId>(r.read_bits(port_width));
-      (void)r.read_bit();  // installed flag: routing treats both alike
-    }
+    bits[w] = out.take();
   }
+  compile(g, std::move(bits));
 }
 
 HierarchicalScheme::HierarchicalScheme(
@@ -160,40 +260,24 @@ HierarchicalScheme::HierarchicalScheme(
     std::vector<bitio::BitVector> node_bits)
     : n_(g.node_count()),
       levels_(pivot_sets.size()),
-      ports_(graph::PortAssignment::sorted(g)),
       pivot_sets_(std::move(pivot_sets)) {
+  compile(g, std::move(node_bits));
+}
+
+void HierarchicalScheme::compile(const graph::Graph& g,
+                                 std::vector<bitio::BitVector> node_bits) {
   if (levels_ < 2 || node_bits.size() != n_) {
     throw std::invalid_argument("HierarchicalScheme: bad serialized state");
   }
   const auto dist_cached = graph::DistanceCache::global().get(g);
-  const graph::DistanceMatrix& dist = *dist_cached;
-  pivot_of_.resize(levels_);
-  pivot_of_[0].resize(n_);
-  std::iota(pivot_of_[0].begin(), pivot_of_[0].end(), 0);
-  for (std::size_t i = 1; i < levels_; ++i) {
-    if (pivot_sets_[i].empty()) {
-      throw std::invalid_argument("HierarchicalScheme: empty pivot set");
-    }
-    pivot_of_[i].assign(n_, pivot_sets_[i][0]);
-    for (NodeId v = 0; v < n_; ++v) {
-      std::uint32_t best = graph::kUnreachable;
-      for (NodeId t : pivot_sets_[i]) {
-        if (t >= n_) {
-          throw std::invalid_argument("HierarchicalScheme: bad pivot id");
-        }
-        if (dist.at(v, t) < best) {
-          best = dist.at(v, t);
-          pivot_of_[i][v] = t;
-        }
-      }
-    }
-  }
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
+  auto pivot_of = nearest_pivots(*dist_cached, n_, pivot_sets_);
+  const unsigned id_width = id_width_of(n_);
   function_bits_ = std::move(node_bits);
-  decoded_.resize(n_);
+  std::vector<model::PackedSparseArray> tables;
+  tables.reserve(n_);
+  std::vector<std::uint32_t> ports;
   for (NodeId w = 0; w < n_; ++w) {
-    const unsigned port_width =
-        bitio::ceil_log2(std::max<std::size_t>(g.degree(w), 1));
+    const unsigned port_width = port_width_of(g.degree(w));
     const std::size_t degree = std::max<std::size_t>(g.degree(w), 1);
     const std::size_t entry_bits = id_width + port_width + 1;
     bitio::BitReader r(function_bits_[w]);
@@ -204,157 +288,95 @@ HierarchicalScheme::HierarchicalScheme(
       throw std::length_error(
           "HierarchicalScheme: entry count exceeds the stored bits");
     }
-    DecodedNode& node = decoded_[w];
-    node.targets.resize(count);
-    node.port_for.resize(count);
+    bitio::BitVector mask(n_);
+    ports.resize(count);
+    NodeId previous = 0;
     for (std::size_t e = 0; e < count; ++e) {
-      node.targets[e] = static_cast<NodeId>(r.read_bits(id_width));
-      node.port_for[e] = static_cast<graph::PortId>(r.read_bits(port_width));
-      (void)r.read_bit();
-      if (node.targets[e] >= n_ || node.port_for[e] >= degree ||
-          (e > 0 && node.targets[e] <= node.targets[e - 1])) {
+      const auto target = static_cast<NodeId>(r.read_bits(id_width));
+      ports[e] = static_cast<std::uint32_t>(r.read_bits(port_width));
+      (void)r.read_bit();  // installed flag: routing treats both alike
+      // The compiled table is rank-indexed by target.
+      if (target >= n_ || ports[e] >= degree ||
+          (e > 0 && target <= previous)) {
         throw std::invalid_argument("HierarchicalScheme: bad table entry");
       }
+      mask.set(target, true);
+      previous = target;
     }
     if (!r.exhausted()) {
       throw std::invalid_argument(
           "HierarchicalScheme: trailing bits in a node table");
     }
+    tables.emplace_back(std::move(mask), ports, port_width);
   }
-}
-
-int HierarchicalScheme::resolve(NodeId u, NodeId target) const {
-  return decoded_[u].find(target);
+  fast_ = std::make_shared<HierarchicalFastPath>(
+      std::move(tables), std::move(pivot_of), graph::CsrGraph(g));
+  model::note_fastpath_compiled("hierarchical");
 }
 
 NodeId HierarchicalScheme::next_hop(NodeId u, NodeId dest_label,
                                     model::MessageHeader& header) const {
-  const NodeId v = dest_label;
-  if (v == u) {
+  if (dest_label == u) {
     throw std::invalid_argument("HierarchicalScheme: routing to self");
   }
   // Continue an active waypoint leg.
   if (header.phase == kWaypointSet) {
     const NodeId w = static_cast<NodeId>(header.probe_index);
     if (w != u) {
-      const int e = resolve(u, w);
-      if (e >= 0) {
-        return ports_.neighbor_at(u, decoded_[u].port_for[static_cast<std::size_t>(e)]);
-      }
+      if (const auto hop = fast_->follow(u, w)) return *hop;
     }
     header.phase = kNoWaypoint;  // arrived (or leg no longer resolvable)
   }
-  // Fresh decision: destination directly, then its pivots bottom-up.
-  auto follow = [&](NodeId target, int e) {
-    header.phase = kWaypointSet;
-    header.probe_index = target;
-    return ports_.neighbor_at(u, decoded_[u].port_for[static_cast<std::size_t>(e)]);
+  const auto decision = fast_->decide(u, dest_label);
+  header.phase = kWaypointSet;
+  header.probe_index = decision.target;
+  return decision.hop;
+}
+
+NodeId HierarchicalScheme::reference_next_hop(const graph::Graph& g, NodeId u,
+                                              NodeId dest_label) const {
+  const NodeId v = dest_label;
+  if (v == u) {
+    throw std::invalid_argument("HierarchicalScheme: routing to self");
+  }
+  const auto nbrs = g.neighbors(u);
+  const auto port_toward = [&](NodeId target) {
+    return read_entry_port(function_bits_[u], n_, nbrs.size(), target);
   };
-  if (const int e = resolve(u, v); e >= 0) return follow(v, e);
+  if (const auto port = port_toward(v)) return nbrs[*port];
   for (std::size_t i = 1; i < levels_; ++i) {
-    const NodeId t = pivot_of_[i][v];  // from the destination's label
+    const NodeId t = pivot_of(i, v);
     if (t == u) {
-      // u is v's level-i pivot: hand off to the level-(i−1) pivot via the
-      // installed path (it starts here).
-      const NodeId x = pivot_of_[i - 1][v];
-      const int e = resolve(u, x);
-      if (e < 0) {
+      const NodeId x = pivot_of(i - 1, v);
+      const auto port = x == u ? std::nullopt : port_toward(x);
+      if (!port) {
         throw std::logic_error("HierarchicalScheme: missing handoff entry");
       }
-      return follow(x, e);
+      return nbrs[*port];
     }
-    if (const int e = resolve(u, t); e >= 0) return follow(t, e);
+    if (const auto port = port_toward(t)) return nbrs[*port];
   }
   throw std::logic_error("HierarchicalScheme: unresolvable destination");
 }
 
-namespace {
+std::shared_ptr<const model::FastPath> HierarchicalScheme::compile_fast()
+    const {
+  return fast_;
+}
 
-class HierarchicalFastPath final : public model::FastPath {
- public:
-  HierarchicalFastPath(std::size_t n, std::size_t levels,
-                       std::vector<model::PackedSparseArray> tables,
-                       std::vector<std::vector<NodeId>> pivot_of,
-                       graph::CsrGraph csr)
-      : n_(n),
-        levels_(levels),
-        tables_(std::move(tables)),
-        pivot_of_(std::move(pivot_of)),
-        csr_(std::move(csr)) {}
-
-  [[nodiscard]] std::string name() const override { return "hierarchical"; }
-  [[nodiscard]] std::size_t node_count() const override { return n_; }
-
-  // The fresh-header decision ladder of HierarchicalScheme::next_hop:
-  // destination first, then its pivots bottom-up, with the handoff throw
-  // when u is the pivot but the installed leg is missing.
-  [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label) const override {
-    const NodeId v = dest_label;
-    if (v == u) {
-      throw std::invalid_argument("HierarchicalScheme: routing to self");
-    }
-    const auto& table = tables_[u];
-    const auto follow = [&](NodeId target) {
-      return csr_.neighbor_at(u,
-                              static_cast<graph::PortId>(table.value(target)));
-    };
-    if (table.contains(v)) return follow(v);
-    for (std::size_t i = 1; i < levels_; ++i) {
-      const NodeId t = pivot_of_[i][v];
-      if (t == u) {
-        const NodeId x = pivot_of_[i - 1][v];
-        if (x == u || !table.contains(x)) {
-          throw std::logic_error("HierarchicalScheme: missing handoff entry");
-        }
-        return follow(x);
-      }
-      if (table.contains(t)) return follow(t);
-    }
-    throw std::logic_error("HierarchicalScheme: unresolvable destination");
-  }
-
- private:
-  std::size_t n_;
-  std::size_t levels_;
-  std::vector<model::PackedSparseArray> tables_;
-  std::vector<std::vector<NodeId>> pivot_of_;
-  graph::CsrGraph csr_;  // sorted = port order for this scheme
-};
-
-}  // namespace
-
-std::unique_ptr<model::FastPath> HierarchicalScheme::compile_fast() const {
-  std::vector<model::PackedSparseArray> tables;
-  tables.reserve(n_);
-  for (NodeId w = 0; w < n_; ++w) {
-    const unsigned port_width =
-        bitio::ceil_log2(std::max<std::size_t>(ports_.degree(w), 1));
-    const DecodedNode& node = decoded_[w];
-    bitio::BitVector mask(n_);
-    for (NodeId t : node.targets) mask.set(t, true);
-    tables.emplace_back(std::move(mask), node.port_for, port_width);
-  }
-  model::note_fastpath_compiled("hierarchical");
-  return std::make_unique<HierarchicalFastPath>(
-      n_, levels_, std::move(tables), pivot_of_,
-      graph::CsrGraph::from_ports(ports_));
+NodeId HierarchicalScheme::pivot_of(std::size_t level, NodeId v) const {
+  return fast_->pivot_of(level, v);
 }
 
 std::vector<NodeId> HierarchicalScheme::port_enumeration(NodeId u) const {
-  const auto ports = ports_.ports(u);
+  const auto ports = fast_->csr().neighbors(u);
   return {ports.begin(), ports.end()};
 }
 
 model::SpaceReport HierarchicalScheme::space() const {
-  model::SpaceReport report;
-  report.function_bits.reserve(n_);
-  for (const auto& bits : function_bits_) {
-    report.function_bits.push_back(bits.size());
-  }
   // Charged labels: (v, p₁(v), …, p_{k−1}(v)) at ⌈log n⌉ bits each.
-  report.label_bits =
-      n_ * levels_ * bitio::ceil_log2(std::max<std::size_t>(n_, 2));
-  return report;
+  return model::SpaceReport::of(function_bits_,
+                                n_ * levels_ * id_width_of(n_));
 }
 
 }  // namespace optrt::schemes

@@ -22,12 +22,12 @@
 // stretch is measured, and shrinks tables as k grows.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "bitio/bit_vector.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/ports.hpp"
 #include "model/scheme.hpp"
 
 namespace optrt::schemes {
@@ -38,6 +38,8 @@ struct HierarchicalOptions {
   std::size_t levels = 3;   ///< k ≥ 2; k = 2 ≈ the landmark scheme
   std::uint64_t seed = 1;
 };
+
+class HierarchicalFastPath;
 
 class HierarchicalScheme final : public model::RoutingScheme {
  public:
@@ -58,47 +60,41 @@ class HierarchicalScheme final : public model::RoutingScheme {
     return model::kIIgamma;
   }
   [[nodiscard]] std::size_t node_count() const override { return n_; }
+  /// Continues an active waypoint leg from the compiled tables; otherwise
+  /// takes the compiled form's fresh-header decision and records its
+  /// target in the header.
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
-  /// Tracks the current pivot level in the header's phase field.
-  [[nodiscard]] bool stateless_next_hop() const override { return false; }
+  [[nodiscard]] NodeId reference_next_hop(const graph::Graph& g, NodeId u,
+                                          NodeId dest_label) const override;
   [[nodiscard]] model::SpaceReport space() const override;
   [[nodiscard]] std::vector<NodeId> port_enumeration(NodeId u) const override;
-  /// Compiled form: per node, a rank-indexed target membership vector with
-  /// bit-packed ports, walking the same bottom-up pivot ladder as a fresh
-  /// next_hop.
-  [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
+  /// Compiled form, built in the constructor: per node, a rank-indexed
+  /// target membership vector with bit-packed ports, walking the bottom-up
+  /// pivot ladder of a fresh next_hop; it also holds the pivot label table.
+  [[nodiscard]] std::shared_ptr<const model::FastPath> compile_fast()
+      const override;
 
   [[nodiscard]] std::size_t levels() const { return levels_; }
   [[nodiscard]] const std::vector<NodeId>& pivots(std::size_t level) const {
     return pivot_sets_[level];
   }
-  /// v's level-i pivot.
-  [[nodiscard]] NodeId pivot_of(std::size_t level, NodeId v) const {
-    return pivot_of_[level][v];
-  }
+  /// v's level-i pivot, from the label table.
+  [[nodiscard]] NodeId pivot_of(std::size_t level, NodeId v) const;
   [[nodiscard]] const bitio::BitVector& function_bits(NodeId u) const {
     return function_bits_[u];
   }
 
  private:
-  struct DecodedNode {
-    // Sorted (target, port) tables: top pivots, vicinity, installed.
-    std::vector<NodeId> targets;
-    std::vector<graph::PortId> port_for;
-    [[nodiscard]] int find(NodeId target) const;
-  };
-
-  /// Looks up a next hop toward `target` at node `u`; -1 if unresolvable.
-  [[nodiscard]] int resolve(NodeId u, NodeId target) const;
+  /// The validating decode of the node bits into fast_, shared by both
+  /// constructors; also derives the pivot label table.
+  void compile(const graph::Graph& g, std::vector<bitio::BitVector> node_bits);
 
   std::size_t n_;
   std::size_t levels_;
-  graph::PortAssignment ports_;
   std::vector<std::vector<NodeId>> pivot_sets_;  // [level] sorted; [0] empty
-  std::vector<std::vector<NodeId>> pivot_of_;    // [level][v]
   std::vector<bitio::BitVector> function_bits_;
-  std::vector<DecodedNode> decoded_;
+  std::shared_ptr<const HierarchicalFastPath> fast_;
 };
 
 }  // namespace optrt::schemes

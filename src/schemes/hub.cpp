@@ -9,114 +9,8 @@
 #include "bitio/codes.hpp"
 #include "model/fastpath.hpp"
 #include "schemes/errors.hpp"
-#include "schemes/succinct_node_table.hpp"
 
 namespace optrt::schemes {
-
-HubScheme::HubScheme(const graph::Graph& g, NodeId hub,
-                     unsigned rank_width_override)
-    : n_(g.node_count()), hub_(hub), g_(&g) {
-  if (rank_width_override != 0) {
-    rank_width_ = rank_width_override;
-  } else {
-    // Lemma 3 bound with c = 3: ranks below (c+3) log₂ n = 6 log₂ n.
-    const auto bound = static_cast<std::uint64_t>(
-        std::ceil(6.0 * std::log2(std::max<double>(static_cast<double>(n_), 2.0))));
-    rank_width_ = bitio::ceil_log2(std::max<std::uint64_t>(bound, 2));
-  }
-
-  // Hub: full compact table.
-  const CompactNodeOptions node_opt;  // model II defaults
-  CompactNodeBits hub_bits = build_compact_node(g, hub_, node_opt);
-  const auto hub_nbrs = g.neighbors(hub_);
-  hub_table_ =
-      decode_compact_node(hub_bits.bits, n_, hub_, node_opt,
-                          std::vector<NodeId>(hub_nbrs.begin(), hub_nbrs.end()));
-
-  function_bits_.resize(n_);
-  function_bits_[hub_] = std::move(hub_bits.bits);
-
-  hub_neighbor_.assign(n_, false);
-  for (NodeId z : hub_nbrs) hub_neighbor_[z] = true;
-
-  toward_hub_.assign(n_, static_cast<NodeId>(-1));
-  for (NodeId v = 0; v < n_; ++v) {
-    if (v == hub_ || hub_neighbor_[v]) continue;  // O(1)-bit functions
-    // Find the least-rank neighbour of v adjacent to the hub.
-    const auto nbrs = g.neighbors(v);
-    std::size_t rank = nbrs.size();
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (g.has_edge(nbrs[i], hub_)) {
-        rank = i;
-        break;
-      }
-    }
-    if (rank == nbrs.size()) {
-      throw SchemeInapplicable("hub: node " + std::to_string(v) +
-                               " farther than 2 from the hub");
-    }
-    if (rank >= (std::size_t{1} << rank_width_)) {
-      throw SchemeInapplicable(
-          "hub: connecting rank exceeds the loglog-width field (graph not "
-          "(c+3)log n-covered)");
-    }
-    bitio::BitWriter w;
-    w.write_bits(rank, rank_width_);
-    function_bits_[v] = w.take();
-    // Honest read-back of the stored rank.
-    bitio::BitReader r(function_bits_[v]);
-    toward_hub_[v] = nbrs[r.read_bits(rank_width_)];
-  }
-}
-
-HubScheme::HubScheme(const graph::Graph& g, NodeId hub, unsigned rank_width,
-                     std::vector<bitio::BitVector> node_bits)
-    : n_(g.node_count()),
-      hub_(hub),
-      rank_width_(rank_width),
-      function_bits_(std::move(node_bits)),
-      g_(&g) {
-  if (function_bits_.size() != n_) {
-    throw std::invalid_argument("HubScheme: node count mismatch");
-  }
-  if (hub_ >= n_) {
-    throw std::invalid_argument("HubScheme: hub id out of range");
-  }
-  if (rank_width_ > 64) {
-    throw std::invalid_argument("HubScheme: rank width exceeds 64 bits");
-  }
-  const CompactNodeOptions node_opt;
-  const auto hub_nbrs = g.neighbors(hub_);
-  hub_table_ =
-      decode_compact_node(function_bits_[hub_], n_, hub_, node_opt,
-                          std::vector<NodeId>(hub_nbrs.begin(), hub_nbrs.end()));
-  hub_neighbor_.assign(n_, false);
-  for (NodeId z : hub_nbrs) hub_neighbor_[z] = true;
-  toward_hub_.assign(n_, static_cast<NodeId>(-1));
-  for (NodeId v = 0; v < n_; ++v) {
-    if (v == hub_ || hub_neighbor_[v]) continue;
-    bitio::BitReader r(function_bits_[v]);
-    const auto rank = static_cast<std::size_t>(r.read_bits(rank_width_));
-    const auto nbrs = g.neighbors(v);
-    if (rank >= nbrs.size()) {
-      throw std::invalid_argument("HubScheme: bad stored rank");
-    }
-    toward_hub_[v] = nbrs[rank];
-  }
-}
-
-NodeId HubScheme::next_hop(NodeId u, NodeId dest_label,
-                           model::MessageHeader&) const {
-  if (dest_label == u) {
-    throw std::invalid_argument("HubScheme: routing to self");
-  }
-  if (g_->has_edge(u, dest_label)) return dest_label;  // free under II
-  if (u == hub_) return hub_table_.next_of[dest_label];
-  if (hub_neighbor_[u]) return hub_;
-  return toward_hub_[u];
-}
-
-namespace {
 
 class HubFastPath final : public model::FastPath {
  public:
@@ -149,25 +43,132 @@ class HubFastPath final : public model::FastPath {
   NodeId hub_;
   model::AdjacencyBits adjacency_;
   model::PackedSparseArray hub_table_;
-  std::vector<NodeId> toward_hub_;
+  std::vector<NodeId> toward_hub_;  // distance-2 nodes only
 };
+
+namespace {
+
+/// Lemma 3 bound with c = 3: ranks below (c+3) log₂ n = 6 log₂ n.
+unsigned default_rank_width(std::size_t n) {
+  const auto bound = static_cast<std::uint64_t>(
+      std::ceil(6.0 * std::log2(std::max<double>(static_cast<double>(n), 2.0))));
+  return bitio::ceil_log2(std::max<std::uint64_t>(bound, 2));
+}
+
+/// The function bits of every node: the hub's compact table, nothing at
+/// its neighbours, the rank of the least hub-adjacent neighbour elsewhere.
+std::vector<bitio::BitVector> build_hub_bits(const graph::Graph& g, NodeId hub,
+                                             unsigned rank_width) {
+  std::vector<bitio::BitVector> bits(g.node_count());
+  bits[hub] = build_compact_node(g, hub, CompactNodeOptions{}).bits;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    if (v == hub || g.has_edge(v, hub)) continue;  // O(1)-bit functions
+    const auto nbrs = g.neighbors(v);
+    const auto it = std::find_if(nbrs.begin(), nbrs.end(), [&](NodeId z) {
+      return g.has_edge(z, hub);
+    });
+    if (it == nbrs.end()) {
+      throw SchemeInapplicable("hub: node " + std::to_string(v) +
+                               " farther than 2 from the hub");
+    }
+    const auto rank = static_cast<std::size_t>(it - nbrs.begin());
+    if (rank >= (std::size_t{1} << rank_width)) {
+      throw SchemeInapplicable(
+          "hub: connecting rank exceeds the loglog-width field (graph not "
+          "(c+3)log n-covered)");
+    }
+    bitio::BitWriter w;
+    w.write_bits(rank, rank_width);
+    bits[v] = w.take();
+  }
+  return bits;
+}
 
 }  // namespace
 
-std::unique_ptr<model::FastPath> HubScheme::compile_fast() const {
+HubScheme::HubScheme(const graph::Graph& g, NodeId hub,
+                     unsigned rank_width_override)
+    : n_(g.node_count()),
+      hub_(hub),
+      rank_width_(rank_width_override != 0 ? rank_width_override
+                                           : default_rank_width(n_)),
+      function_bits_(build_hub_bits(g, hub_, rank_width_)) {
+  compile(g);
+}
+
+HubScheme::HubScheme(const graph::Graph& g, NodeId hub, unsigned rank_width,
+                     std::vector<bitio::BitVector> node_bits)
+    : n_(g.node_count()),
+      hub_(hub),
+      rank_width_(rank_width),
+      function_bits_(std::move(node_bits)) {
+  compile(g);
+}
+
+void HubScheme::compile(const graph::Graph& g) {
+  if (function_bits_.size() != n_) {
+    throw std::invalid_argument("HubScheme: node count mismatch");
+  }
+  if (hub_ >= n_) {
+    throw std::invalid_argument("HubScheme: hub id out of range");
+  }
+  if (rank_width_ > 64) {
+    throw std::invalid_argument("HubScheme: rank width exceeds 64 bits");
+  }
+  const auto hub_nbrs = g.neighbors(hub_);
+  model::PackedSparseArray hub_table = compile_compact_node(
+      function_bits_[hub_], n_, hub_, CompactNodeOptions{},
+      std::vector<NodeId>(hub_nbrs.begin(), hub_nbrs.end()));
+  std::vector<NodeId> toward_hub(n_, static_cast<NodeId>(-1));
+  for (NodeId v = 0; v < n_; ++v) {
+    if (v == hub_) continue;
+    bitio::BitReader r(function_bits_[v]);
+    if (!g.has_edge(v, hub_)) {
+      const auto rank = static_cast<std::size_t>(r.read_bits(rank_width_));
+      const auto nbrs = g.neighbors(v);
+      if (rank >= nbrs.size()) {
+        throw std::invalid_argument("HubScheme: bad stored rank");
+      }
+      toward_hub[v] = nbrs[rank];
+    }
+    if (!r.exhausted()) {
+      throw std::invalid_argument("HubScheme: trailing bits in a node table");
+    }
+  }
+  fast_ = std::make_shared<HubFastPath>(n_, hub_, model::AdjacencyBits(g),
+                                        std::move(hub_table),
+                                        std::move(toward_hub));
   model::note_fastpath_compiled("hub");
-  return std::make_unique<HubFastPath>(
-      n_, hub_, model::AdjacencyBits(*g_),
-      compile_node_table(hub_, hub_table_.next_of), toward_hub_);
+}
+
+NodeId HubScheme::next_hop(NodeId u, NodeId dest_label,
+                           model::MessageHeader&) const {
+  return fast_->next_hop(u, dest_label);
+}
+
+NodeId HubScheme::reference_next_hop(const graph::Graph& g, NodeId u,
+                                     NodeId dest_label) const {
+  if (dest_label == u) {
+    throw std::invalid_argument("HubScheme: routing to self");
+  }
+  if (g.has_edge(u, dest_label)) return dest_label;  // free under II
+  const auto nbrs = g.neighbors(u);
+  if (u == hub_) {
+    return decode_compact_node(function_bits_[u], n_, u, CompactNodeOptions{},
+                               {nbrs.begin(), nbrs.end()})
+        .next_of[dest_label];
+  }
+  if (g.has_edge(u, hub_)) return hub_;
+  bitio::BitReader r(function_bits_[u]);
+  return nbrs[r.read_bits(rank_width_)];
+}
+
+std::shared_ptr<const model::FastPath> HubScheme::compile_fast() const {
+  return fast_;
 }
 
 model::SpaceReport HubScheme::space() const {
-  model::SpaceReport report;
-  report.function_bits.reserve(n_);
-  for (const auto& bits : function_bits_) {
-    report.function_bits.push_back(bits.size());
-  }
-  return report;
+  return model::SpaceReport::of(function_bits_);
 }
 
 }  // namespace optrt::schemes

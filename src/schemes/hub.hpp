@@ -11,6 +11,7 @@
 // at most 4 edges against a shortest path of 2.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -18,6 +19,8 @@
 #include "schemes/compact_node.hpp"
 
 namespace optrt::schemes {
+
+class HubFastPath;
 
 class HubScheme final : public model::RoutingScheme {
  public:
@@ -29,7 +32,9 @@ class HubScheme final : public model::RoutingScheme {
                      unsigned rank_width_override = 0);
 
   /// Reconstructs from serialized per-node function bits (the
-  /// deserialization path; see schemes/serialization.hpp).
+  /// deserialization path; see schemes/serialization.hpp). Every node's
+  /// bits are consumed exactly: the hub's compact table, an empty string
+  /// at the hub's neighbours, and one rank_width-bit rank elsewhere.
   HubScheme(const graph::Graph& g, NodeId hub, unsigned rank_width,
             std::vector<bitio::BitVector> node_bits);
 
@@ -40,10 +45,13 @@ class HubScheme final : public model::RoutingScheme {
   [[nodiscard]] std::size_t node_count() const override { return n_; }
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
+  [[nodiscard]] NodeId reference_next_hop(const graph::Graph& g, NodeId u,
+                                          NodeId dest_label) const override;
   [[nodiscard]] model::SpaceReport space() const override;
-  /// Compiled form: adjacency bit-matrix + the hub's rank-indexed sparse
-  /// table + flat toward-hub hops.
-  [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
+  /// Compiled form, built in the constructor: adjacency bit-matrix + the
+  /// hub's rank-indexed sparse table + flat toward-hub hops.
+  [[nodiscard]] std::shared_ptr<const model::FastPath> compile_fast()
+      const override;
 
   [[nodiscard]] NodeId hub() const { return hub_; }
   [[nodiscard]] unsigned rank_width() const { return rank_width_; }
@@ -52,16 +60,15 @@ class HubScheme final : public model::RoutingScheme {
   }
 
  private:
+  /// The validating decode of function_bits_ into fast_, shared by both
+  /// constructors.
+  void compile(const graph::Graph& g);
+
   std::size_t n_;
   NodeId hub_;
   unsigned rank_width_;
   std::vector<bitio::BitVector> function_bits_;
-  DecodedCompactNode hub_table_;
-  // Decoded next hop toward the hub for distance-2 nodes (kInvalid
-  // elsewhere).
-  std::vector<NodeId> toward_hub_;
-  std::vector<bool> hub_neighbor_;
-  const graph::Graph* g_;  // free neighbour knowledge under model II
+  std::shared_ptr<const HubFastPath> fast_;
 };
 
 }  // namespace optrt::schemes

@@ -70,7 +70,6 @@ IntervalRoutingScheme::IntervalRoutingScheme(const graph::Graph& g, NodeId root)
   // label triples.
   const unsigned width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
   function_bits_.resize(n_);
-  decoded_.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
     bitio::BitWriter w;
     w.write_bits(parent[u], width);
@@ -81,21 +80,6 @@ IntervalRoutingScheme::IntervalRoutingScheme(const graph::Graph& g, NodeId root)
       w.write_bits(last[c], width);
     }
     function_bits_[u] = w.take();
-
-    // Honest read-back.
-    bitio::BitReader r(function_bits_[u]);
-    DecodedNode& node = decoded_[u];
-    node.parent = static_cast<NodeId>(r.read_bits(width));
-    const auto count = static_cast<std::size_t>(
-        r.read_bits(bitio::ceil_log2_plus1(n_)));
-    node.child.resize(count);
-    node.lo.resize(count);
-    node.hi.resize(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      node.child[k] = static_cast<NodeId>(r.read_bits(width));
-      node.lo[k] = static_cast<NodeId>(r.read_bits(width));
-      node.hi[k] = static_cast<NodeId>(r.read_bits(width));
-    }
   }
 }
 
@@ -104,22 +88,22 @@ NodeId IntervalRoutingScheme::next_hop(NodeId u, NodeId dest_label,
   if (dest_label == labeling_.label_of(u)) {
     throw std::invalid_argument("IntervalRoutingScheme: routing to self");
   }
-  const DecodedNode& node = decoded_[u];
-  for (std::size_t k = 0; k < node.child.size(); ++k) {
-    if (node.lo[k] <= dest_label && dest_label <= node.hi[k]) {
-      return node.child[k];
-    }
+  const unsigned width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
+  bitio::BitReader r(function_bits_[u]);
+  const auto parent = static_cast<NodeId>(r.read_bits(width));
+  const auto count =
+      static_cast<std::size_t>(r.read_bits(bitio::ceil_log2_plus1(n_)));
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto child = static_cast<NodeId>(r.read_bits(width));
+    const auto lo = r.read_bits(width);
+    const auto hi = r.read_bits(width);
+    if (lo <= dest_label && dest_label <= hi) return child;
   }
-  return node.parent;
+  return parent;
 }
 
 model::SpaceReport IntervalRoutingScheme::space() const {
-  model::SpaceReport report;
-  report.function_bits.reserve(n_);
-  for (const auto& bits : function_bits_) {
-    report.function_bits.push_back(bits.size());
-  }
-  return report;
+  return model::SpaceReport::of(function_bits_);
 }
 
 }  // namespace optrt::schemes

@@ -44,15 +44,9 @@ class IntervalRoutingScheme final : public model::RoutingScheme {
  private:
   std::size_t n_;
   graph::Labeling labeling_;
+  // Per node: parent id (self at the root), child count, then one
+  // (child id, lo, hi) triple per child — next_hop decodes it per call.
   std::vector<bitio::BitVector> function_bits_;
-  // Decoded from function_bits_: per node, child intervals and their
-  // subtree roots, plus the parent (internal id; self at the root).
-  struct DecodedNode {
-    std::vector<NodeId> child;          // internal id of child k
-    std::vector<NodeId> lo, hi;         // child k's subtree label interval
-    NodeId parent = 0;
-  };
-  std::vector<DecodedNode> decoded_;
 };
 
 }  // namespace optrt::schemes

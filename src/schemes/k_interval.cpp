@@ -26,7 +26,6 @@ KIntervalScheme::KIntervalScheme(const graph::Graph& g)
   const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
 
   function_bits_.resize(n_);
-  decoded_.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
     const std::size_t degree = g.degree(u);
     // Destination → port of least shortest-path successor.
@@ -40,8 +39,6 @@ KIntervalScheme::KIntervalScheme(const graph::Graph& g)
     // Two labels are in one run when consecutive mod n, skipping u itself
     // (u's own label never needs routing, so runs may jump over it).
     bitio::BitWriter w;
-    DecodedNode& node = decoded_[u];
-    node.port_intervals.resize(degree);
     for (std::size_t p = 0; p < degree; ++p) {
       const auto& list = members[p];
       std::vector<Interval> intervals;
@@ -80,21 +77,8 @@ KIntervalScheme::KIntervalScheme(const graph::Graph& g)
         w.write_bits(iv.lo, id_width);
         w.write_bits(iv.hi, id_width);
       }
-      node.port_intervals[p] = std::move(intervals);
     }
     function_bits_[u] = w.take();
-
-    // Honest read-back: re-decode from the serialized bits.
-    bitio::BitReader r(function_bits_[u]);
-    for (std::size_t p = 0; p < degree; ++p) {
-      const auto count = static_cast<std::size_t>(bitio::read_prime(r));
-      std::vector<Interval> intervals(count);
-      for (auto& iv : intervals) {
-        iv.lo = static_cast<NodeId>(r.read_bits(id_width));
-        iv.hi = static_cast<NodeId>(r.read_bits(id_width));
-      }
-      node.port_intervals[p] = std::move(intervals);
-    }
   }
 }
 
@@ -103,9 +87,14 @@ NodeId KIntervalScheme::next_hop(NodeId u, NodeId dest_label,
   if (dest_label == u) {
     throw std::invalid_argument("KIntervalScheme: routing to self");
   }
-  const DecodedNode& node = decoded_[u];
-  for (std::size_t p = 0; p < node.port_intervals.size(); ++p) {
-    for (const Interval& iv : node.port_intervals[p]) {
+  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
+  bitio::BitReader r(function_bits_[u]);
+  for (std::size_t p = 0; p < ports_.degree(u); ++p) {
+    const auto count = static_cast<std::size_t>(bitio::read_prime(r));
+    for (std::size_t i = 0; i < count; ++i) {
+      Interval iv;
+      iv.lo = static_cast<NodeId>(r.read_bits(id_width));
+      iv.hi = static_cast<NodeId>(r.read_bits(id_width));
       if (contains(iv, dest_label, n_)) {
         return ports_.neighbor_at(u, static_cast<graph::PortId>(p));
       }
@@ -115,12 +104,7 @@ NodeId KIntervalScheme::next_hop(NodeId u, NodeId dest_label,
 }
 
 model::SpaceReport KIntervalScheme::space() const {
-  model::SpaceReport report;
-  report.function_bits.reserve(n_);
-  for (const auto& bits : function_bits_) {
-    report.function_bits.push_back(bits.size());
-  }
-  return report;
+  return model::SpaceReport::of(function_bits_);
 }
 
 }  // namespace optrt::schemes

@@ -52,11 +52,6 @@ class KIntervalScheme final : public model::RoutingScheme {
     NodeId lo;  // inclusive; cyclic when lo > hi
     NodeId hi;  // inclusive
   };
-  struct DecodedNode {
-    // Per port: the interval list.
-    std::vector<std::vector<Interval>> port_intervals;
-  };
-
   [[nodiscard]] static bool contains(const Interval& iv, NodeId label,
                                      std::size_t n) noexcept;
 
@@ -64,8 +59,9 @@ class KIntervalScheme final : public model::RoutingScheme {
   graph::PortAssignment ports_;
   std::size_t compactness_ = 0;
   std::size_t total_intervals_ = 0;
+  // Per node, per port: a prime-coded interval count, then (lo, hi)
+  // label pairs — next_hop decodes it per call.
   std::vector<bitio::BitVector> function_bits_;
-  std::vector<DecodedNode> decoded_;
 };
 
 }  // namespace optrt::schemes

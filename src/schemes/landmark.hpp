@@ -21,12 +21,12 @@
 // scheme of choice. bench_related_work measures both regimes.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "bitio/bit_vector.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/ports.hpp"
 #include "model/scheme.hpp"
 
 namespace optrt::schemes {
@@ -39,6 +39,8 @@ struct LandmarkOptions {
   /// Seed for the landmark sample.
   std::uint64_t seed = 1;
 };
+
+class LandmarkFastPath;
 
 class LandmarkScheme final : public model::RoutingScheme {
  public:
@@ -61,36 +63,34 @@ class LandmarkScheme final : public model::RoutingScheme {
   [[nodiscard]] std::size_t node_count() const override { return n_; }
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
+  [[nodiscard]] NodeId reference_next_hop(const graph::Graph& g, NodeId u,
+                                          NodeId dest_label) const override;
   [[nodiscard]] model::SpaceReport space() const override;
-  /// Compiled form: per node, a rank-indexed vicinity membership vector
-  /// plus bit-packed landmark ports, resolved through a port-order CSR.
-  [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
+  /// Compiled form, built in the constructor: per node, a rank-indexed
+  /// vicinity membership vector plus bit-packed landmark ports, resolved
+  /// through a port-order CSR; it also holds the landmark label table.
+  [[nodiscard]] std::shared_ptr<const model::FastPath> compile_fast()
+      const override;
 
   [[nodiscard]] const std::vector<NodeId>& landmarks() const {
     return landmarks_;
   }
-  [[nodiscard]] NodeId landmark_of(NodeId v) const { return landmark_of_[v]; }
-  [[nodiscard]] std::size_t vicinity_size(NodeId w) const {
-    return decoded_[w].vicinity_ids.size();
-  }
+  /// v's nearest landmark (least id on ties), from the label table.
+  [[nodiscard]] NodeId landmark_of(NodeId v) const;
+  [[nodiscard]] std::size_t vicinity_size(NodeId w) const;
   [[nodiscard]] const bitio::BitVector& function_bits(NodeId u) const {
     return function_bits_[u];
   }
 
  private:
-  struct DecodedNode {
-    std::vector<graph::PortId> landmark_port;  // per landmark index
-    std::vector<NodeId> vicinity_ids;          // sorted
-    std::vector<graph::PortId> vicinity_port;  // aligned
-  };
+  /// The validating decode of the node bits into fast_, shared by both
+  /// constructors.
+  void compile(const graph::Graph& g, std::vector<bitio::BitVector> node_bits);
 
   std::size_t n_;
-  graph::PortAssignment ports_;
-  std::vector<NodeId> landmarks_;       // sorted
-  std::vector<NodeId> landmark_of_;     // v → nearest landmark (least id tie)
-  std::vector<std::uint32_t> landmark_index_;  // landmark id → index in list
+  std::vector<NodeId> landmarks_;  // sorted
   std::vector<bitio::BitVector> function_bits_;
-  std::vector<DecodedNode> decoded_;
+  std::shared_ptr<const LandmarkFastPath> fast_;
 };
 
 }  // namespace optrt::schemes

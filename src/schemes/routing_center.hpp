@@ -11,6 +11,7 @@
 // diameter-2 graphs.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -19,6 +20,8 @@
 
 namespace optrt::schemes {
 
+class RoutingCenterFastPath;
+
 class RoutingCenterScheme final : public model::RoutingScheme {
  public:
   /// Throws SchemeInapplicable if the hub's cover is incomplete or a center
@@ -26,7 +29,9 @@ class RoutingCenterScheme final : public model::RoutingScheme {
   explicit RoutingCenterScheme(const graph::Graph& g, NodeId hub = 0);
 
   /// Reconstructs from serialized state (deserialization path; see
-  /// schemes/serialization.hpp): the sorted center set plus per-node bits.
+  /// schemes/serialization.hpp): the center set, strictly increasing, plus
+  /// per-node bits — a compact table at every center, elsewhere exactly
+  /// the id of one adjacent center. Throws std::invalid_argument otherwise.
   RoutingCenterScheme(const graph::Graph& g, std::vector<NodeId> center_ids,
                       std::vector<bitio::BitVector> node_bits);
 
@@ -37,10 +42,14 @@ class RoutingCenterScheme final : public model::RoutingScheme {
   [[nodiscard]] std::size_t node_count() const override { return n_; }
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
+  [[nodiscard]] NodeId reference_next_hop(const graph::Graph& g, NodeId u,
+                                          NodeId dest_label) const override;
   [[nodiscard]] model::SpaceReport space() const override;
-  /// Compiled form: adjacency bit-matrix, rank-indexed sparse tables at
-  /// the centers, flat center hops elsewhere.
-  [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
+  /// Compiled form, built in the constructor: adjacency bit-matrix,
+  /// rank-indexed sparse tables at the centers, flat center hops
+  /// elsewhere.
+  [[nodiscard]] std::shared_ptr<const model::FastPath> compile_fast()
+      const override;
 
   [[nodiscard]] const std::vector<NodeId>& centers() const { return center_ids_; }
   [[nodiscard]] const bitio::BitVector& function_bits(NodeId u) const {
@@ -48,14 +57,15 @@ class RoutingCenterScheme final : public model::RoutingScheme {
   }
 
  private:
+  /// The validating decode of function_bits_ into fast_, shared by both
+  /// constructors.
+  void compile(const graph::Graph& g);
+
   std::size_t n_;
-  std::vector<NodeId> center_ids_;  ///< B, sorted
+  std::vector<NodeId> center_ids_;  ///< B, strictly increasing
   // Per node: either a compact table (centers) or a stored center label.
   std::vector<bitio::BitVector> function_bits_;
-  std::vector<DecodedCompactNode> decoded_;  ///< empty next_of when not in B
-  std::vector<NodeId> my_center_;            ///< valid when not in B
-  std::vector<bool> in_b_;
-  const graph::Graph* g_;  // free neighbour knowledge under model II
+  std::shared_ptr<const RoutingCenterFastPath> fast_;
 };
 
 }  // namespace optrt::schemes

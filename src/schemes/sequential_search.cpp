@@ -43,9 +43,10 @@ class SequentialSearchFastPath final : public model::FastPath {
 
 }  // namespace
 
-std::unique_ptr<model::FastPath> SequentialSearchScheme::compile_fast() const {
+std::shared_ptr<const model::FastPath> SequentialSearchScheme::compile_fast()
+    const {
   model::note_fastpath_compiled("sequential_search");
-  return std::make_unique<SequentialSearchFastPath>(model::AdjacencyBits(*g_),
+  return std::make_shared<SequentialSearchFastPath>(model::AdjacencyBits(*g_),
                                                     graph::CsrGraph(*g_));
 }
 

@@ -34,13 +34,12 @@ class SequentialSearchScheme final : public model::RoutingScheme {
   }
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
-  /// Theorem 5's probe walk lives in the header (phase + probe index).
-  [[nodiscard]] bool stateless_next_hop() const override { return false; }
   [[nodiscard]] model::SpaceReport space() const override;
   [[nodiscard]] std::vector<NodeId> port_enumeration(NodeId u) const override;
   /// Compiled form of the first (at-source) decision: adjacency bit test,
   /// else the least neighbour from a CSR slice.
-  [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
+  [[nodiscard]] std::shared_ptr<const model::FastPath> compile_fast()
+      const override;
 
   // Header phases.
   static constexpr std::uint32_t kAtSource = 0;

@@ -440,7 +440,14 @@ RoutingCenterScheme deserialize_routing_center(const bitio::BitVector& artifact,
                         decode_routing_center);
 }
 
-bitio::BitVector serialize(const LandmarkScheme& scheme) {
+namespace {
+
+/// Landmark and TZ payloads: the sorted landmark set, then the per-node
+/// function bits. Nearest landmarks (and TZ's exit ports) are recomputed
+/// from the graph by the scheme's validating constructor.
+template <typename Scheme>
+bitio::BitVector serialize_landmark_payload(SchemeKind kind,
+                                            const Scheme& scheme) {
   const std::size_t n = scheme.node_count();
   const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
   BitWriter w;
@@ -449,12 +456,11 @@ bitio::BitVector serialize(const LandmarkScheme& scheme) {
   for (graph::NodeId u = 0; u < n; ++u) {
     write_bit_vector(w, scheme.function_bits(u));
   }
-  return record_serialize(frame(SchemeKind::kLandmark, n, w.take()));
+  return record_serialize(frame(kind, n, w.take()));
 }
 
-namespace {
-
-LandmarkScheme decode_landmark(const bitio::BitVector& payload,
+template <typename Scheme>
+Scheme decode_landmark_payload(const bitio::BitVector& payload,
                                const graph::Graph& g) {
   BitReader r(payload);
   const std::size_t n = g.node_count();
@@ -473,10 +479,17 @@ LandmarkScheme decode_landmark(const bitio::BitVector& payload,
   node_bits.reserve(n);
   for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
   require_exhausted(r);
-  return LandmarkScheme(g, std::move(landmarks), std::move(node_bits));
+  return Scheme(g, std::move(landmarks), std::move(node_bits));
 }
 
+constexpr auto decode_landmark = decode_landmark_payload<LandmarkScheme>;
+constexpr auto decode_tz = decode_landmark_payload<TzScheme>;
+
 }  // namespace
+
+bitio::BitVector serialize(const LandmarkScheme& scheme) {
+  return serialize_landmark_payload(SchemeKind::kLandmark, scheme);
+}
 
 LandmarkScheme deserialize_landmark(const bitio::BitVector& artifact,
                                     const graph::Graph& g) {
@@ -562,43 +575,8 @@ SequentialSearchScheme deserialize_sequential_search(
 }
 
 bitio::BitVector serialize(const TzScheme& scheme) {
-  const std::size_t n = scheme.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
-  BitWriter w;
-  bitio::write_prime(w, scheme.landmarks().size());
-  for (graph::NodeId l : scheme.landmarks()) w.write_bits(l, id_width);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    write_bit_vector(w, scheme.function_bits(u));
-  }
-  return record_serialize(frame(SchemeKind::kThorupZwick, n, w.take()));
+  return serialize_landmark_payload(SchemeKind::kThorupZwick, scheme);
 }
-
-namespace {
-
-TzScheme decode_tz(const bitio::BitVector& payload,
-                   const graph::Graph& g) {
-  BitReader r(payload);
-  const std::size_t n = g.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
-  const std::size_t count =
-      read_count(r, id_width, "landmark set larger than the payload");
-  check(count <= n, DecodeErrorKind::kSemanticInvalid,
-        "more landmarks than nodes");
-  std::vector<graph::NodeId> landmarks(count);
-  for (auto& l : landmarks) {
-    l = static_cast<graph::NodeId>(r.read_bits(id_width));
-    check(l < n, DecodeErrorKind::kSemanticInvalid,
-          "landmark id out of range");
-  }
-  std::vector<bitio::BitVector> node_bits;
-  node_bits.reserve(n);
-  for (std::size_t u = 0; u < n; ++u) node_bits.push_back(read_bit_vector(r));
-  require_exhausted(r);
-  // The table-validating constructor checks ordering and port bounds.
-  return TzScheme(g, std::move(landmarks), std::move(node_bits));
-}
-
-}  // namespace
 
 TzScheme deserialize_tz(const bitio::BitVector& artifact,
                         const graph::Graph& g) {

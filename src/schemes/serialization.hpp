@@ -159,13 +159,13 @@ struct ArtifactInfo {
 struct FastScheme {
   SchemeKind kind = SchemeKind::kCompactDiam2;
   std::unique_ptr<model::RoutingScheme> scheme;
-  std::unique_ptr<model::FastPath> fast;
+  std::shared_ptr<const model::FastPath> fast;
 };
 
-/// Decodes the artifact and compiles its fast path in one step, parsing
-/// and checksumming the frame once. Exactly the deserialize_any error
-/// surface: any corruption throws the same typed DecodeError before
-/// compilation starts.
+/// Decodes the artifact and returns its compiled fast path, parsing and
+/// checksumming the frame once. Exactly the deserialize_any error
+/// surface: most kinds compile inside their validating decode, so any
+/// corruption throws the same typed DecodeError.
 [[nodiscard]] FastScheme compile_fast_from_artifact(
     const bitio::BitVector& artifact, const graph::Graph& g);
 

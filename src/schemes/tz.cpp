@@ -5,13 +5,12 @@
 #include <limits>
 #include <stdexcept>
 
-#include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/csr.hpp"
 #include "model/fastpath.hpp"
 #include "obs/metrics.hpp"
 #include "schemes/errors.hpp"
+#include "schemes/landmark_table.hpp"
 
 namespace optrt::schemes {
 
@@ -106,307 +105,179 @@ bitio::BitVector tz_build_node_bits(const graph::Graph& g,
                                     const std::vector<NodeId>& landmarks,
                                     const std::vector<std::uint32_t>& dva,
                                     NodeId w) {
-  const std::size_t n = g.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
-  const unsigned port_width =
-      bitio::ceil_log2(std::max<std::size_t>(g.degree(w), 1));
-  bitio::BitWriter out;
-  // (a) next hop toward every landmark (own entry unused at a landmark
-  // itself; store 0).
-  for (NodeId l : landmarks) {
-    graph::PortId port = 0;
-    if (l != w) {
-      const auto succ = graph::shortest_path_successors(g, dist, w, l);
-      port = ports.port_of(w, succ.front());
-    }
-    out.write_bits(port, port_width);
-  }
-  // (b) cluster table: v with d(w, v) < d(v, A), strictly.
-  std::vector<NodeId> cluster;
-  for (NodeId v = 0; v < n; ++v) {
-    if (v != w && dist.at(w, v) < dva[v]) cluster.push_back(v);
-  }
-  out.write_bits(cluster.size(), bitio::ceil_log2_plus1(n));
-  for (NodeId v : cluster) {
-    const auto succ = graph::shortest_path_successors(g, dist, w, v);
-    out.write_bits(v, id_width);
-    out.write_bits(ports.port_of(w, succ.front()), port_width);
-  }
-  return out.take();
+  // Cluster C(w) = {v : d(w, v) < d(v, A)}, strictly.
+  return build_landmark_node_bits(g, dist, ports, landmarks, dva, w);
 }
 
+class TzFastPath final : public model::FastPath {
+ public:
+  TzFastPath(LandmarkTables tables, std::vector<graph::PortId> exit_port)
+      : t_(std::move(tables)), exit_port_(std::move(exit_port)) {}
+
+  [[nodiscard]] std::string name() const override { return "tz"; }
+  [[nodiscard]] std::size_t node_count() const override {
+    return t_.landmark_of.size();
+  }
+
+  [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label) const override {
+    const NodeId v = dest_label;
+    if (v == u) throw std::invalid_argument("TzScheme: routing to self");
+    const auto& cluster = t_.listed[u];
+    if (cluster.contains(v)) return t_.hop(u, cluster.value(v));
+    if (u == t_.landmark_of[v]) return t_.hop(u, exit_port_[v]);
+    return t_.hop(u, t_.port_toward_landmark(u, v));
+  }
+
+  [[nodiscard]] const LandmarkTables& tables() const { return t_; }
+  /// Label part: at l(v), the port toward v.
+  [[nodiscard]] graph::PortId exit_port(NodeId v) const {
+    return exit_port_[v];
+  }
+
+ private:
+  LandmarkTables t_;
+  std::vector<graph::PortId> exit_port_;
+};
+
 TzScheme::TzScheme(const graph::Graph& g, Options options)
-    : n_(g.node_count()), ports_(graph::PortAssignment::sorted(g)) {
+    : n_(g.node_count()) {
   if (!graph::is_connected(g)) {
     throw SchemeInapplicable("tz: graph disconnected");
   }
   const auto dist_cached = graph::DistanceCache::global().get(g);
   const graph::DistanceMatrix& dist = *dist_cached;
-
   landmarks_ = tz_sample_landmarks(g, dist, options);
-
-  landmark_index_.assign(n_, 0);
-  for (std::uint32_t i = 0; i < landmarks_.size(); ++i) {
-    landmark_index_[landmarks_[i]] = i;
-  }
-
-  // Nearest landmark per node (least id on ties — landmarks_ is sorted).
-  landmark_of_.assign(n_, landmarks_[0]);
-  std::vector<std::uint32_t> dva(n_, graph::kUnreachable);
-  for (NodeId v = 0; v < n_; ++v) {
-    for (NodeId l : landmarks_) {
-      if (dist.at(v, l) < dva[v]) {
-        dva[v] = dist.at(v, l);
-        landmark_of_[v] = l;
-      }
-    }
-  }
-
-  // Build and serialize per-node tables.
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
-  function_bits_.resize(n_);
-  decoded_.resize(n_);
+  const auto dva = dist_to_set(dist, n_, landmarks_);
+  const auto ports = graph::PortAssignment::sorted(g);
+  std::vector<bitio::BitVector> bits(n_);
   for (NodeId w = 0; w < n_; ++w) {
-    const unsigned port_width =
-        bitio::ceil_log2(std::max<std::size_t>(g.degree(w), 1));
-    function_bits_[w] = tz_build_node_bits(g, dist, ports_, landmarks_, dva, w);
-
-    // Honest read-back.
-    bitio::BitReader r(function_bits_[w]);
-    DecodedNode& node = decoded_[w];
-    node.landmark_port.resize(landmarks_.size());
-    for (auto& pt : node.landmark_port) {
-      pt = static_cast<graph::PortId>(r.read_bits(port_width));
-    }
-    const auto size =
-        static_cast<std::size_t>(r.read_bits(bitio::ceil_log2_plus1(n_)));
-    node.cluster_ids.resize(size);
-    node.cluster_port.resize(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      node.cluster_ids[i] = static_cast<NodeId>(r.read_bits(id_width));
-      node.cluster_port[i] =
-          static_cast<graph::PortId>(r.read_bits(port_width));
-    }
+    bits[w] = tz_build_node_bits(g, dist, ports, landmarks_, dva, w);
   }
-  finish_build(g, dist);
+  compile(g, std::move(bits), dist);
 }
 
 TzScheme::TzScheme(const graph::Graph& g, std::vector<NodeId> landmarks,
                    std::vector<bitio::BitVector> node_bits)
-    : n_(g.node_count()),
-      ports_(graph::PortAssignment::sorted(g)),
-      landmarks_(std::move(landmarks)) {
+    : n_(g.node_count()), landmarks_(std::move(landmarks)) {
   // Nearest landmarks are a deterministic function of the graph.
   const auto dist_cached = graph::DistanceCache::global().get(g);
-  init_from_bits(g, std::move(node_bits), *dist_cached);
+  compile(g, std::move(node_bits), *dist_cached);
 }
 
 TzScheme::TzScheme(const graph::Graph& g, std::vector<NodeId> landmarks,
                    std::vector<bitio::BitVector> node_bits,
                    const graph::DistanceMatrix& dist)
-    : n_(g.node_count()),
-      ports_(graph::PortAssignment::sorted(g)),
-      landmarks_(std::move(landmarks)) {
-  init_from_bits(g, std::move(node_bits), dist);
+    : n_(g.node_count()), landmarks_(std::move(landmarks)) {
+  compile(g, std::move(node_bits), dist);
 }
 
-void TzScheme::init_from_bits(const graph::Graph& g,
-                              std::vector<bitio::BitVector> node_bits,
-                              const graph::DistanceMatrix& dist) {
+void TzScheme::compile(const graph::Graph& g,
+                       std::vector<bitio::BitVector> node_bits,
+                       const graph::DistanceMatrix& dist) {
   if (node_bits.size() != n_ || landmarks_.empty()) {
     throw std::invalid_argument("TzScheme: bad serialized state");
   }
-  landmark_index_.assign(n_, 0);
-  for (std::uint32_t i = 0; i < landmarks_.size(); ++i) {
+  for (std::size_t i = 0; i < landmarks_.size(); ++i) {
     if (landmarks_[i] >= n_ ||
         (i > 0 && landmarks_[i] <= landmarks_[i - 1])) {
       throw std::invalid_argument("TzScheme: bad landmark set");
     }
-    landmark_index_[landmarks_[i]] = i;
   }
-  landmark_of_.assign(n_, landmarks_[0]);
+  // Nearest landmark per node (least id on ties — landmarks_ is sorted).
+  std::vector<NodeId> landmark_of(n_, landmarks_[0]);
   for (NodeId v = 0; v < n_; ++v) {
-    std::uint32_t bst = graph::kUnreachable;
+    std::uint32_t best = graph::kUnreachable;
     for (NodeId l : landmarks_) {
-      if (dist.at(v, l) < bst) {
-        bst = dist.at(v, l);
-        landmark_of_[v] = l;
+      if (dist.at(v, l) < best) {
+        best = dist.at(v, l);
+        landmark_of[v] = l;
       }
     }
   }
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
   function_bits_ = std::move(node_bits);
-  decoded_.resize(n_);
-  for (NodeId w = 0; w < n_; ++w) {
-    const unsigned port_width =
-        bitio::ceil_log2(std::max<std::size_t>(g.degree(w), 1));
-    const std::size_t degree = std::max<std::size_t>(g.degree(w), 1);
-    bitio::BitReader r(function_bits_[w]);
-    DecodedNode& node = decoded_[w];
-    node.landmark_port.resize(landmarks_.size());
-    for (auto& pt : node.landmark_port) {
-      pt = static_cast<graph::PortId>(r.read_bits(port_width));
-      if (pt >= degree) {
-        throw std::invalid_argument(
-            "TzScheme: stored port exceeds the node degree");
-      }
-    }
-    const auto size =
-        static_cast<std::size_t>(r.read_bits(bitio::ceil_log2_plus1(n_)));
-    if (size > n_) {
-      throw std::invalid_argument("TzScheme: cluster larger than n");
-    }
-    node.cluster_ids.resize(size);
-    node.cluster_port.resize(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      node.cluster_ids[i] = static_cast<NodeId>(r.read_bits(id_width));
-      node.cluster_port[i] =
-          static_cast<graph::PortId>(r.read_bits(port_width));
-      // next_hop binary-searches the cluster and indexes ports unchecked;
-      // both invariants must hold before the table is ever queried.
-      if (node.cluster_ids[i] >= n_ ||
-          (i > 0 && node.cluster_ids[i] <= node.cluster_ids[i - 1])) {
-        throw std::invalid_argument("TzScheme: bad cluster table");
-      }
-      if (node.cluster_port[i] >= degree) {
-        throw std::invalid_argument(
-            "TzScheme: stored port exceeds the node degree");
-      }
-    }
-    if (!r.exhausted()) {
-      throw std::invalid_argument("TzScheme: trailing bits in a node table");
-    }
-  }
-  finish_build(g, dist);
-}
-
-void TzScheme::finish_build(const graph::Graph& g,
-                            const graph::DistanceMatrix& dist) {
+  LandmarkTables tables =
+      compile_landmark_tables(g, landmarks_, std::move(landmark_of),
+                              function_bits_, "TzScheme", "cluster");
   // Label exit ports: at l(v), the port toward v (least shortest-path
   // successor) — the third component of the charged (v, l(v), port) label.
-  exit_port_.assign(n_, 0);
+  std::vector<graph::PortId> exit_port(n_, 0);
   for (NodeId v = 0; v < n_; ++v) {
-    const NodeId l = landmark_of_[v];
+    const NodeId l = tables.landmark_of[v];
     if (l == v) continue;
-    const auto succ = graph::shortest_path_successors(g, dist, l, v);
-    exit_port_[v] = ports_.port_of(l, succ.front());
+    const NodeId succ = graph::shortest_path_successors(g, dist, l, v).front();
+    exit_port[v] = static_cast<graph::PortId>(tables.csr.arc_index(l, succ) -
+                                              tables.csr.arc_begin(l));
   }
-  // Bunch sizes: |B(v)| = |{w : v ∈ C(w)}| + |A|.
-  bunch_size_.assign(n_, landmarks_.size());
   auto cluster_sizes = obs::histogram("schemes.tz.cluster_size",
                                       obs::hop_buckets());
-  for (NodeId w = 0; w < n_; ++w) {
-    for (NodeId v : decoded_[w].cluster_ids) ++bunch_size_[v];
-    cluster_sizes.observe(decoded_[w].cluster_ids.size());
+  for (const auto& cluster : tables.listed) {
+    cluster_sizes.observe(cluster.member_count());
   }
+  fast_ = std::make_shared<TzFastPath>(std::move(tables), std::move(exit_port));
+  model::note_fastpath_compiled("tz");
   obs::counter("schemes.tz.built").inc();
 }
 
 NodeId TzScheme::next_hop(NodeId u, NodeId dest_label,
                           model::MessageHeader&) const {
+  return fast_->next_hop(u, dest_label);
+}
+
+NodeId TzScheme::reference_next_hop(const graph::Graph& g, NodeId u,
+                                    NodeId dest_label) const {
   // The charged label is (v, l(v), exit port at l(v)); numerically we
   // receive v and look the rest up from the label table the scheme itself
   // published.
   const NodeId v = dest_label;
   if (v == u) throw std::invalid_argument("TzScheme: routing to self");
-  const DecodedNode& node = decoded_[u];
-  const auto it = std::lower_bound(node.cluster_ids.begin(),
-                                   node.cluster_ids.end(), v);
-  if (it != node.cluster_ids.end() && *it == v) {
-    const auto i = static_cast<std::size_t>(it - node.cluster_ids.begin());
-    return ports_.neighbor_at(u, node.cluster_port[i]);
+  const auto nbrs = g.neighbors(u);
+  if (const auto port = read_listed_port(function_bits_[u], n_, nbrs.size(),
+                                         landmarks_.size(), v)) {
+    return nbrs[*port];
   }
-  const NodeId l = landmark_of_[v];  // from the destination's label
-  if (u == l) return ports_.neighbor_at(u, exit_port_[v]);
-  return ports_.neighbor_at(u, node.landmark_port[landmark_index_[l]]);
+  const LandmarkTables& t = fast_->tables();
+  const NodeId l = t.landmark_of[v];
+  if (u == l) return nbrs[fast_->exit_port(v)];
+  return nbrs[read_landmark_port(function_bits_[u], nbrs.size(),
+                                 t.landmark_index[l])];
+}
+
+std::shared_ptr<const model::FastPath> TzScheme::compile_fast() const {
+  return fast_;
 }
 
 std::vector<NodeId> TzScheme::port_enumeration(NodeId u) const {
-  const auto ports = ports_.ports(u);
+  const auto ports = fast_->tables().csr.neighbors(u);
   return {ports.begin(), ports.end()};
 }
 
-namespace {
+NodeId TzScheme::landmark_of(NodeId v) const {
+  return fast_->tables().landmark_of[v];
+}
 
-class TzFastPath final : public model::FastPath {
- public:
-  TzFastPath(std::size_t n, std::vector<model::PackedSparseArray> cluster,
-             std::vector<model::PackedValueArray> landmark_ports,
-             std::vector<NodeId> landmark_of,
-             std::vector<std::uint32_t> landmark_index,
-             std::vector<graph::PortId> exit_port, graph::CsrGraph csr)
-      : n_(n),
-        cluster_(std::move(cluster)),
-        landmark_ports_(std::move(landmark_ports)),
-        landmark_of_(std::move(landmark_of)),
-        landmark_index_(std::move(landmark_index)),
-        exit_port_(std::move(exit_port)),
-        csr_(std::move(csr)) {}
+std::size_t TzScheme::cluster_size(NodeId w) const {
+  return fast_->tables().listed[w].member_count();
+}
 
-  [[nodiscard]] std::string name() const override { return "tz"; }
-  [[nodiscard]] std::size_t node_count() const override { return n_; }
-
-  [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label) const override {
-    const NodeId v = dest_label;
-    if (v == u) throw std::invalid_argument("TzScheme: routing to self");
-    const auto& cluster = cluster_[u];
-    if (cluster.contains(v)) {
-      return csr_.neighbor_at(u, static_cast<graph::PortId>(cluster.value(v)));
-    }
-    const NodeId l = landmark_of_[v];
-    if (u == l) return csr_.neighbor_at(u, exit_port_[v]);
-    const auto port = static_cast<graph::PortId>(
-        landmark_ports_[u].at(landmark_index_[l]));
-    return csr_.neighbor_at(u, port);
+std::size_t TzScheme::bunch_size(NodeId v) const {
+  std::size_t size = landmarks_.size();
+  for (const auto& cluster : fast_->tables().listed) {
+    size += cluster.contains(v) ? 1 : 0;
   }
-
- private:
-  std::size_t n_;
-  std::vector<model::PackedSparseArray> cluster_;
-  std::vector<model::PackedValueArray> landmark_ports_;
-  std::vector<NodeId> landmark_of_;
-  std::vector<std::uint32_t> landmark_index_;
-  std::vector<graph::PortId> exit_port_;
-  graph::CsrGraph csr_;  // sorted = port order for this scheme
-};
-
-}  // namespace
-
-std::unique_ptr<model::FastPath> TzScheme::compile_fast() const {
-  std::vector<model::PackedSparseArray> cluster;
-  std::vector<model::PackedValueArray> landmark_ports;
-  cluster.reserve(n_);
-  landmark_ports.reserve(n_);
-  for (NodeId w = 0; w < n_; ++w) {
-    const unsigned port_width =
-        bitio::ceil_log2(std::max<std::size_t>(ports_.degree(w), 1));
-    const DecodedNode& node = decoded_[w];
-    bitio::BitVector mask(n_);
-    for (NodeId v : node.cluster_ids) mask.set(v, true);
-    cluster.emplace_back(std::move(mask), node.cluster_port, port_width);
-    landmark_ports.emplace_back(node.landmark_port, port_width);
-  }
-  model::note_fastpath_compiled("tz");
-  return std::make_unique<TzFastPath>(
-      n_, std::move(cluster), std::move(landmark_ports), landmark_of_,
-      landmark_index_, exit_port_, graph::CsrGraph::from_ports(ports_));
+  return size;
 }
 
 model::SpaceReport TzScheme::space() const {
-  model::SpaceReport report;
-  report.function_bits.reserve(n_);
-  for (const auto& bits : function_bits_) {
-    report.function_bits.push_back(bits.size());
-  }
   // Model γ: the (v, l(v), exit port) labels are charged — 2·⌈log n⌉ bits
   // plus the exit port at l(v)'s width, per node.
   const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
+  const LandmarkTables& t = fast_->tables();
+  std::size_t label_bits = 0;
   for (NodeId v = 0; v < n_; ++v) {
-    report.label_bits +=
-        2 * id_width +
-        bitio::ceil_log2(std::max<std::size_t>(ports_.degree(landmark_of_[v]), 1));
+    label_bits += 2 * id_width + bitio::ceil_log2(std::max<std::size_t>(
+                                     t.csr.degree(t.landmark_of[v]), 1));
   }
-  return report;
+  return model::SpaceReport::of(function_bits_, label_bits);
 }
 
 }  // namespace optrt::schemes

@@ -22,6 +22,7 @@
 // and bunch at O(√(n log n)) w.h.p. instead of the ⌈√n⌉-landmark heuristic.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "bitio/bit_vector.hpp"
@@ -52,14 +53,17 @@ struct TzOptions {
     const TzOptions& options);
 
 /// Serializes one node's TZ table (landmark ports, then the strict-cluster
-/// id/port list) from explicit inputs — the byte layout the constructor
-/// writes and next_hop decodes. `dva[v]` must be d(v, A) for the given
-/// landmark set. Shared by the constructor and the churn repair path, so a
-/// patched table is byte-identical to a fresh build by construction.
+/// id/port list; schemes/landmark_table.hpp) from explicit inputs — the
+/// layout the constructor writes and compiles. `dva[v]` must be d(v, A)
+/// for the given landmark set. Shared by the constructor and the churn
+/// repair path, so a patched table is byte-identical to a fresh build by
+/// construction.
 [[nodiscard]] bitio::BitVector tz_build_node_bits(
     const graph::Graph& g, const graph::DistanceMatrix& dist,
     const graph::PortAssignment& ports, const std::vector<NodeId>& landmarks,
     const std::vector<std::uint32_t>& dva, NodeId w);
+
+class TzFastPath;
 
 class TzScheme final : public model::RoutingScheme {
  public:
@@ -89,11 +93,15 @@ class TzScheme final : public model::RoutingScheme {
   [[nodiscard]] std::size_t node_count() const override { return n_; }
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
+  [[nodiscard]] NodeId reference_next_hop(const graph::Graph& g, NodeId u,
+                                          NodeId dest_label) const override;
   [[nodiscard]] model::SpaceReport space() const override;
-  /// Compiled form: per node, a rank-indexed cluster membership vector plus
-  /// bit-packed landmark ports and the label exit ports, resolved through a
-  /// port-order CSR.
-  [[nodiscard]] std::unique_ptr<model::FastPath> compile_fast() const override;
+  /// Compiled form, built in the constructor: per node, a rank-indexed
+  /// cluster membership vector plus bit-packed landmark ports, resolved
+  /// through a port-order CSR; it also holds the label tables (nearest
+  /// landmarks and exit ports).
+  [[nodiscard]] std::shared_ptr<const model::FastPath> compile_fast()
+      const override;
   [[nodiscard]] std::vector<NodeId> port_enumeration(NodeId u) const override;
 
   /// Cluster-size cap enforced by the resample loop: 4√(n ln n).
@@ -102,43 +110,26 @@ class TzScheme final : public model::RoutingScheme {
   [[nodiscard]] const std::vector<NodeId>& landmarks() const {
     return landmarks_;
   }
-  [[nodiscard]] NodeId landmark_of(NodeId v) const { return landmark_of_[v]; }
-  [[nodiscard]] std::size_t cluster_size(NodeId w) const {
-    return decoded_[w].cluster_ids.size();
-  }
+  /// v's nearest landmark (least id on ties), from the label table.
+  [[nodiscard]] NodeId landmark_of(NodeId v) const;
+  [[nodiscard]] std::size_t cluster_size(NodeId w) const;
   /// |B(v)| = |{w : d(v, w) < d(v, A)}| + |A| (v's bunch: the nodes whose
   /// cluster contains v, plus every landmark).
-  [[nodiscard]] std::size_t bunch_size(NodeId v) const {
-    return bunch_size_[v];
-  }
+  [[nodiscard]] std::size_t bunch_size(NodeId v) const;
   [[nodiscard]] const bitio::BitVector& function_bits(NodeId u) const {
     return function_bits_[u];
   }
 
  private:
-  struct DecodedNode {
-    std::vector<graph::PortId> landmark_port;  // per landmark index
-    std::vector<NodeId> cluster_ids;           // sorted, strict C(w)
-    std::vector<graph::PortId> cluster_port;   // aligned
-  };
-
-  /// Shared body of the deserializing constructors.
-  void init_from_bits(const graph::Graph& g,
-                      std::vector<bitio::BitVector> node_bits,
-                      const graph::DistanceMatrix& dist);
-
-  /// Shared tail of all constructors: exit ports, bunch sizes, metrics.
-  void finish_build(const graph::Graph& g, const graph::DistanceMatrix& dist);
+  /// The validating decode of the node bits into fast_, shared by all
+  /// constructors; also derives the label tables from `dist`.
+  void compile(const graph::Graph& g, std::vector<bitio::BitVector> node_bits,
+               const graph::DistanceMatrix& dist);
 
   std::size_t n_;
-  graph::PortAssignment ports_;
-  std::vector<NodeId> landmarks_;       // sorted
-  std::vector<NodeId> landmark_of_;     // v → nearest landmark (least id tie)
-  std::vector<std::uint32_t> landmark_index_;  // landmark id → index in list
-  std::vector<graph::PortId> exit_port_;  // at l(v), toward v (label part)
-  std::vector<std::size_t> bunch_size_;
+  std::vector<NodeId> landmarks_;  // sorted
   std::vector<bitio::BitVector> function_bits_;
-  std::vector<DecodedNode> decoded_;
+  std::shared_ptr<const TzFastPath> fast_;
 };
 
 }  // namespace optrt::schemes

@@ -1,8 +1,9 @@
 // Differential oracle for the compiled fast paths: every scheme kind's
-// FastPath must answer the full pair space bit-identically to the
-// BitReader decode path (RoutingScheme::next_hop with a fresh header),
-// including which exceptions are thrown — on seeded G(n,1/2), ring, and
-// grid topologies, at any shard/thread count.
+// FastPath and its next_hop (fresh header) must answer the full pair space
+// bit-identically to the BitReader decode path
+// (RoutingScheme::reference_next_hop), including which exceptions are
+// thrown and their messages — on seeded G(n,1/2), ring, grid and
+// Barabási–Albert topologies, at any shard/thread count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -64,9 +65,15 @@ Outcome capture(Fn&& fn) {
   return out;
 }
 
+std::ostream& operator<<(std::ostream& os, const Outcome& o) {
+  return os << "{" << o.kind << "," << o.hop << "," << o.what << "}";
+}
+
 /// Every ordered query — including the routing-to-self ones — must have
-/// the identical outcome on the decode path and the compiled path.
-void expect_differentially_equal(const model::RoutingScheme& scheme) {
+/// the identical outcome on the bit-decoding reference, on next_hop with a
+/// fresh header, and on the compiled path.
+void expect_differentially_equal(const Graph& g,
+                                 const model::RoutingScheme& scheme) {
   const auto fast = scheme.compile_fast();
   ASSERT_NE(fast, nullptr);
   EXPECT_EQ(fast->name(), scheme.name());
@@ -75,16 +82,17 @@ void expect_differentially_equal(const model::RoutingScheme& scheme) {
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v = 0; v < n; ++v) {
       const NodeId label = scheme.label_of(v);
+      const Outcome reference =
+          capture([&] { return scheme.reference_next_hop(g, u, label); });
       const Outcome slow = capture([&] {
         model::MessageHeader header;
         return scheme.next_hop(u, label, header);
       });
       const Outcome fast_out = capture([&] { return fast->next_hop(u, label); });
-      ASSERT_EQ(slow, fast_out)
-          << scheme.name() << ": u=" << u << " dest=" << v
-          << " slow={" << slow.kind << "," << slow.hop << "," << slow.what
-          << "} fast={" << fast_out.kind << "," << fast_out.hop << ","
-          << fast_out.what << "}";
+      ASSERT_EQ(reference, slow)
+          << scheme.name() << ": u=" << u << " dest=" << v;
+      ASSERT_EQ(reference, fast_out)
+          << scheme.name() << ": u=" << u << " dest=" << v;
     }
   }
 }
@@ -128,24 +136,25 @@ std::uint64_t batch_fingerprint(const model::RoutingScheme& scheme,
   return h;
 }
 
-std::uint64_t slow_fingerprint(const model::RoutingScheme& scheme) {
+std::uint64_t reference_fingerprint(const Graph& g,
+                                    const model::RoutingScheme& scheme) {
   const auto n = static_cast<NodeId>(scheme.node_count());
   std::uint64_t outer = kFnvBasis;
   for (NodeId u = 0; u < n; ++u) {
     std::uint64_t h = kFnvBasis;
     for (NodeId v = 0; v < n; ++v) {
       if (v == u) continue;
-      model::MessageHeader header;
-      h = fnv1a(h, scheme.next_hop(u, scheme.label_of(v), header));
+      h = fnv1a(h, scheme.reference_next_hop(g, u, scheme.label_of(v)));
     }
     outer = fnv1a(outer, h);
   }
   return outer;
 }
 
-void expect_fingerprints_stable(const model::RoutingScheme& scheme) {
+void expect_fingerprints_stable(const Graph& g,
+                                const model::RoutingScheme& scheme) {
   const auto fast = scheme.compile_fast();
-  const std::uint64_t reference = slow_fingerprint(scheme);
+  const std::uint64_t reference = reference_fingerprint(g, scheme);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     EXPECT_EQ(batch_fingerprint(scheme, *fast, threads), reference)
         << scheme.name() << " at " << threads << " threads";
@@ -156,76 +165,93 @@ void expect_fingerprints_stable(const model::RoutingScheme& scheme) {
 
 TEST(FastPath, CompactDiam2OnRandomGraph) {
   const Graph g = certified(96, 1996);
-  expect_differentially_equal(schemes::CompactDiam2Scheme(g, {}));
+  expect_differentially_equal(g, schemes::CompactDiam2Scheme(g, {}));
+  // Model IB: each table carries its own interconnection vector.
+  expect_differentially_equal(
+      g, schemes::CompactDiam2Scheme(
+             g, schemes::CompactDiam2Scheme::Options::for_model(
+                    model::kIBalpha)));
+  // Greedy cover order: tables ship their center ranks.
+  schemes::CompactDiam2Scheme::Options greedy;
+  greedy.node.greedy_cover = true;
+  expect_differentially_equal(g, schemes::CompactDiam2Scheme(g, greedy));
 }
 
 TEST(FastPath, FullTableOnRandomGraph) {
   const Graph g = certified(96, 1996);
-  expect_differentially_equal(schemes::FullTableScheme::standard(g));
+  expect_differentially_equal(g, schemes::FullTableScheme::standard(g));
 }
 
 TEST(FastPath, HubOnRandomGraph) {
   const Graph g = certified(96, 1996);
-  expect_differentially_equal(schemes::HubScheme(g));
+  expect_differentially_equal(g, schemes::HubScheme(g));
 }
 
 TEST(FastPath, RoutingCenterOnRandomGraph) {
   const Graph g = certified(96, 1996);
-  expect_differentially_equal(schemes::RoutingCenterScheme(g));
+  expect_differentially_equal(g, schemes::RoutingCenterScheme(g));
 }
 
 TEST(FastPath, LandmarkOnRandomGraph) {
   const Graph g = certified(96, 1996);
-  expect_differentially_equal(schemes::LandmarkScheme(g));
+  expect_differentially_equal(g, schemes::LandmarkScheme(g));
 }
 
 TEST(FastPath, HierarchicalOnRandomGraph) {
   const Graph g = certified(96, 1996);
-  expect_differentially_equal(schemes::HierarchicalScheme(g));
+  expect_differentially_equal(g, schemes::HierarchicalScheme(g));
 }
 
 TEST(FastPath, SequentialSearchOnRandomGraph) {
   const Graph g = certified(96, 1996);
-  expect_differentially_equal(schemes::SequentialSearchScheme(g));
+  expect_differentially_equal(g, schemes::SequentialSearchScheme(g));
 }
 
 TEST(FastPath, ThorupZwickOnRandomGraph) {
   const Graph g = certified(96, 1996);
-  expect_differentially_equal(schemes::TzScheme(g));
+  expect_differentially_equal(g, schemes::TzScheme(g));
 }
 
-// --- Structured topologies (the diameter-2 kinds do not apply) -------------
+// --- Structured and power-law topologies (the diameter-2 kinds do not
+// apply) ---------------------------------------------------------------------
 
 TEST(FastPath, GeneralSchemesOnRing) {
   const Graph g = graph::ring(64);
-  expect_differentially_equal(schemes::FullTableScheme::standard(g));
-  expect_differentially_equal(schemes::LandmarkScheme(g));
-  expect_differentially_equal(schemes::HierarchicalScheme(g));
-  expect_differentially_equal(schemes::SequentialSearchScheme(g));
-  expect_differentially_equal(schemes::TzScheme(g));
+  expect_differentially_equal(g, schemes::FullTableScheme::standard(g));
+  expect_differentially_equal(g, schemes::LandmarkScheme(g));
+  expect_differentially_equal(g, schemes::HierarchicalScheme(g));
+  expect_differentially_equal(g, schemes::SequentialSearchScheme(g));
+  expect_differentially_equal(g, schemes::TzScheme(g));
 }
 
 TEST(FastPath, GeneralSchemesOnGrid) {
   const Graph g = graph::grid(8, 8);
-  expect_differentially_equal(schemes::FullTableScheme::standard(g));
-  expect_differentially_equal(schemes::LandmarkScheme(g));
-  expect_differentially_equal(schemes::HierarchicalScheme(g));
-  expect_differentially_equal(schemes::SequentialSearchScheme(g));
-  expect_differentially_equal(schemes::TzScheme(g));
+  expect_differentially_equal(g, schemes::FullTableScheme::standard(g));
+  expect_differentially_equal(g, schemes::LandmarkScheme(g));
+  expect_differentially_equal(g, schemes::HierarchicalScheme(g));
+  expect_differentially_equal(g, schemes::SequentialSearchScheme(g));
+  expect_differentially_equal(g, schemes::TzScheme(g));
+}
+
+TEST(FastPath, GeneralSchemesOnBarabasiAlbert) {
+  const Graph g = graph::TopologyFamily::parse("ba:2").make(256, 1996);
+  expect_differentially_equal(g, schemes::LandmarkScheme(g));
+  expect_differentially_equal(g, schemes::HierarchicalScheme(g));
+  expect_differentially_equal(g, schemes::TzScheme(g));
 }
 
 // --- Sharded batches: same fingerprint at 1, 2, and 8 threads --------------
 
 TEST(FastPath, BatchFingerprintsIndependentOfThreadCount) {
   const Graph g = certified(96, 1996);
-  expect_fingerprints_stable(schemes::CompactDiam2Scheme(g, {}));
-  expect_fingerprints_stable(schemes::FullTableScheme::standard(g));
-  expect_fingerprints_stable(schemes::HubScheme(g));
-  expect_fingerprints_stable(schemes::RoutingCenterScheme(g));
-  expect_fingerprints_stable(schemes::LandmarkScheme(g));
-  expect_fingerprints_stable(schemes::HierarchicalScheme(g));
-  expect_fingerprints_stable(schemes::SequentialSearchScheme(g));
-  expect_fingerprints_stable(schemes::TzScheme(g));
+  expect_fingerprints_stable(g, schemes::CompactDiam2Scheme(g, {}));
+  expect_fingerprints_stable(g, schemes::FullTableScheme::standard(g));
+  expect_fingerprints_stable(g, schemes::HubScheme(g));
+  expect_fingerprints_stable(g, schemes::RoutingCenterScheme(g));
+  expect_fingerprints_stable(g, schemes::LandmarkScheme(g));
+  expect_fingerprints_stable(g, schemes::HierarchicalScheme(g));
+  expect_fingerprints_stable(g, schemes::SequentialSearchScheme(g));
+  expect_fingerprints_stable(g, schemes::TzScheme(g));
 }
 
 // --- Fallback, batch contract, and lookup.* counters -----------------------
@@ -285,6 +311,27 @@ TEST(FastPath, LookupCountersTrackCompilesAndBatches) {
   (void)hub;
   EXPECT_EQ(reg.counter_value("lookup.compiled"), 2u);
   EXPECT_EQ(reg.counter_value("lookup.compiled.hub"), 1u);
+
+  // The six kinds that route from a compiled form build it once, in the
+  // constructor; compile_fast() hands out that same form again.
+  const auto compiles_once = [&](const model::RoutingScheme& scheme,
+                                 const std::string& tag) {
+    const std::uint64_t before = reg.counter_value("lookup.compiled." + tag);
+    EXPECT_EQ(scheme.compile_fast(), scheme.compile_fast()) << tag;
+    EXPECT_EQ(reg.counter_value("lookup.compiled." + tag), before) << tag;
+  };
+  compiles_once(schemes::CompactDiam2Scheme(g, {}), "compact_diam2");
+  compiles_once(schemes::HubScheme(g), "hub");
+  compiles_once(schemes::RoutingCenterScheme(g), "routing_center");
+  compiles_once(schemes::LandmarkScheme(g), "landmark");
+  compiles_once(schemes::TzScheme(g), "tz");
+  compiles_once(schemes::HierarchicalScheme(g), "hierarchical");
+  EXPECT_EQ(reg.counter_value("lookup.compiled.compact_diam2"), 1u);
+  EXPECT_EQ(reg.counter_value("lookup.compiled.hub"), 2u);
+  EXPECT_EQ(reg.counter_value("lookup.compiled.routing_center"), 1u);
+  EXPECT_EQ(reg.counter_value("lookup.compiled.landmark"), 1u);
+  EXPECT_EQ(reg.counter_value("lookup.compiled.tz"), 1u);
+  EXPECT_EQ(reg.counter_value("lookup.compiled.hierarchical"), 1u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "bitio/bit_stream.hpp"
@@ -22,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "schemes/compact_diam2.hpp"
 #include "schemes/full_table.hpp"
+#include "schemes/sequential_search.hpp"
 #include "schemes/serialization.hpp"
 #include "serve/protocol.hpp"
 
@@ -304,16 +306,32 @@ TEST(Fuzz, RandomArtifactBytesNeverCrashDecode) {
   EXPECT_GT(survived_transport, 0u);
 }
 
+/// A next-hop query's outcome as text: the hop, or the exception message.
+template <typename Fn>
+std::string hop_outcome(Fn&& fn) {
+  try {
+    return std::to_string(fn());
+  } catch (const std::exception& e) {
+    return std::string("throw: ") + e.what();
+  }
+}
+
 TEST(Fuzz, CorruptedArtifactsCompileFastWithIdenticalErrors) {
   // The compile-to-fast-path entry point must present exactly the decode
   // path's error surface: for every chaos-corrupted artifact, either both
   // reject with the same typed DecodeError kind, or both accept — and on
-  // acceptance the compiled hops must match the decoder's hop for hop.
+  // acceptance the compiled hops and next_hop must match the bit-decoding
+  // reference hop for hop.
   Rng grng(912);
   const Graph g = core::certified_random_graph(24, grng);
   const auto artifacts = {
       schemes::serialize(schemes::CompactDiam2Scheme(g, {})),
       schemes::serialize(schemes::FullTableScheme::standard(g)),
+      schemes::serialize(schemes::HubScheme(g)),
+      schemes::serialize(schemes::RoutingCenterScheme(g)),
+      schemes::serialize(schemes::LandmarkScheme(g)),
+      schemes::serialize(schemes::HierarchicalScheme(g)),
+      schemes::serialize(schemes::SequentialSearchScheme(g)),
       schemes::serialize(schemes::TzScheme(g)),
   };
   for (const auto& artifact : artifacts) {
@@ -344,9 +362,18 @@ TEST(Fuzz, CorruptedArtifactsCompileFastWithIdenticalErrors) {
         for (graph::NodeId v = 0; v < 24; ++v) {
           if (v == u) continue;
           const graph::NodeId label = slow->label_of(v);
-          model::MessageHeader header;
-          ASSERT_EQ(compiled.fast->next_hop(u, label),
-                    slow->next_hop(u, label, header))
+          const std::string reference = hop_outcome(
+              [&] { return slow->reference_next_hop(g, u, label); });
+          ASSERT_EQ(hop_outcome([&] {
+                      return compiled.fast->next_hop(u, label);
+                    }),
+                    reference)
+              << "seed=" << seed << " u=" << u << " v=" << v;
+          ASSERT_EQ(hop_outcome([&] {
+                      model::MessageHeader header;
+                      return slow->next_hop(u, label, header);
+                    }),
+                    reference)
               << "seed=" << seed << " u=" << u << " v=" << v;
         }
       }

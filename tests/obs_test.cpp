@@ -321,6 +321,8 @@ constexpr const char* kGoldenSimulateMetrics =
     "\"core.certified_graph.attempts\":1,"
     "\"core.certified_graph.rejects\":0,"
     "\"graph.distance_cache.misses\":1,"
+    "\"lookup.compiled\":1,"
+    "\"lookup.compiled.compact_diam2\":1,"
     "\"sim.deflections\":0,"
     "\"sim.delivered\":266,"
     "\"sim.dropped\":34,"

@@ -2,9 +2,13 @@
 // and space accounting, byte/file transport, and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
+#include "bitio/bit_stream.hpp"
+#include "bitio/codes.hpp"
+#include "bitio/crc32.hpp"
 #include "core/experiment.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -308,6 +312,141 @@ TEST(Serialization, ErrorTaxonomy) {
 
   // DecodeError still is-a std::invalid_argument for legacy callers.
   EXPECT_THROW((void)deserialize_any(zeroed, g), std::invalid_argument);
+}
+
+// --- Hand-framed artifacts: valid containers around bad payloads ----------
+
+/// Frames `payload` as a v1 artifact with a correct CRC, so only the
+/// per-kind payload checks stand between it and a loaded scheme.
+bitio::BitVector frame_artifact(SchemeKind kind, std::size_t n,
+                                const bitio::BitVector& payload) {
+  bitio::BitWriter w;
+  w.write_bits(kFrameMagic, 32);
+  w.write_bits(kFormatVersion, 8);
+  w.write_bits(static_cast<std::uint64_t>(kind), 8);
+  w.write_bits(n, 32);
+  w.write_bits(payload.size(), 64);
+  w.write_bits(bitio::crc32(payload), 32);
+  w.write_vector(payload);
+  return w.take();
+}
+
+template <typename Scheme>
+std::vector<bitio::BitVector> node_bits_of(const Scheme& scheme) {
+  std::vector<bitio::BitVector> bits;
+  for (graph::NodeId u = 0; u < scheme.node_count(); ++u) {
+    bits.push_back(scheme.function_bits(u));
+  }
+  return bits;
+}
+
+void write_node_bits(bitio::BitWriter& w,
+                     const std::vector<bitio::BitVector>& bits) {
+  for (const auto& b : bits) {
+    bitio::write_prime(w, b.size());
+    w.write_vector(b);
+  }
+}
+
+bitio::BitVector routing_center_artifact(
+    const Graph& g, const std::vector<graph::NodeId>& centers,
+    const std::vector<bitio::BitVector>& bits) {
+  const unsigned id_width = bitio::ceil_log2(g.node_count());
+  bitio::BitWriter w;
+  bitio::write_prime(w, centers.size());
+  for (graph::NodeId b : centers) w.write_bits(b, id_width);
+  write_node_bits(w, bits);
+  return frame_artifact(SchemeKind::kRoutingCenter, g.node_count(), w.take());
+}
+
+bitio::BitVector hub_artifact(const Graph& g, const HubScheme& scheme,
+                              const std::vector<bitio::BitVector>& bits) {
+  bitio::BitWriter w;
+  bitio::write_prime(w, scheme.hub());
+  bitio::write_prime(w, scheme.rank_width());
+  write_node_bits(w, bits);
+  return frame_artifact(SchemeKind::kHub, g.node_count(), w.take());
+}
+
+bitio::BitVector with_trailing_bit(bitio::BitVector bits) {
+  bits.push_back(false);
+  return bits;
+}
+
+TEST(Serialization, RoutingCenterRejectsUnsortedCenters) {
+  // The compiled form finds a center's table by its rank in the center
+  // list, so a list out of order would route through the wrong tables.
+  const Graph g = certified(96, 1996);
+  const RoutingCenterScheme original(g);
+  ASSERT_GT(original.centers().size(), 1u);
+  const std::vector<graph::NodeId> descending(original.centers().rbegin(),
+                                              original.centers().rend());
+  EXPECT_EQ(decode_kind_of(routing_center_artifact(g, descending,
+                                                   node_bits_of(original)),
+                           g),
+            DecodeErrorKind::kSemanticInvalid);
+  EXPECT_THROW(RoutingCenterScheme(g, descending, node_bits_of(original)),
+               std::invalid_argument);
+}
+
+TEST(Serialization, RoutingCenterRejectsNonAdjacentStoredCenter) {
+  const Graph g = certified(96, 1996);
+  const RoutingCenterScheme original(g);
+  const auto& centers = original.centers();
+  // Node 2 is no center and not adjacent to center 0 (the hub).
+  ASSERT_TRUE(std::binary_search(centers.begin(), centers.end(), 0u));
+  ASSERT_FALSE(std::binary_search(centers.begin(), centers.end(), 2u));
+  ASSERT_FALSE(g.has_edge(2, 0));
+  auto bits = node_bits_of(original);
+  bitio::BitWriter w;
+  w.write_bits(0, bitio::ceil_log2(g.node_count()));
+  bits[2] = w.take();
+  EXPECT_EQ(decode_kind_of(routing_center_artifact(g, centers, bits), g),
+            DecodeErrorKind::kSemanticInvalid);
+}
+
+TEST(Serialization, CompactDiam2RejectsTrailingNodeBits) {
+  const Graph g = certified(64, 701);
+  const CompactDiam2Scheme original(g, {});
+  auto bits = node_bits_of(original);
+  bits[5] = with_trailing_bit(with_trailing_bit(bits[5]));
+  bitio::BitWriter w;
+  w.write_bit(true);  // model II
+  write_node_bits(w, bits);
+  EXPECT_EQ(decode_kind_of(frame_artifact(SchemeKind::kCompactDiam2, 64,
+                                          w.take()),
+                           g),
+            DecodeErrorKind::kSemanticInvalid);
+}
+
+TEST(Serialization, RoutingCenterRejectsTrailingNodeBits) {
+  const Graph g = certified(64, 710);
+  const RoutingCenterScheme original(g);
+  const auto& centers = original.centers();
+  graph::NodeId plain = 0;
+  while (std::binary_search(centers.begin(), centers.end(), plain)) ++plain;
+  for (const graph::NodeId u : {centers.front(), plain}) {
+    auto bits = node_bits_of(original);
+    bits[u] = with_trailing_bit(bits[u]);
+    EXPECT_EQ(decode_kind_of(routing_center_artifact(g, centers, bits), g),
+              DecodeErrorKind::kSemanticInvalid)
+        << "node " << u;
+  }
+}
+
+TEST(Serialization, HubRejectsTrailingNodeBits) {
+  const Graph g = certified(64, 709);
+  const HubScheme original(g);
+  const graph::NodeId neighbour = g.neighbors(original.hub()).front();
+  graph::NodeId far = 0;
+  while (far == original.hub() || g.has_edge(far, original.hub())) ++far;
+  for (const graph::NodeId u : {original.hub(), neighbour, far}) {
+    auto bits = node_bits_of(original);
+    bits[u] = with_trailing_bit(bits[u]);
+    EXPECT_EQ(decode_kind_of(hub_artifact(g, original, bits), g),
+              DecodeErrorKind::kSemanticInvalid)
+        << "node " << u;
+  }
 }
 
 TEST(Serialization, FromBytesEdgeCases) {

@@ -2,11 +2,8 @@
 // full-information rerouting capability (§1's motivation for them).
 #include <gtest/gtest.h>
 
-#include <functional>
-
 #include "core/experiment.hpp"
 #include "net/faults.hpp"
-#include "obs/metrics.hpp"
 #include "graph/generators.hpp"
 #include "model/verifier.hpp"
 #include "net/simulator.hpp"
@@ -241,130 +238,6 @@ TEST(Workload, EndToEndPermutationOnCertifiedGraph) {
   const SimulationStats stats = sim.run();
   EXPECT_EQ(stats.dropped, 0u);
   EXPECT_LE(stats.mean_hops(), 2.0);
-}
-
-// ---- batch_routing: the FastPath delivery loop is bit-identical -------
-
-/// Runs the same scenario with batch_routing off and on and demands
-/// bit-identical stats, per-message records, link loads, and the
-/// sim.queue_peak gauge — SimulatorConfig::batch_routing is a pure
-/// performance knob, never a semantics knob.
-void expect_batching_identical(const Graph& g,
-                               const model::RoutingScheme& scheme,
-                               SimulatorConfig config,
-                               const std::function<void(Simulator&)>& setup) {
-  SimulationStats stats[2];
-  std::vector<MessageRecord> records[2];
-  std::vector<std::uint64_t> loads[2];
-  std::int64_t queue_peak[2] = {0, 0};
-  const auto n = static_cast<NodeId>(g.node_count());
-  for (int pass = 0; pass < 2; ++pass) {
-    obs::ScopedRegistry scoped;
-    config.batch_routing = pass == 1;
-    Simulator sim(g, scheme, config);
-    setup(sim);
-    stats[pass] = sim.run();
-    records[pass] = sim.records();
-    for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v = 0; v < n; ++v) {
-        if (u != v && g.has_edge(u, v)) {
-          loads[pass].push_back(sim.link_load(u, v));
-        }
-      }
-    }
-    queue_peak[pass] = scoped.registry().gauge_value("sim.queue_peak");
-  }
-
-  EXPECT_EQ(stats[0].sent, stats[1].sent);
-  EXPECT_EQ(stats[0].delivered, stats[1].delivered);
-  EXPECT_EQ(stats[0].dropped, stats[1].dropped);
-  EXPECT_EQ(stats[0].total_hops, stats[1].total_hops);
-  EXPECT_EQ(stats[0].makespan, stats[1].makespan);
-  EXPECT_EQ(stats[0].max_link_load, stats[1].max_link_load);
-  EXPECT_EQ(stats[0].total_retries, stats[1].total_retries);
-  EXPECT_EQ(stats[0].deflections, stats[1].deflections);
-  EXPECT_EQ(stats[0].fallback_messages, stats[1].fallback_messages);
-  EXPECT_EQ(stats[0].shortest_hops, stats[1].shortest_hops);
-  EXPECT_EQ(queue_peak[0], queue_peak[1]);
-  EXPECT_EQ(loads[0], loads[1]);
-
-  ASSERT_EQ(records[0].size(), records[1].size());
-  for (std::size_t i = 0; i < records[0].size(); ++i) {
-    const MessageRecord& a = records[0][i];
-    const MessageRecord& b = records[1][i];
-    EXPECT_EQ(a.id, b.id) << i;
-    EXPECT_EQ(a.source, b.source) << i;
-    EXPECT_EQ(a.destination, b.destination) << i;
-    EXPECT_EQ(a.delivered, b.delivered) << i;
-    EXPECT_EQ(a.dropped_on_failure, b.dropped_on_failure) << i;
-    EXPECT_EQ(a.used_fallback, b.used_fallback) << i;
-    EXPECT_EQ(a.retries, b.retries) << i;
-    EXPECT_EQ(a.deflections, b.deflections) << i;
-    EXPECT_EQ(a.hops, b.hops) << i;
-    EXPECT_EQ(a.send_time, b.send_time) << i;
-    EXPECT_EQ(a.arrival_time, b.arrival_time) << i;
-  }
-}
-
-TEST(SimulatorBatching, AllPairsStaggeredSendsAreIdentical) {
-  const Graph g = certified(40, 9);
-  const auto scheme = schemes::FullTableScheme::standard(g);
-  expect_batching_identical(g, scheme, {}, [](Simulator& sim) {
-    std::uint64_t t = 0;
-    for (const auto& [src, dst] : all_pairs(40)) sim.send(src, dst, t++ % 7);
-  });
-}
-
-TEST(SimulatorBatching, SerializedLinksAndHotspotAreIdentical) {
-  const Graph g = certified(32, 10);
-  const auto scheme = schemes::FullTableScheme::standard(g);
-  SimulatorConfig config;
-  config.serialize_links = true;
-  config.link_latency = 3;
-  expect_batching_identical(g, scheme, config, [](Simulator& sim) {
-    for (const auto& [src, dst] : hotspot(32, 5)) sim.send(src, dst);
-  });
-}
-
-TEST(SimulatorBatching, StatefulSchemeFallsBackIdentically) {
-  // SequentialSearchScheme carries routing state in the header, so
-  // batch_routing must refuse to compile a FastPath and run the per-hop
-  // loop — with answers identical by construction.
-  const Graph g = certified(32, 11);
-  const schemes::SequentialSearchScheme scheme(g);
-  EXPECT_FALSE(scheme.stateless_next_hop());
-  expect_batching_identical(g, scheme, {}, [](Simulator& sim) {
-    Rng rng(13);
-    for (const auto& [src, dst] : permutation_traffic(32, rng)) {
-      sim.send(src, dst);
-    }
-  });
-}
-
-TEST(SimulatorBatching, ActiveFailuresFallBackIdentically) {
-  // Failures force the batched loop back onto the per-hop path (faults
-  // consult link state mid-route); records must stay identical, drops
-  // included.
-  const Graph g = certified(32, 12);
-  const auto scheme = schemes::FullTableScheme::standard(g);
-  SimulatorConfig config;
-  config.measure_stretch = true;
-  expect_batching_identical(g, scheme, config, [&](Simulator& sim) {
-    sim.schedule(uniform_link_faults(g, 24, {.seed = 17}));
-    std::uint64_t t = 0;
-    for (const auto& [src, dst] : all_pairs(32)) sim.send(src, dst, t++ % 5);
-  });
-}
-
-TEST(SimulatorBatching, ImmediateLinkFailureIsIdentical) {
-  const Graph g = graph::chain(8);
-  const auto scheme = schemes::FullTableScheme::standard(g);
-  expect_batching_identical(g, scheme, {}, [](Simulator& sim) {
-    sim.fail_link(3, 4);
-    sim.send(0, 7);
-    sim.send(7, 0);
-    sim.send(0, 3);
-  });
 }
 
 }  // namespace

@@ -166,7 +166,6 @@ TEST(Tz, SchemeSurfaceBasics) {
   const Graph g = TopologyFamily::power_law(2).make(40, 2);
   const TzScheme scheme(g);
   EXPECT_EQ(scheme.name(), "tz");
-  EXPECT_TRUE(scheme.stateless_next_hop());
   EXPECT_EQ(scheme.routing_model().relabeling, model::kIIgamma.relabeling);
   // γ labels are charged: (v, l(v), exit port) per node.
   const auto space = scheme.space();

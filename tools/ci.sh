@@ -23,10 +23,12 @@ fi
 
 # The sanitizer stages only need the suites they gate on; building
 # everything under TSan would double CI time for no coverage. The bitio,
-# graph and landmark suites index raw words, so an off-by-one there is an
-# out-of-bounds read that only ASan reliably catches.
-SANITIZED_TARGETS=(bitio_test graph_test landmark_test
-  parallel_test distance_cache_test verifier_test
+# graph and landmark suites index raw words, and the scheme suites drive
+# compiled forms that index rank directories and packed words unchecked
+# once validation passes, so an off-by-one there is an out-of-bounds read
+# that only ASan reliably catches.
+SANITIZED_TARGETS=(bitio_test graph_test landmark_test schemes_test
+  hierarchical_test parallel_test distance_cache_test verifier_test
   faults_test resilience_test obs_test instrumentation_test
   serialization_test chaos_test fuzz_test fastpath_test rank_select_test
   serve_test serve_chaos_test topology_test tz_test congest_test
