@@ -5,7 +5,8 @@
 // does it cost to *keep* the tables optimal while the network changes —
 // answered in deterministic work units (tables rebuilt + distance rows
 // refreshed), never wall-clock, so every row is bit-identical across
-// reruns and --threads values.
+// reruns and --threads values. Traffic stretch during convergence is
+// measured too (mean_stretch in each row's simulator block).
 //
 // Emits BENCH_churn.json (schema optrt.bench_churn.v1):
 //
@@ -77,6 +78,7 @@ Row run_cell(const Cell& cell, const net::ChurnOptions& copt,
   net::ChurnSessionConfig cfg;
   cfg.messages = messages;
   cfg.traffic_seed = seed;
+  cfg.sim.measure_stretch = true;  // mean_stretch: route vs pre-fault path
   Row row{cell, net::run_churn_session(*rs, plan, cfg), plan.fingerprint()};
   return row;
 }

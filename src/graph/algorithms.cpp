@@ -1,8 +1,8 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -39,11 +39,61 @@ DistanceMatrix::DistanceMatrix(const Graph& g) : n_(g.node_count()) {
   }
 }
 
-DistanceMatrix::DistanceMatrix(std::size_t n, std::vector<std::uint32_t> flat)
-    : n_(n), d_(std::move(flat)) {
-  if (d_.size() != n_ * n_) {
-    throw std::invalid_argument("DistanceMatrix: flat size != n*n");
+DistanceMatrix::LinkDelta DistanceMatrix::apply_link_delta(
+    const Graph& g_new, NodeId u, NodeId v, bool up,
+    double bfs_fallback_fraction) {
+  LinkDelta delta;
+  if (up) {
+    // Rows u and v are snapshotted first: they may themselves improve.
+    const std::vector<std::uint32_t> old_du(row(u), row(u) + n_);
+    const std::vector<std::uint32_t> old_dv(row(v), row(v) + n_);
+    for (NodeId s = 0; s < n_; ++s) {
+      const std::uint32_t dsu = old_du[s];  // symmetry: d(s, u) = d(u, s)
+      const std::uint32_t dsv = old_dv[s];
+      bool changed = false;
+      std::uint32_t* ds = row(s);
+      for (NodeId t = 0; t < n_; ++t) {
+        std::uint32_t best = ds[t];
+        if (dsu != kUnreachable && old_dv[t] != kUnreachable) {
+          best = std::min(best, dsu + 1 + old_dv[t]);
+        }
+        if (dsv != kUnreachable && old_du[t] != kUnreachable) {
+          best = std::min(best, dsv + 1 + old_du[t]);
+        }
+        if (best < ds[t]) {
+          ds[t] = best;
+          changed = true;
+        }
+      }
+      if (changed) delta.changed_rows.push_back(s);
+    }
+    delta.rows_patched = delta.changed_rows.size();
+    return delta;
   }
+
+  // Delete: re-BFS the sources whose shortest-path DAG held the edge.
+  std::vector<NodeId> candidates;
+  for (NodeId s = 0; s < n_; ++s) {
+    const std::uint32_t dsu = at(s, u);
+    const std::uint32_t dsv = at(s, v);
+    if (dsu == kUnreachable || dsv == kUnreachable) continue;
+    if (dsu + 1 == dsv || dsv + 1 == dsu) candidates.push_back(s);
+  }
+  const bool every_row = static_cast<double>(candidates.size()) >
+                         bfs_fallback_fraction * static_cast<double>(n_);
+  if (every_row) {
+    candidates.resize(n_);
+    std::iota(candidates.begin(), candidates.end(), NodeId{0});
+  }
+  for (NodeId s : candidates) {
+    const auto fresh = bfs_distances(g_new, s);
+    if (every_row || !std::equal(fresh.begin(), fresh.end(), row(s))) {
+      std::copy(fresh.begin(), fresh.end(), row(s));
+      delta.changed_rows.push_back(s);
+    }
+  }
+  delta.rows_bfs = candidates.size();
+  return delta;
 }
 
 std::uint32_t DistanceMatrix::diameter() const noexcept {

@@ -24,15 +24,35 @@ inline constexpr std::uint32_t kUnreachable =
                                                        NodeId source);
 
 /// All-pairs shortest-path distances, as a flat n×n row-major matrix.
+/// The one all-pairs type: DistanceCache shares immutable instances, and
+/// churn repair keeps a private one current through apply_link_delta.
 class DistanceMatrix {
  public:
   explicit DistanceMatrix(const Graph& g);
 
-  /// Adopts precomputed distances (row-major n×n, kUnreachable where
-  /// disconnected). The churn repair path maintains distances
-  /// incrementally and snapshots them through this instead of re-running
-  /// all-pairs BFS. Throws std::invalid_argument on a size mismatch.
-  DistanceMatrix(std::size_t n, std::vector<std::uint32_t> flat);
+  /// What one apply_link_delta changed, and the rows it spent.
+  struct LinkDelta {
+    std::vector<NodeId> changed_rows;  ///< sorted, rows with any change
+    std::uint64_t rows_bfs = 0;        ///< rows recomputed by BFS
+    std::uint64_t rows_patched = 0;    ///< rows fixed by the min-plus patch
+  };
+
+  /// Folds the link delta {u, v} (`up`: inserted, else deleted) into the
+  /// matrix in place; `g_new` is the graph *including* the change, and
+  /// the matrix must describe it as it was before.
+  ///   insert — exact one-step min-plus patch against the old matrix,
+  ///     d'(s, t) = min(d(s,t), d(s,u)+1+d(v,t), d(s,v)+1+d(u,t)),
+  ///     sound because a new shortest path crosses {u, v} at most once;
+  ///   delete — only sources s with |d(s,u) − d(s,v)| == 1 can lose a
+  ///     shortest path (the edge lies on s's shortest-path DAG iff its
+  ///     endpoints sit on consecutive BFS levels); exactly those rows are
+  ///     re-run through BFS on `g_new`. The candidate set is closed under
+  ///     "my row changed", so the matrix stays symmetric and exact.
+  /// When a delete's candidates exceed `bfs_fallback_fraction` of n, every
+  /// row is recomputed instead (still exact; every row is then listed as
+  /// changed, conservatively).
+  LinkDelta apply_link_delta(const Graph& g_new, NodeId u, NodeId v, bool up,
+                             double bfs_fallback_fraction = 1.0);
 
   [[nodiscard]] std::uint32_t at(NodeId u, NodeId v) const noexcept {
     return d_[static_cast<std::size_t>(u) * n_ + v];
@@ -47,6 +67,11 @@ class DistanceMatrix {
   [[nodiscard]] bool connected() const noexcept;
 
  private:
+  /// Row s, for in-place patching.
+  [[nodiscard]] std::uint32_t* row(NodeId s) noexcept {
+    return d_.data() + static_cast<std::size_t>(s) * n_;
+  }
+
   std::size_t n_;
   std::vector<std::uint32_t> d_;
 };

@@ -32,6 +32,11 @@ class Graph {
   /// rejected with std::invalid_argument.
   void add_edge(NodeId u, NodeId v);
 
+  /// Removes the undirected edge {u, v}; neighbour lists stay sorted.
+  /// A non-edge, a self-pair or an out-of-range id is rejected with
+  /// std::invalid_argument.
+  void remove_edge(NodeId u, NodeId v);
+
   /// True iff {u, v} is an edge.
   [[nodiscard]] bool has_edge(NodeId u, NodeId v) const noexcept {
     const std::size_t i = static_cast<std::size_t>(u) * words_per_row_ +

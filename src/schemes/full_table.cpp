@@ -1,5 +1,6 @@
 #include "schemes/full_table.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <utility>
@@ -19,6 +20,28 @@
 
 namespace optrt::schemes {
 
+bitio::BitVector full_table_node_bits(const graph::Graph& g,
+                                      const graph::DistanceMatrix& dist,
+                                      const graph::PortAssignment& ports,
+                                      const graph::Labeling& labeling,
+                                      NodeId u) {
+  const std::size_t n = g.node_count();
+  const unsigned width =
+      bitio::ceil_log2(std::max<std::size_t>(g.degree(u), 1));
+  bitio::BitWriter w;
+  // One entry per destination *label* so lookups index by label directly.
+  for (NodeId label = 0; label < n; ++label) {
+    const NodeId v = labeling.node_of(label);
+    graph::PortId port = 0;
+    if (v != u && dist.at(u, v) != graph::kUnreachable) {
+      const auto successors = graph::shortest_path_successors(g, dist, u, v);
+      port = ports.port_of(u, successors.front());
+    }
+    w.write_bits(port, width);
+  }
+  return w.take();
+}
+
 FullTableScheme::FullTableScheme(const graph::Graph& g,
                                  graph::PortAssignment ports,
                                  graph::Labeling labeling,
@@ -28,23 +51,12 @@ FullTableScheme::FullTableScheme(const graph::Graph& g,
       ports_(std::move(ports)),
       labeling_(std::move(labeling)) {
   const auto dist_cached = graph::DistanceCache::global().get(g);
-  const graph::DistanceMatrix& dist = *dist_cached;
   width_.resize(n_);
   table_bits_.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
     width_[u] = bitio::ceil_log2(std::max<std::size_t>(g.degree(u), 1));
-    bitio::BitWriter w;
-    // One entry per destination *label* so lookups index by label directly.
-    for (NodeId label = 0; label < n_; ++label) {
-      const NodeId v = labeling_.node_of(label);
-      graph::PortId port = 0;
-      if (v != u && dist.at(u, v) != graph::kUnreachable) {
-        const auto successors = graph::shortest_path_successors(g, dist, u, v);
-        port = ports_.port_of(u, successors.front());
-      }
-      w.write_bits(port, width_[u]);
-    }
-    table_bits_[u] = w.take();
+    table_bits_[u] =
+        full_table_node_bits(g, *dist_cached, ports_, labeling_, u);
   }
 }
 

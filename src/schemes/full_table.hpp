@@ -18,6 +18,15 @@ namespace optrt::schemes {
 
 using graph::NodeId;
 
+/// Node u's table: one ⌈log₂ d(u)⌉-bit entry per destination label, the
+/// port of the least shortest-path successor under `ports`; port 0 for u
+/// itself and for unreachable destinations. Shared by the constructor and
+/// churn repair (schemes/repair.hpp), so a repaired table is a fresh one.
+[[nodiscard]] bitio::BitVector full_table_node_bits(
+    const graph::Graph& g, const graph::DistanceMatrix& dist,
+    const graph::PortAssignment& ports, const graph::Labeling& labeling,
+    NodeId u);
+
 class FullTableScheme final : public model::RoutingScheme {
  public:
   /// Builds tables routing via the least shortest-path successor, against

@@ -67,11 +67,9 @@ LandmarkScheme::LandmarkScheme(const graph::Graph& g, Options options)
       list_below[v] = std::min(list_below[v], dist.at(v, l) + 1);
     }
   }
-  const auto ports = graph::PortAssignment::sorted(g);
   std::vector<bitio::BitVector> bits(n_);
   for (NodeId w = 0; w < n_; ++w) {
-    bits[w] =
-        build_landmark_node_bits(g, dist, ports, landmarks_, list_below, w);
+    bits[w] = build_landmark_node_bits(g, dist, landmarks_, list_below, w);
   }
   compile(g, std::move(bits));
 }

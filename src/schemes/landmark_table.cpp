@@ -22,14 +22,20 @@ unsigned id_width(std::size_t n) {
 
 bitio::BitVector build_landmark_node_bits(
     const graph::Graph& g, const graph::DistanceMatrix& dist,
-    const graph::PortAssignment& ports,
     const std::vector<graph::NodeId>& landmarks,
     const std::vector<std::uint32_t>& list_below, graph::NodeId w) {
   const std::size_t n = g.node_count();
   const unsigned pw = port_width(g.degree(w));
+  const auto nbrs = g.neighbors(w);
+  // Ports are sorted, so the port of the least shortest-path successor is
+  // its rank in w's neighbour list.
   const auto port_toward = [&](graph::NodeId target) {
-    return ports.port_of(
-        w, graph::shortest_path_successors(g, dist, w, target).front());
+    const std::uint32_t next = dist.at(w, target) - 1;
+    const auto succ =
+        std::find_if(nbrs.begin(), nbrs.end(), [&](graph::NodeId x) {
+          return dist.at(x, target) == next;
+        });
+    return static_cast<std::uint64_t>(succ - nbrs.begin());
   };
   bitio::BitWriter out;
   for (graph::NodeId l : landmarks) {

@@ -48,11 +48,12 @@ struct LandmarkTables {
 };
 
 /// Encodes node w's table: shortest-path ports toward every landmark,
-/// then every v ≠ w with d(w, v) < list_below[v]. `ports` must be the
-/// sorted assignment.
+/// then every v ≠ w with d(w, v) < list_below[v]. Each port is the rank
+/// of the least shortest-path successor in g.neighbors(w). The one
+/// builder behind LandmarkScheme, TzScheme and TZ churn repair, so a
+/// repaired table is byte-identical to a fresh one. `g` must be connected.
 [[nodiscard]] bitio::BitVector build_landmark_node_bits(
     const graph::Graph& g, const graph::DistanceMatrix& dist,
-    const graph::PortAssignment& ports,
     const std::vector<graph::NodeId>& landmarks,
     const std::vector<std::uint32_t>& list_below, graph::NodeId w);
 

@@ -2,106 +2,19 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
-#include "bitio/bit_stream.hpp"
-#include "bitio/codes.hpp"
-#include "graph/labeling.hpp"
 #include "graph/ports.hpp"
 #include "model/verifier.hpp"
 #include "obs/metrics.hpp"
 #include "schemes/errors.hpp"
+#include "schemes/landmark_table.hpp"
 
 namespace optrt::schemes {
 
 using graph::NodeId;
-
-// ---- DynamicDistances -----------------------------------------------------
-
-DynamicDistances::DynamicDistances(const graph::Graph& g)
-    : n_(g.node_count()) {
-  d_.reserve(n_ * n_);
-  for (NodeId u = 0; u < n_; ++u) {
-    const auto row = graph::bfs_distances(g, u);
-    d_.insert(d_.end(), row.begin(), row.end());
-  }
-}
-
-bool DynamicDistances::connected() const noexcept {
-  return std::none_of(d_.begin(), d_.end(), [](std::uint32_t x) {
-    return x == graph::kUnreachable;
-  });
-}
-
-DynamicDistances::Delta DynamicDistances::apply(const graph::Graph& g_new,
-                                                NodeId u, NodeId v, bool up,
-                                                double bfs_fallback_fraction) {
-  Delta delta;
-  if (up) {
-    // Exact single-edge insertion: a new shortest path crosses {u, v} at
-    // most once, so the min-plus patch against the OLD matrix is exact.
-    // Rows u and v are snapshotted first — they may themselves improve.
-    std::vector<std::uint32_t> old_du(n_), old_dv(n_);
-    for (NodeId t = 0; t < n_; ++t) {
-      old_du[t] = at(u, t);
-      old_dv[t] = at(v, t);
-    }
-    for (NodeId s = 0; s < n_; ++s) {
-      const std::uint32_t dsu = old_du[s];  // symmetry: d(s, u) = d(u, s)
-      const std::uint32_t dsv = old_dv[s];
-      bool changed = false;
-      std::uint32_t* row = d_.data() + static_cast<std::size_t>(s) * n_;
-      for (NodeId t = 0; t < n_; ++t) {
-        std::uint32_t best = row[t];
-        if (dsu != graph::kUnreachable && old_dv[t] != graph::kUnreachable) {
-          best = std::min(best, dsu + 1 + old_dv[t]);
-        }
-        if (dsv != graph::kUnreachable && old_du[t] != graph::kUnreachable) {
-          best = std::min(best, dsv + 1 + old_du[t]);
-        }
-        if (best < row[t]) {
-          row[t] = best;
-          changed = true;
-        }
-      }
-      if (changed) delta.changed_rows.push_back(s);
-    }
-    delta.rows_patched = delta.changed_rows.size();
-    return delta;
-  }
-
-  // Deletion: a source loses a shortest path only if {u, v} was on its
-  // shortest-path DAG, i.e. the endpoints sat on consecutive BFS levels.
-  std::vector<NodeId> candidates;
-  for (NodeId s = 0; s < n_; ++s) {
-    const std::uint32_t dsu = at(s, u);
-    const std::uint32_t dsv = at(s, v);
-    if (dsu == graph::kUnreachable || dsv == graph::kUnreachable) continue;
-    if (dsu + 1 == dsv || dsv + 1 == dsu) candidates.push_back(s);
-  }
-  if (static_cast<double>(candidates.size()) >
-      bfs_fallback_fraction * static_cast<double>(n_)) {
-    for (NodeId s = 0; s < n_; ++s) {
-      const auto row = graph::bfs_distances(g_new, s);
-      std::copy(row.begin(), row.end(),
-                d_.begin() + static_cast<std::size_t>(s) * n_);
-      delta.changed_rows.push_back(s);  // conservative: report every row
-    }
-    delta.rows_bfs = n_;
-    return delta;
-  }
-  for (NodeId s : candidates) {
-    const auto row = graph::bfs_distances(g_new, s);
-    std::uint32_t* dst = d_.data() + static_cast<std::size_t>(s) * n_;
-    if (!std::equal(row.begin(), row.end(), dst)) {
-      std::copy(row.begin(), row.end(), dst);
-      delta.changed_rows.push_back(s);
-    }
-  }
-  delta.rows_bfs = candidates.size();
-  return delta;
-}
 
 // ---- shared base ----------------------------------------------------------
 
@@ -112,21 +25,48 @@ RepairableBase::RepairableBase(const graph::Graph& base,
 void RepairableBase::toggle_edge(const model::TopologyEvent& event) {
   if (event.up) {
     live_.add_edge(event.u, event.v);
-    return;
+  } else {
+    live_.remove_edge(event.u, event.v);
   }
-  // Graph has no remove_edge; rebuild minus the link (churn topologies are
-  // bench/test scale, and the n² bitmap rebuild is far below one BFS row
-  // sweep).
-  graph::Graph next(live_.node_count());
-  for (NodeId a = 0; a < live_.node_count(); ++a) {
-    for (NodeId b : live_.neighbors(a)) {
-      if (a < b && !(std::min(a, b) == std::min(event.u, event.v) &&
-                     std::max(a, b) == std::max(event.u, event.v))) {
-        next.add_edge(a, b);
-      }
-    }
+}
+
+std::vector<NodeId> RepairableBase::refresh_distances(
+    graph::DistanceMatrix& dist, const model::TopologyEvent& event) {
+  if (config_.force_rebuild) {
+    dist = graph::DistanceMatrix(live_);
+    stats_.dist_rows_bfs += live_.node_count();
+    return {};
   }
-  live_ = std::move(next);
+  graph::DistanceMatrix::LinkDelta delta = dist.apply_link_delta(
+      live_, event.u, event.v, event.up, config_.rebuild_fraction);
+  stats_.dist_rows_bfs += delta.rows_bfs;
+  stats_.dist_rows_patched += delta.rows_patched;
+  return std::move(delta.changed_rows);
+}
+
+bool RepairableBase::full_rebuild_due(std::size_t dirty) const {
+  return config_.force_rebuild ||
+         static_cast<double>(dirty) >
+             config_.rebuild_fraction *
+                 static_cast<double>(live_.node_count());
+}
+
+model::RepairOutcome RepairableBase::rebuilt() {
+  available_ = true;
+  ++stats_.rebuilt;
+  return model::RepairOutcome::kRebuilt;
+}
+
+model::RepairOutcome RepairableBase::patched(std::size_t tables) {
+  stats_.tables_touched += tables;
+  ++stats_.patched;
+  return model::RepairOutcome::kPatched;
+}
+
+model::RepairOutcome RepairableBase::inapplicable() {
+  available_ = false;
+  ++stats_.inapplicable;
+  return model::RepairOutcome::kInapplicable;
 }
 
 namespace {
@@ -146,91 +86,51 @@ std::vector<NodeId> close_over_neighbors(const graph::Graph& g,
   return dirty;
 }
 
+/// 0, 1, …, n − 1: the dirty set of a full rebuild.
+std::vector<NodeId> every_node(std::size_t n) {
+  std::vector<NodeId> all(n);
+  std::iota(all.begin(), all.end(), NodeId{0});
+  return all;
+}
+
 }  // namespace
 
 // ---- full-table -----------------------------------------------------------
 
 RepairableFullTable::RepairableFullTable(const graph::Graph& base,
                                          model::RepairConfig config)
-    : RepairableBase(base, config), dist_(base) {
-  tables_.resize(live_.node_count());
-  const graph::DistanceMatrix dist = dist_.snapshot();
-  const auto ports = graph::PortAssignment::sorted(live_);
-  for (NodeId u = 0; u < live_.node_count(); ++u) {
-    rebuild_table(u, dist, ports);
-  }
-  materialize();
+    : RepairableBase(base, config),
+      dist_(base),
+      labeling_(graph::Labeling::identity(base.node_count())),
+      tables_(base.node_count()) {
+  rebuild(every_node(live_.node_count()));
 }
 
-void RepairableFullTable::rebuild_table(NodeId u,
-                                        const graph::DistanceMatrix& dist,
-                                        const graph::PortAssignment& ports) {
-  // Mirrors the fresh FullTableScheme builder with identity labels: one
-  // fixed-width port entry per destination, least shortest-path successor,
-  // port 0 for self and unreachable destinations.
-  const std::size_t n = live_.node_count();
-  const unsigned width =
-      bitio::ceil_log2(std::max<std::size_t>(live_.degree(u), 1));
-  bitio::BitWriter w;
-  for (NodeId v = 0; v < n; ++v) {
-    graph::PortId port = 0;
-    if (v != u && dist.at(u, v) != graph::kUnreachable) {
-      const auto succ = graph::shortest_path_successors(live_, dist, u, v);
-      port = ports.port_of(u, succ.front());
-    }
-    w.write_bits(port, width);
+void RepairableFullTable::rebuild(const std::vector<NodeId>& nodes) {
+  graph::PortAssignment ports = graph::PortAssignment::sorted(live_);
+  for (NodeId u : nodes) {
+    tables_[u] = full_table_node_bits(live_, dist_, ports, labeling_, u);
   }
-  tables_[u] = w.take();
-}
-
-void RepairableFullTable::materialize() {
   scheme_ = std::make_unique<FullTableScheme>(
-      live_, graph::PortAssignment::sorted(live_),
-      graph::Labeling::identity(live_.node_count()), model::kIAalpha,
-      tables_);
+      live_, std::move(ports), labeling_, model::kIAalpha, tables_);
 }
 
 model::RepairOutcome RepairableFullTable::apply_event(
     const model::TopologyEvent& event) {
   ++stats_.events;
   toggle_edge(event);
-  const std::size_t n = live_.node_count();
-  if (config_.force_rebuild) {
-    dist_ = DynamicDistances(live_);
-    stats_.dist_rows_bfs += n;
-    const graph::DistanceMatrix dist = dist_.snapshot();
-    const auto ports = graph::PortAssignment::sorted(live_);
-    for (NodeId u = 0; u < n; ++u) rebuild_table(u, dist, ports);
-    stats_.tables_touched += n;
-    materialize();
-    ++stats_.rebuilt;
-    return model::RepairOutcome::kRebuilt;
-  }
-  const DynamicDistances::Delta delta = dist_.apply(
-      live_, event.u, event.v, event.up, config_.rebuild_fraction);
-  stats_.dist_rows_bfs += delta.rows_bfs;
-  stats_.dist_rows_patched += delta.rows_patched;
   // Entry (s, t) reads d(s, ·), d(w, ·) for w ∈ N(s), and s's port
   // numbering — dirty is the endpoints plus changed rows plus their live
   // neighbourhoods.
-  std::vector<NodeId> dirty = close_over_neighbors(
-      live_, {event.u, event.v}, delta.changed_rows);
-  const graph::DistanceMatrix dist = dist_.snapshot();
-  const auto ports = graph::PortAssignment::sorted(live_);
-  const bool full = static_cast<double>(dirty.size()) >
-                    config_.rebuild_fraction * static_cast<double>(n);
-  if (full) {
-    for (NodeId u = 0; u < n; ++u) rebuild_table(u, dist, ports);
-    stats_.tables_touched += n;
-    ++stats_.rebuilt;
-  } else {
-    for (NodeId u : dirty) rebuild_table(u, dist, ports);
-    stats_.tables_touched += dirty.size();
-    ++stats_.patched;
+  const std::vector<NodeId> dirty = close_over_neighbors(
+      live_, {event.u, event.v}, refresh_distances(dist_, event));
+  if (full_rebuild_due(dirty.size())) {
+    rebuild(every_node(live_.node_count()));
+    stats_.tables_touched += live_.node_count();
+    return rebuilt();
   }
-  materialize();
-  return full ? model::RepairOutcome::kRebuilt
-              : model::RepairOutcome::kPatched;
+  rebuild(dirty);
+  return patched(dirty.size());
 }
 
 // ---- compact-diam2 --------------------------------------------------------
@@ -244,7 +144,6 @@ RepairableCompactDiam2::RepairableCompactDiam2(
     throw SchemeInapplicable(
         "RepairableCompactDiam2: base graph not diameter-2 dominated");
   }
-  materialize();
 }
 
 bool RepairableCompactDiam2::try_full_rebuild() {
@@ -259,6 +158,7 @@ bool RepairableCompactDiam2::try_full_rebuild() {
   }
   tables_ = std::move(fresh);
   stats_.tables_touched += n;
+  materialize();
   return true;
 }
 
@@ -270,18 +170,6 @@ model::RepairOutcome RepairableCompactDiam2::apply_event(
     const model::TopologyEvent& event) {
   ++stats_.events;
   toggle_edge(event);
-  const std::size_t n = live_.node_count();
-  if (!available_ || config_.force_rebuild) {
-    // Stale (or baseline mode): only a full rebuild can recover.
-    if (try_full_rebuild()) {
-      materialize();
-      available_ = true;
-      ++stats_.rebuilt;
-      return model::RepairOutcome::kRebuilt;
-    }
-    ++stats_.inapplicable;
-    return model::RepairOutcome::kInapplicable;
-  }
   // u's table reads N(u) and the adjacency between N(u) and u's
   // non-neighbours: toggling {a, b} can only change tables of a, b, and
   // their (old or new) neighbours. The endpoints' neighbourhoods differ
@@ -289,37 +177,25 @@ model::RepairOutcome RepairableCompactDiam2::apply_event(
   // {a, b} seed already covers — live_ (post-toggle) closure is exact.
   const std::vector<NodeId> dirty = close_over_neighbors(
       live_, {event.u, event.v}, {event.u, event.v});
-  const bool full = static_cast<double>(dirty.size()) >
-                    config_.rebuild_fraction * static_cast<double>(n);
-  if (full) {
-    if (!try_full_rebuild()) {
-      available_ = false;
-      ++stats_.inapplicable;
-      return model::RepairOutcome::kInapplicable;
-    }
-    materialize();
-    ++stats_.rebuilt;
-    return model::RepairOutcome::kRebuilt;
+  // A stale scheme recovers only through a full rebuild.
+  if (!available_ || full_rebuild_due(dirty.size())) {
+    return try_full_rebuild() ? rebuilt() : inapplicable();
   }
-  std::vector<bitio::BitVector> patched(dirty.size());
+  std::vector<bitio::BitVector> fresh(dirty.size());
   try {
     for (std::size_t i = 0; i < dirty.size(); ++i) {
-      patched[i] = build_compact_node(live_, dirty[i], options_.node).bits;
+      fresh[i] = build_compact_node(live_, dirty[i], options_.node).bits;
     }
   } catch (const SchemeInapplicable&) {
     // The new topology broke domination for a dirty node; tables go stale
     // until a later event makes the scheme buildable again.
-    available_ = false;
-    ++stats_.inapplicable;
-    return model::RepairOutcome::kInapplicable;
+    return inapplicable();
   }
   for (std::size_t i = 0; i < dirty.size(); ++i) {
-    tables_[dirty[i]] = std::move(patched[i]);
+    tables_[dirty[i]] = std::move(fresh[i]);
   }
-  stats_.tables_touched += dirty.size();
   materialize();
-  ++stats_.patched;
-  return model::RepairOutcome::kPatched;
+  return patched(dirty.size());
 }
 
 // ---- Thorup-Zwick ---------------------------------------------------------
@@ -330,28 +206,23 @@ RepairableTz::RepairableTz(const graph::Graph& base, TzOptions options,
   if (!dist_.connected()) {
     throw SchemeInapplicable("RepairableTz: base graph disconnected");
   }
-  const graph::DistanceMatrix dist = dist_.snapshot();
-  landmarks_ = tz_sample_landmarks(live_, dist, options_);
-  rebuild_all(dist);
-  materialize(dist);
+  landmarks_ = tz_sample_landmarks(live_, dist_, options_);
+  rebuild_all();
 }
 
-void RepairableTz::rebuild_all(const graph::DistanceMatrix& dist) {
+void RepairableTz::rebuild_all() {
   const std::size_t n = live_.node_count();
-  dva_.assign(n, graph::kUnreachable);
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId l : landmarks_) dva_[v] = std::min(dva_[v], dist.at(v, l));
-  }
-  const auto ports = graph::PortAssignment::sorted(live_);
+  dva_ = tz_landmark_distances(dist_, landmarks_);
   tables_.resize(n);
   for (NodeId w = 0; w < n; ++w) {
-    tables_[w] = tz_build_node_bits(live_, dist, ports, landmarks_, dva_, w);
+    tables_[w] = build_landmark_node_bits(live_, dist_, landmarks_, dva_, w);
   }
   stats_.tables_touched += n;
+  materialize();
 }
 
-void RepairableTz::materialize(const graph::DistanceMatrix& dist) {
-  scheme_ = std::make_unique<TzScheme>(live_, landmarks_, tables_, dist);
+void RepairableTz::materialize() {
+  scheme_ = std::make_unique<TzScheme>(live_, landmarks_, tables_, dist_);
 }
 
 model::RepairOutcome RepairableTz::apply_event(
@@ -359,93 +230,51 @@ model::RepairOutcome RepairableTz::apply_event(
   ++stats_.events;
   toggle_edge(event);
   const std::size_t n = live_.node_count();
-  if (config_.force_rebuild) {
-    dist_ = DynamicDistances(live_);
-    stats_.dist_rows_bfs += n;
-    if (!dist_.connected()) {
-      available_ = false;
-      ++stats_.inapplicable;
-      return model::RepairOutcome::kInapplicable;
-    }
-    const graph::DistanceMatrix dist = dist_.snapshot();
-    landmarks_ = tz_sample_landmarks(live_, dist, options_);
-    rebuild_all(dist);
-    materialize(dist);
-    available_ = true;
-    ++stats_.rebuilt;
-    return model::RepairOutcome::kRebuilt;
-  }
-  const DynamicDistances::Delta delta = dist_.apply(
-      live_, event.u, event.v, event.up, config_.rebuild_fraction);
-  stats_.dist_rows_bfs += delta.rows_bfs;
-  stats_.dist_rows_patched += delta.rows_patched;
-  if (!dist_.connected()) {
-    // Fresh TZ construction throws on disconnected graphs; mirror it.
-    available_ = false;
-    ++stats_.inapplicable;
-    return model::RepairOutcome::kInapplicable;
-  }
-  const graph::DistanceMatrix dist = dist_.snapshot();
-  // Replay the seeded election against the patched matrix — the same
+  const std::vector<NodeId> changed_rows = refresh_distances(dist_, event);
+  // Fresh TZ construction throws on disconnected graphs; mirror it.
+  if (!dist_.connected()) return inapplicable();
+  // Replay the seeded election against the maintained matrix — the same
   // draws a fresh build on this topology would make. A changed electorate
-  // (or recovery from a stale period) rebuilds every table, but still
-  // without any BFS: the matrix is already exact.
-  const std::vector<NodeId> elected =
-      tz_sample_landmarks(live_, dist, options_);
-  if (!available_ || elected != landmarks_) {
-    landmarks_ = elected;
-    rebuild_all(dist);
-    materialize(dist);
-    available_ = true;
-    ++stats_.rebuilt;
-    return model::RepairOutcome::kRebuilt;
+  // (or recovery from a stale period, or force_rebuild) rebuilds every
+  // table, but with no BFS beyond the refresh: the matrix is exact.
+  std::vector<NodeId> elected = tz_sample_landmarks(live_, dist_, options_);
+  if (!available_ || config_.force_rebuild || elected != landmarks_) {
+    landmarks_ = std::move(elected);
+    rebuild_all();
+    return rebuilt();
   }
   // Same landmarks: diff d(·, A) and flip-test cluster membership. w's
   // table reads N(w), d(w, ·), d(x, ·) for x ∈ N(w) (successor steps),
   // and the strict test d(w, v) < d(v, A) per destination v.
-  std::vector<NodeId> dva_changed;
-  std::vector<std::uint32_t> dva_new(n, graph::kUnreachable);
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId l : landmarks_) {
-      dva_new[v] = std::min(dva_new[v], dist.at(v, l));
-    }
-    if (dva_new[v] != dva_[v]) dva_changed.push_back(v);
+  std::vector<std::uint32_t> dva_new = tz_landmark_distances(dist_, landmarks_);
+  std::vector<bool> is_dirty(n, false);
+  for (NodeId w :
+       close_over_neighbors(live_, {event.u, event.v}, changed_rows)) {
+    is_dirty[w] = true;
   }
-  std::vector<NodeId> dirty = close_over_neighbors(
-      live_, {event.u, event.v}, delta.changed_rows);
-  if (!dva_changed.empty()) {
-    std::vector<bool> is_dirty(n, false);
-    for (NodeId w : dirty) is_dirty[w] = true;
-    for (NodeId v : dva_changed) {
-      for (NodeId w = 0; w < n; ++w) {
-        if (is_dirty[w] || w == v) continue;
-        const bool was = dist.at(w, v) < dva_[v];
-        const bool now = dist.at(w, v) < dva_new[v];
-        if (was != now) is_dirty[w] = true;
-      }
-    }
-    dirty.clear();
+  for (NodeId v = 0; v < n; ++v) {
+    if (dva_new[v] == dva_[v]) continue;
     for (NodeId w = 0; w < n; ++w) {
-      if (is_dirty[w]) dirty.push_back(w);
+      if (is_dirty[w] || w == v) continue;
+      const bool was = dist_.at(w, v) < dva_[v];
+      const bool now = dist_.at(w, v) < dva_new[v];
+      if (was != now) is_dirty[w] = true;
     }
   }
   dva_ = std::move(dva_new);
-  const bool full = static_cast<double>(dirty.size()) >
-                    config_.rebuild_fraction * static_cast<double>(n);
-  if (full) {
-    rebuild_all(dist);
-    materialize(dist);
-    ++stats_.rebuilt;
-    return model::RepairOutcome::kRebuilt;
+  std::vector<NodeId> dirty;
+  for (NodeId w = 0; w < n; ++w) {
+    if (is_dirty[w]) dirty.push_back(w);
   }
-  const auto ports = graph::PortAssignment::sorted(live_);
+  if (full_rebuild_due(dirty.size())) {
+    rebuild_all();
+    return rebuilt();
+  }
   for (NodeId w : dirty) {
-    tables_[w] = tz_build_node_bits(live_, dist, ports, landmarks_, dva_, w);
+    tables_[w] = build_landmark_node_bits(live_, dist_, landmarks_, dva_, w);
   }
-  stats_.tables_touched += dirty.size();
-  materialize(dist);
-  ++stats_.patched;
-  return model::RepairOutcome::kPatched;
+  materialize();
+  return patched(dirty.size());
 }
 
 // ---- factory + differential oracle ----------------------------------------

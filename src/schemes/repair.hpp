@@ -1,27 +1,18 @@
 // model::RepairableScheme implementations for the three churn-capable
 // schemes (ROADMAP item 5a): full-table, compact-diam2, and Thorup-Zwick.
 //
-// The shared substrate is DynamicDistances, an incrementally maintained
-// all-pairs distance matrix for unit-weight undirected graphs:
-//
-//   insert {u, v} — exact one-step min-plus patch against the OLD matrix,
-//       d'(s, t) = min(d(s,t), d(s,u)+1+d(v,t), d(s,v)+1+d(u,t)),
-//     sound because a new shortest path crosses the new edge at most once;
-//   delete {u, v} — only sources s with |d(s,u) − d(s,v)| == 1 can lose a
-//     shortest path (the edge lies on s's shortest-path DAG iff its
-//     endpoints sit on consecutive BFS levels); exactly those rows are
-//     re-run through BFS on the new graph, with a full-rebuild fallback
-//     when the candidate set exceeds a threshold. The candidate set is
-//     closed under "my row changed", so the patched matrix stays symmetric
-//     and exact.
-//
-// On top of the maintained matrix, each repairable derives the *dirty set*
-// — the nodes whose serialized tables the event can change — rebuilds only
-// those tables through the same builders the fresh constructors use, and
-// re-materializes its scheme through the validating deserialization
-// constructors. That is why the differential oracle can demand
-// bit-identity: patched tables are produced by the identical code path a
-// fresh centralized build would take, just for fewer nodes.
+// Full-table and TZ each keep one graph::DistanceMatrix current through
+// DistanceMatrix::apply_link_delta (an exact min-plus patch on insert, a
+// BFS of the rows a delete can change). On top of it each repairable
+// derives the *dirty set* — the nodes whose serialized tables the event
+// can change — rebuilds only those tables through the same per-node
+// builders a fresh construction calls (full_table_node_bits,
+// build_compact_node, build_landmark_node_bits), and re-materializes its
+// scheme through the validating deserialization constructors. That is why
+// the differential oracle can demand bit-identity: patched tables come
+// from the identical code path a fresh centralized build takes, just for
+// fewer nodes. RepairConfig::force_rebuild only forces the full-rebuild
+// path, after a fresh all-pairs BFS.
 #pragma once
 
 #include <memory>
@@ -31,52 +22,13 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
+#include "graph/labeling.hpp"
 #include "model/repairable.hpp"
 #include "schemes/compact_diam2.hpp"
 #include "schemes/full_table.hpp"
 #include "schemes/tz.hpp"
 
 namespace optrt::schemes {
-
-/// Incrementally maintained all-pairs distances. apply() mutates the
-/// matrix for one link delta and reports which rows changed plus the
-/// deterministic work spent (rows patched vs rows re-BFS'd).
-class DynamicDistances {
- public:
-  /// `g` must be the topology the matrix describes *after* every apply()
-  /// — callers update their live graph first, then call apply() with the
-  /// new graph.
-  explicit DynamicDistances(const graph::Graph& g);
-
-  struct Delta {
-    std::vector<graph::NodeId> changed_rows;  ///< sorted, rows with any change
-    std::uint64_t rows_bfs = 0;
-    std::uint64_t rows_patched = 0;
-  };
-
-  /// Folds one link delta in. `g_new` is the graph *including* the change.
-  /// `bfs_fallback_fraction`: when a delete's candidate row count exceeds
-  /// this fraction of n, recompute every row instead (still exact; the
-  /// Delta then lists every row as changed conservatively).
-  Delta apply(const graph::Graph& g_new, graph::NodeId u, graph::NodeId v,
-              bool up, double bfs_fallback_fraction = 1.0);
-
-  [[nodiscard]] std::uint32_t at(graph::NodeId u,
-                                 graph::NodeId v) const noexcept {
-    return d_[static_cast<std::size_t>(u) * n_ + v];
-  }
-  [[nodiscard]] std::size_t node_count() const noexcept { return n_; }
-  [[nodiscard]] bool connected() const noexcept;
-
-  /// Copies the current matrix into the shape the scheme builders consume.
-  [[nodiscard]] graph::DistanceMatrix snapshot() const {
-    return {n_, d_};
-  }
-
- private:
-  std::size_t n_;
-  std::vector<std::uint32_t> d_;
-};
 
 /// Common bookkeeping shared by the three repairables.
 class RepairableBase : public model::RepairableScheme {
@@ -94,6 +46,22 @@ class RepairableBase : public model::RepairableScheme {
  protected:
   /// Toggles {u, v} in live_ (precondition: the delta is real).
   void toggle_edge(const model::TopologyEvent& event);
+  /// Brings `dist` up to date with live_ after toggle_edge and books the
+  /// rows spent: a fresh all-pairs BFS under force_rebuild, otherwise
+  /// apply_link_delta. Returns the changed rows (none under force_rebuild,
+  /// which rebuilds every table anyway).
+  std::vector<graph::NodeId> refresh_distances(
+      graph::DistanceMatrix& dist, const model::TopologyEvent& event);
+  /// True when force_rebuild is set or `dirty` tables exceed the rebuild
+  /// fraction: every table is rebuilt.
+  [[nodiscard]] bool full_rebuild_due(std::size_t dirty) const;
+
+  /// Outcome bookkeeping. A full rebuild leaves the scheme available (its
+  /// caller books the tables); a patch books its `tables`; an inapplicable
+  /// topology leaves the last tables stale.
+  model::RepairOutcome rebuilt();
+  model::RepairOutcome patched(std::size_t tables);
+  model::RepairOutcome inapplicable();
 
   graph::Graph live_;
   model::RepairConfig config_;
@@ -117,11 +85,12 @@ class RepairableFullTable final : public RepairableBase {
   model::RepairOutcome apply_event(const model::TopologyEvent& event) override;
 
  private:
-  void rebuild_table(graph::NodeId u, const graph::DistanceMatrix& dist,
-                     const graph::PortAssignment& ports);
-  void materialize();
+  /// Rebuilds the tables of `nodes` against live_'s sorted ports, then
+  /// re-materializes scheme_.
+  void rebuild(const std::vector<graph::NodeId>& nodes);
 
-  DynamicDistances dist_;
+  graph::DistanceMatrix dist_;
+  graph::Labeling labeling_;  // identity
   std::vector<bitio::BitVector> tables_;
   std::unique_ptr<FullTableScheme> scheme_;
 };
@@ -148,7 +117,8 @@ class RepairableCompactDiam2 final : public RepairableBase {
   model::RepairOutcome apply_event(const model::TopologyEvent& event) override;
 
  private:
-  /// Rebuilds every table from live_; returns false on SchemeInapplicable.
+  /// Rebuilds every table from live_ and re-materializes scheme_; returns
+  /// false, leaving both untouched, on SchemeInapplicable.
   bool try_full_rebuild();
   void materialize();
 
@@ -162,10 +132,11 @@ class RepairableCompactDiam2 final : public RepairableBase {
 /// graph disconnected and reconnected — every table is rebuilt from the
 /// maintained matrix; otherwise dirty = {u, v} ∪ changed rows ∪ their
 /// live neighbourhoods ∪ every w whose strict-cluster membership of some
-/// v with changed d(v, A) flips. Rebuilt tables reuse tz_build_node_bits,
-/// so with equal landmarks and equal distances they are byte-identical to
-/// a fresh build. On a disconnected live graph the scheme is inapplicable
-/// (fresh TzScheme construction throws), and the last tables stay stale.
+/// v with changed d(v, A) flips. Rebuilt tables come from
+/// build_landmark_node_bits, so with equal landmarks and equal distances
+/// they are byte-identical to a fresh build. On a disconnected live graph
+/// the scheme is inapplicable (fresh TzScheme construction throws), and
+/// the last tables stay stale.
 class RepairableTz final : public RepairableBase {
  public:
   explicit RepairableTz(const graph::Graph& base, TzOptions options = {},
@@ -180,11 +151,13 @@ class RepairableTz final : public RepairableBase {
   [[nodiscard]] const TzOptions& options() const noexcept { return options_; }
 
  private:
-  void rebuild_all(const graph::DistanceMatrix& dist);
-  void materialize(const graph::DistanceMatrix& dist);
+  /// Rebuilds d(·, A) and every table under landmarks_, then
+  /// re-materializes scheme_.
+  void rebuild_all();
+  void materialize();
 
   TzOptions options_;
-  DynamicDistances dist_;
+  graph::DistanceMatrix dist_;
   std::vector<graph::NodeId> landmarks_;
   std::vector<std::uint32_t> dva_;  // d(v, A) under landmarks_
   std::vector<bitio::BitVector> tables_;

@@ -14,20 +14,14 @@
 
 namespace optrt::schemes {
 
-namespace {
-
-/// d(v, A) for every v, against a sorted landmark set.
-std::vector<std::uint32_t> dist_to_set(const graph::DistanceMatrix& dist,
-                                       std::size_t n,
-                                       const std::vector<NodeId>& set) {
-  std::vector<std::uint32_t> dva(n, graph::kUnreachable);
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId l : set) dva[v] = std::min(dva[v], dist.at(v, l));
+std::vector<std::uint32_t> tz_landmark_distances(
+    const graph::DistanceMatrix& dist, const std::vector<NodeId>& landmarks) {
+  std::vector<std::uint32_t> dva(dist.node_count(), graph::kUnreachable);
+  for (NodeId v = 0; v < dva.size(); ++v) {
+    for (NodeId l : landmarks) dva[v] = std::min(dva[v], dist.at(v, l));
   }
   return dva;
 }
-
-}  // namespace
 
 std::size_t TzScheme::cluster_cap(std::size_t n) {
   if (n < 2) return 1;
@@ -78,7 +72,7 @@ std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
       ++resamples;
       continue;
     }
-    const auto dva = dist_to_set(dist, n, sample);
+    const auto dva = tz_landmark_distances(dist, sample);
     std::size_t max_cluster = 0;
     for (NodeId w = 0; w < n; ++w) {
       std::size_t size = 0;
@@ -97,16 +91,6 @@ std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
   if (best.empty()) best.push_back(0);  // degenerate fallback: node 0
   obs::counter("schemes.tz.resamples").inc(resamples);
   return best;  // ascending by construction
-}
-
-bitio::BitVector tz_build_node_bits(const graph::Graph& g,
-                                    const graph::DistanceMatrix& dist,
-                                    const graph::PortAssignment& ports,
-                                    const std::vector<NodeId>& landmarks,
-                                    const std::vector<std::uint32_t>& dva,
-                                    NodeId w) {
-  // Cluster C(w) = {v : d(w, v) < d(v, A)}, strictly.
-  return build_landmark_node_bits(g, dist, ports, landmarks, dva, w);
 }
 
 class TzFastPath final : public model::FastPath {
@@ -147,11 +131,10 @@ TzScheme::TzScheme(const graph::Graph& g, Options options)
   const auto dist_cached = graph::DistanceCache::global().get(g);
   const graph::DistanceMatrix& dist = *dist_cached;
   landmarks_ = tz_sample_landmarks(g, dist, options);
-  const auto dva = dist_to_set(dist, n_, landmarks_);
-  const auto ports = graph::PortAssignment::sorted(g);
+  const auto dva = tz_landmark_distances(dist, landmarks_);
   std::vector<bitio::BitVector> bits(n_);
   for (NodeId w = 0; w < n_; ++w) {
-    bits[w] = tz_build_node_bits(g, dist, ports, landmarks_, dva, w);
+    bits[w] = build_landmark_node_bits(g, dist, landmarks_, dva, w);
   }
   compile(g, std::move(bits), dist);
 }

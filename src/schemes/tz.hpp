@@ -29,7 +29,6 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/ports.hpp"
 #include "model/scheme.hpp"
 
 namespace optrt::schemes {
@@ -52,16 +51,11 @@ struct TzOptions {
     const graph::Graph& g, const graph::DistanceMatrix& dist,
     const TzOptions& options);
 
-/// Serializes one node's TZ table (landmark ports, then the strict-cluster
-/// id/port list; schemes/landmark_table.hpp) from explicit inputs — the
-/// layout the constructor writes and compiles. `dva[v]` must be d(v, A)
-/// for the given landmark set. Shared by the constructor and the churn
-/// repair path, so a patched table is byte-identical to a fresh build by
-/// construction.
-[[nodiscard]] bitio::BitVector tz_build_node_bits(
-    const graph::Graph& g, const graph::DistanceMatrix& dist,
-    const graph::PortAssignment& ports, const std::vector<NodeId>& landmarks,
-    const std::vector<std::uint32_t>& dva, NodeId w);
+/// d(v, A) for every node v, against the landmark set A. The cluster
+/// bound build_landmark_node_bits (schemes/landmark_table.hpp) takes for
+/// a TZ table: C(w) = {v : d(w, v) < d(v, A)}.
+[[nodiscard]] std::vector<std::uint32_t> tz_landmark_distances(
+    const graph::DistanceMatrix& dist, const std::vector<NodeId>& landmarks);
 
 class TzFastPath;
 

@@ -328,23 +328,35 @@ TEST(Repairable, UnknownKindThrows) {
 TEST(Repairable, CompactGoesStaleAndRecovers) {
   // Drive compact-diam2 through node churn until it reports inapplicable
   // at least once, then repair everything: it must recover, and the
-  // oracle must hold at the end.
+  // oracle must hold at the end — incrementally and in the rebuild
+  // baseline mode alike (a failed forced rebuild must go stale too).
   const Graph g = connected_member(TopologyFamily::uniform(), 14, 6);
-  auto rs = schemes::make_repairable("compact-diam2", g, 1);
-  net::LiveTopology live(g);
-  // Fail node 0 — losing a whole star is the quickest way to break the
-  // diam-2 neighbour-domination condition.
-  std::vector<model::TopologyEvent> deltas =
-      live.apply({1, net::FaultKind::kNodeFail, 0, 0});
-  for (const auto& d : deltas) rs->apply_event(d);
-  schemes::RepairMatch m = schemes::repaired_matches_fresh(*rs);
-  EXPECT_TRUE(m.match) << m.detail;  // parity even when both inapplicable
-  // Bring it back: available again and bit-identical to fresh.
-  deltas = live.apply({2, net::FaultKind::kNodeRepair, 0, 0});
-  for (const auto& d : deltas) rs->apply_event(d);
-  EXPECT_TRUE(rs->available());
-  m = schemes::repaired_matches_fresh(*rs);
-  EXPECT_TRUE(m.match) << m.detail;
+  for (const bool force : {false, true}) {
+    SCOPED_TRACE(force ? "force_rebuild" : "incremental");
+    auto rs = schemes::make_repairable("compact-diam2", g, 1,
+                                       {.force_rebuild = force});
+    net::LiveTopology live(g);
+    // Fail node 0 — losing a whole star is the quickest way to break the
+    // diam-2 neighbour-domination condition.
+    std::vector<model::TopologyEvent> deltas =
+        live.apply({1, net::FaultKind::kNodeFail, 0, 0});
+    std::size_t inapplicable = 0;
+    for (const auto& d : deltas) {
+      if (rs->apply_event(d) == model::RepairOutcome::kInapplicable) {
+        ++inapplicable;
+      }
+    }
+    EXPECT_GT(inapplicable, 0u);
+    EXPECT_FALSE(rs->available());
+    schemes::RepairMatch m = schemes::repaired_matches_fresh(*rs);
+    EXPECT_TRUE(m.match) << m.detail;  // parity even when both inapplicable
+    // Bring it back: available again and bit-identical to fresh.
+    deltas = live.apply({2, net::FaultKind::kNodeRepair, 0, 0});
+    for (const auto& d : deltas) rs->apply_event(d);
+    EXPECT_TRUE(rs->available());
+    m = schemes::repaired_matches_fresh(*rs);
+    EXPECT_TRUE(m.match) << m.detail;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 // and generators including the Theorem 9 graph G_B.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "graph/algorithms.hpp"
 #include "graph/encoding.hpp"
 #include "graph/generators.hpp"
@@ -57,6 +61,69 @@ TEST(Graph, RowWordsMatchHasEdge) {
       EXPECT_EQ(bit, g.has_edge(u, v));
     }
   }
+}
+
+TEST(Graph, RemoveEdgeMatchesAGraphBuiltWithoutIt) {
+  // n = 70 spans two matrix words per row. Remove every third edge, in
+  // either orientation, and check each step and the final structure.
+  Rng rng(9);
+  Graph g = random_gnp(70, 0.2, rng);
+  Graph expected(70);
+  std::vector<std::pair<NodeId, NodeId>> removed;
+  std::size_t i = 0;
+  for (NodeId a = 0; a < 70; ++a) {
+    for (NodeId b : g.neighbors(a)) {
+      if (a > b) continue;
+      if (i++ % 3 == 0) {
+        removed.emplace_back(a, b);
+      } else {
+        expected.add_edge(a, b);
+      }
+    }
+  }
+  for (const auto& [a, b] : removed) {
+    const std::size_t da = g.degree(a), db = g.degree(b);
+    const std::size_t m = g.edge_count();
+    if (a % 2 == 0) {
+      g.remove_edge(a, b);
+    } else {
+      g.remove_edge(b, a);
+    }
+    EXPECT_FALSE(g.has_edge(a, b));
+    EXPECT_FALSE(g.has_edge(b, a));
+    EXPECT_EQ((g.row_words(a)[b >> 6] >> (b & 63)) & 1u, 0u);
+    EXPECT_EQ((g.row_words(b)[a >> 6] >> (a & 63)) & 1u, 0u);
+    EXPECT_EQ(g.degree(a), da - 1);
+    EXPECT_EQ(g.degree(b), db - 1);
+    EXPECT_EQ(g.edge_count(), m - 1);
+    for (const NodeId x : {a, b}) {
+      const auto nbrs = g.neighbors(x);
+      EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
+    }
+  }
+  EXPECT_EQ(g, expected);
+  EXPECT_EQ(g.edge_count(), expected.edge_count());
+  EXPECT_EQ(fingerprint(g), fingerprint(expected));
+  for (NodeId u = 0; u < 70; ++u) {
+    const auto got = g.row_words(u);
+    const auto want = expected.row_words(u);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "row " << u;
+  }
+}
+
+TEST(Graph, RemoveEdgeRejectsNonEdgeSelfPairOutOfRange) {
+  Graph g(4);
+  g.add_edge(0, 1);
+  EXPECT_THROW(g.remove_edge(0, 2), std::invalid_argument);  // non-edge
+  EXPECT_THROW(g.remove_edge(1, 1), std::invalid_argument);  // self-pair
+  EXPECT_THROW(g.remove_edge(0, 4), std::invalid_argument);  // out of range
+  EXPECT_THROW(g.remove_edge(4, 0), std::invalid_argument);
+  EXPECT_EQ(g.edge_count(), 1u);  // rejected calls change nothing
+  g.remove_edge(1, 0);
+  EXPECT_THROW(g.remove_edge(0, 1), std::invalid_argument);  // already gone
+  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_EQ(g, Graph(4));
 }
 
 TEST(Graph, MinMaxDegree) {

@@ -54,21 +54,22 @@ for stage in "${STAGES[@]}"; do
     # socket and checks served answers against the local oracle.
     echo "=== [$stage] bench_serving --smoke ==="
     ./build/bench/bench_serving --smoke -o build/BENCH_serving_smoke.json
-    # Smoke-run the related-work sweep: every scheme must deliver within
-    # the stretch-3 bound on every topology family (nonzero exit if not).
-    echo "=== [$stage] bench_related_work --smoke ==="
-    ./build/bench/bench_related_work --smoke \
-      -o build/BENCH_related_work_smoke.json
-    # Smoke-run the CONGEST construction sweep: the three distributed
-    # protocols must verify and meet their analytic round/bit bounds.
-    echo "=== [$stage] bench_construction --smoke ==="
-    ./build/bench/bench_construction --smoke \
-      -o build/BENCH_construction_smoke.json
-    # Smoke-run the churn-repair sweep: every quiesce point must match a
-    # fresh centralized build and incremental repair must beat the
-    # rebuild baseline on at least one family (nonzero exit if not).
-    echo "=== [$stage] bench_churn --smoke ==="
-    ./build/bench/bench_churn --smoke -o build/BENCH_churn_smoke.json
+    # Regenerate the three deterministic sweeps at full size and hold each
+    # to its committed doc byte for byte (rows and metrics are identical
+    # across reruns and thread counts). Each also exits nonzero on its own
+    # gate: related-work if a scheme breaks the stretch-3 bound on some
+    # topology family; construction if a distributed protocol fails to
+    # verify or to meet its analytic round/bit bounds; churn if a quiesce
+    # point diverges from a fresh centralized build or incremental repair
+    # never beats the rebuild baseline.
+    for bench in related_work construction churn; do
+      echo "=== [$stage] bench_$bench vs BENCH_$bench.json ==="
+      ./build/bench/bench_$bench -o "build/BENCH_$bench.json"
+      cmp "build/BENCH_$bench.json" "BENCH_$bench.json" || {
+        echo "BENCH_$bench.json is stale: regenerate it with bench_$bench"
+        exit 1
+      }
+    done
     # Smoke-run the end-to-end benchmark (its own CMake project, Release):
     # every workload's gates on n = 64 graphs, including the catalog gate
     # (route_batch answers after a reload must equal the in-memory
