@@ -26,7 +26,6 @@
 #include "core/table.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/cover.hpp"
-#include "graph/csr.hpp"
 #include "graph/encoding.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"

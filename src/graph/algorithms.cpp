@@ -11,22 +11,22 @@ namespace optrt::graph {
 
 std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {
   std::vector<std::uint32_t> dist(g.node_count(), kUnreachable);
+  // Each node is queued at most once, so the FIFO never grows: the loop
+  // stores only ids and distances, and the graph's slice pointers stay in
+  // registers.
+  std::vector<NodeId> queue(g.node_count());
+  std::size_t head = 0;
+  std::size_t tail = 0;
   dist[source] = 0;
-  std::vector<NodeId> frontier{source};
-  std::vector<NodeId> next;
-  std::uint32_t level = 0;
-  while (!frontier.empty()) {
-    ++level;
-    next.clear();
-    for (NodeId u : frontier) {
-      for (NodeId v : g.neighbors(u)) {
-        if (dist[v] == kUnreachable) {
-          dist[v] = level;
-          next.push_back(v);
-        }
+  queue[tail++] = source;
+  while (head < tail) {
+    const NodeId u = queue[head++];
+    for (NodeId v : g.neighbors(u)) {
+      if (dist[v] == kUnreachable) {
+        dist[v] = dist[u] + 1;
+        queue[tail++] = v;
       }
     }
-    frontier.swap(next);
   }
   return dist;
 }

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace optrt::graph {
 
@@ -39,14 +40,14 @@ Graph decode(const bitio::BitVector& bits, std::size_t n) {
   if (bits.size() != n * (n - 1) / 2) {
     throw std::invalid_argument("graph::decode: length != n(n-1)/2");
   }
-  Graph g(n);
+  std::vector<Edge> edges;
   std::size_t i = 0;
   for (NodeId u = 0; u + 1 < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v, ++i) {
-      if (bits.get(i)) g.add_edge(u, v);
+      if (bits.get(i)) edges.emplace_back(u, v);
     }
   }
-  return g;
+  return Graph(n, edges);
 }
 
 }  // namespace optrt::graph

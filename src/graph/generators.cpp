@@ -12,20 +12,20 @@ namespace optrt::graph {
 
 Graph random_gnp(std::size_t n, double p, Rng& rng) {
   if (p < 0.0 || p > 1.0) throw std::invalid_argument("random_gnp: p not in [0,1]");
-  Graph g(n);
+  std::vector<Edge> edges;
   std::bernoulli_distribution coin(p);
   for (NodeId u = 0; u + 1 < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) {
-      if (coin(rng)) g.add_edge(u, v);
+      if (coin(rng)) edges.emplace_back(u, v);
     }
   }
-  return g;
+  return Graph(n, edges);
 }
 
 Graph random_uniform(std::size_t n, Rng& rng) {
   // Draw the n(n-1)/2 edge bits directly from the generator words: exactly
   // the uniform distribution over E(G) strings of Definition 2.
-  Graph g(n);
+  std::vector<Edge> edges;
   std::uint64_t word = 0;
   unsigned left = 0;
   for (NodeId u = 0; u + 1 < n; ++u) {
@@ -34,68 +34,68 @@ Graph random_uniform(std::size_t n, Rng& rng) {
         word = rng();
         left = 64;
       }
-      if (word & 1u) g.add_edge(u, v);
+      if (word & 1u) edges.emplace_back(u, v);
       word >>= 1;
       --left;
     }
   }
-  return g;
+  return Graph(n, edges);
 }
 
 Graph chain(std::size_t n) {
-  Graph g(n);
-  for (NodeId u = 0; u + 1 < n; ++u) g.add_edge(u, u + 1);
-  return g;
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u + 1 < n; ++u) edges.emplace_back(u, u + 1);
+  return Graph(n, edges);
 }
 
 Graph ring(std::size_t n) {
   if (n < 3) throw std::invalid_argument("ring: need n >= 3");
-  Graph g(n);
-  for (NodeId u = 0; u + 1 < n; ++u) g.add_edge(u, u + 1);
-  g.add_edge(static_cast<NodeId>(n - 1), 0);
-  return g;
+  std::vector<Edge> edges;
+  for (NodeId u = 0; u + 1 < n; ++u) edges.emplace_back(u, u + 1);
+  edges.emplace_back(static_cast<NodeId>(n - 1), 0);
+  return Graph(n, edges);
 }
 
 Graph complete(std::size_t n) {
-  Graph g(n);
+  std::vector<Edge> edges;
   for (NodeId u = 0; u + 1 < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) g.add_edge(u, v);
+    for (NodeId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
   }
-  return g;
+  return Graph(n, edges);
 }
 
 Graph star(std::size_t n) {
   if (n == 0) throw std::invalid_argument("star: need n >= 1");
-  Graph g(n);
-  for (NodeId v = 1; v < n; ++v) g.add_edge(0, v);
-  return g;
+  std::vector<Edge> edges;
+  for (NodeId v = 1; v < n; ++v) edges.emplace_back(0, v);
+  return Graph(n, edges);
 }
 
 Graph grid(std::size_t rows, std::size_t cols) {
-  Graph g(rows * cols);
+  std::vector<Edge> edges;
   auto id = [cols](std::size_t r, std::size_t c) {
     return static_cast<NodeId>(r * cols + c);
   };
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) g.add_edge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) g.add_edge(id(r, c), id(r + 1, c));
+      if (c + 1 < cols) edges.emplace_back(id(r, c), id(r, c + 1));
+      if (r + 1 < rows) edges.emplace_back(id(r, c), id(r + 1, c));
     }
   }
-  return g;
+  return Graph(rows * cols, edges);
 }
 
 Graph hypercube(std::size_t dimension) {
   if (dimension > 20) throw std::invalid_argument("hypercube: dimension > 20");
   const std::size_t n = std::size_t{1} << dimension;
-  Graph g(n);
+  std::vector<Edge> edges;
   for (NodeId u = 0; u < n; ++u) {
     for (std::size_t b = 0; b < dimension; ++b) {
       const NodeId v = u ^ static_cast<NodeId>(1u << b);
-      if (v > u) g.add_edge(u, v);
+      if (v > u) edges.emplace_back(u, v);
     }
   }
-  return g;
+  return Graph(n, edges);
 }
 
 Graph barabasi_albert(std::size_t n, std::size_t attach, Rng& rng) {
@@ -103,33 +103,27 @@ Graph barabasi_albert(std::size_t n, std::size_t attach, Rng& rng) {
   if (n < attach + 1) {
     throw std::invalid_argument("barabasi_albert: need n >= attach + 1");
   }
-  Graph g(n);
-  // One entry per edge endpoint: sampling an entry uniformly samples a node
-  // with probability proportional to its degree.
-  std::vector<NodeId> endpoints;
-  endpoints.reserve(2 * (attach + (n - attach - 1) * attach));
-  for (NodeId v = 1; v <= attach; ++v) {
-    g.add_edge(0, v);
-    endpoints.push_back(0);
-    endpoints.push_back(v);
-  }
+  // Sampling one of the 2m edge endpoints uniformly samples a node with
+  // probability proportional to its degree.
+  std::vector<Edge> edges;
+  edges.reserve(attach + (n - attach - 1) * attach);
+  for (NodeId v = 1; v <= attach; ++v) edges.emplace_back(0, v);
+  const auto endpoint = [&edges](std::size_t k) {
+    return k % 2 == 0 ? edges[k / 2].first : edges[k / 2].second;
+  };
   std::vector<NodeId> chosen;
   chosen.reserve(attach);
   for (NodeId u = static_cast<NodeId>(attach + 1); u < n; ++u) {
     chosen.clear();
-    std::uniform_int_distribution<std::size_t> pick(0, endpoints.size() - 1);
+    std::uniform_int_distribution<std::size_t> pick(0, 2 * edges.size() - 1);
     while (chosen.size() < attach) {
-      const NodeId v = endpoints[pick(rng)];
+      const NodeId v = endpoint(pick(rng));
       if (std::find(chosen.begin(), chosen.end(), v) != chosen.end()) continue;
       chosen.push_back(v);
     }
-    for (const NodeId v : chosen) {
-      g.add_edge(u, v);
-      endpoints.push_back(u);
-      endpoints.push_back(v);
-    }
+    for (const NodeId v : chosen) edges.emplace_back(u, v);
   }
-  return g;
+  return Graph(n, edges);
 }
 
 std::vector<std::size_t> power_law_degrees(std::size_t n, double exponent,
@@ -235,11 +229,11 @@ Graph configuration_model(std::span<const std::size_t> degrees, Rng& rng) {
     }
   }
 
-  Graph g(n);
-  for (const auto& [u, v] : accepted) g.add_edge(u, v);
+  Graph g(n, accepted);
 
   // Connectivity repair: breadth-first sweep from node 0; every later
-  // component is bridged to node 0's component via its least node.
+  // component is bridged to node 0's component via its least node, and
+  // the graph is rebuilt once with the bridges.
   std::vector<bool> seen(n, false);
   std::vector<NodeId> queue;
   const auto flood = [&](NodeId start) {
@@ -256,13 +250,15 @@ Graph configuration_model(std::span<const std::size_t> degrees, Rng& rng) {
     }
   };
   if (n > 0) flood(0);
+  const std::size_t simple = accepted.size();
   for (NodeId v = 1; v < n; ++v) {
     if (!seen[v]) {
-      g.add_edge(0, v);
+      accepted.emplace_back(0, v);
       flood(v);
     }
   }
-  return g;
+  if (accepted.size() == simple) return g;
+  return Graph(n, accepted);
 }
 
 Graph random_power_law(std::size_t n, double exponent, std::size_t min_degree,
@@ -402,12 +398,14 @@ TopologyFamily TopologyFamily::parse(const std::string& spec) {
 
 Graph lower_bound_gb(std::size_t k) {
   if (k == 0) throw std::invalid_argument("lower_bound_gb: need k >= 1");
-  Graph g(3 * k);
+  std::vector<Edge> edges;
   for (NodeId mid = static_cast<NodeId>(k); mid < 2 * k; ++mid) {
-    for (NodeId bottom = 0; bottom < k; ++bottom) g.add_edge(bottom, mid);
-    g.add_edge(mid, static_cast<NodeId>(mid + k));
+    for (NodeId bottom = 0; bottom < k; ++bottom) {
+      edges.emplace_back(bottom, mid);
+    }
+    edges.emplace_back(mid, static_cast<NodeId>(mid + k));
   }
-  return g;
+  return Graph(3 * k, edges);
 }
 
 Graph lower_bound_gb_permuted(std::size_t k, const std::vector<NodeId>& perm) {
@@ -422,13 +420,15 @@ Graph lower_bound_gb_permuted(std::size_t k, const std::vector<NodeId>& perm) {
     }
     seen[p] = true;
   }
-  Graph g(3 * k);
+  std::vector<Edge> edges;
   for (std::size_t i = 0; i < k; ++i) {
     const auto mid = static_cast<NodeId>(k + i);
-    for (NodeId bottom = 0; bottom < k; ++bottom) g.add_edge(bottom, mid);
-    g.add_edge(mid, static_cast<NodeId>(2 * k + perm[i]));
+    for (NodeId bottom = 0; bottom < k; ++bottom) {
+      edges.emplace_back(bottom, mid);
+    }
+    edges.emplace_back(mid, static_cast<NodeId>(2 * k + perm[i]));
   }
-  return g;
+  return Graph(3 * k, edges);
 }
 
 }  // namespace optrt::graph

@@ -1,65 +1,111 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace optrt::graph {
 
-Graph::Graph(std::size_t n)
-    : n_(n),
-      words_per_row_((n + 63) / 64),
-      matrix_(n * words_per_row_, 0),
-      adjacency_(n) {}
+namespace {
+
+void check_pair(const char* op, std::size_t n, NodeId u, NodeId v) {
+  if (u >= n || v >= n) {
+    throw std::invalid_argument(std::string(op) + ": node out of range");
+  }
+  if (u == v) throw std::invalid_argument(std::string(op) + ": self-loop");
+}
+
+/// The bit rows of `edges`, rejecting what add_edge rejects — before the
+/// CSR builder, whose precondition this establishes, runs.
+AdjacencyBits checked_rows(std::size_t n, std::span<const Edge> edges) {
+  AdjacencyBits bits(n);
+  for (const auto& [u, v] : edges) {
+    check_pair("Graph", n, u, v);
+    if (bits.has_edge(u, v)) {
+      throw std::invalid_argument("Graph: duplicate edge");
+    }
+    bits.set(u, v, true);
+  }
+  return bits;
+}
+
+}  // namespace
+
+CsrAdjacency::CsrAdjacency(std::size_t n, std::span<const Edge> edges)
+    : offsets_(n + 1, 0), neighbors_(2 * edges.size()) {
+  for (const auto& [u, v] : edges) {
+    ++offsets_[u + 1];
+    ++offsets_[v + 1];
+  }
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  std::vector<std::size_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (const auto& [u, v] : edges) {
+    neighbors_[next[u]++] = v;
+    neighbors_[next[v]++] = u;
+  }
+  // A lexicographic (u < v) edge list — every generator and decoder emits
+  // one — fills each slice already sorted.
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto begin = neighbors_.begin() + offsets_[u];
+    const auto end = neighbors_.begin() + offsets_[u + 1];
+    if (!std::is_sorted(begin, end)) std::sort(begin, end);
+  }
+}
+
+std::size_t CsrAdjacency::arc_index(NodeId u, NodeId v) const noexcept {
+  const auto begin = neighbors_.begin() + offsets_[u];
+  const auto end = neighbors_.begin() + offsets_[u + 1];
+  const auto it = std::lower_bound(begin, end, v);
+  if (it == end || *it != v) return kNoArc;
+  return static_cast<std::size_t>(it - neighbors_.begin());
+}
+
+void CsrAdjacency::insert(NodeId u, NodeId v) {
+  for (const auto& [from, to] : {Edge{u, v}, Edge{v, u}}) {
+    const auto slice = neighbors(from);
+    const auto at = offsets_[from] + static_cast<std::size_t>(
+        std::lower_bound(slice.begin(), slice.end(), to) - slice.begin());
+    neighbors_.insert(neighbors_.begin() + static_cast<std::ptrdiff_t>(at), to);
+    for (std::size_t w = from + 1; w < offsets_.size(); ++w) ++offsets_[w];
+  }
+}
+
+void CsrAdjacency::erase(NodeId u, NodeId v) {
+  for (const auto& [from, to] : {Edge{u, v}, Edge{v, u}}) {
+    neighbors_.erase(neighbors_.begin() +
+                     static_cast<std::ptrdiff_t>(arc_index(from, to)));
+    for (std::size_t w = from + 1; w < offsets_.size(); ++w) --offsets_[w];
+  }
+}
+
+Graph::Graph(std::size_t n, std::span<const Edge> edges)
+    : bits_(checked_rows(n, edges)), csr_(n, edges) {}
 
 void Graph::add_edge(NodeId u, NodeId v) {
-  if (u >= n_ || v >= n_) throw std::invalid_argument("add_edge: node out of range");
-  if (u == v) throw std::invalid_argument("add_edge: self-loop");
+  check_pair("add_edge", node_count(), u, v);
   if (has_edge(u, v)) throw std::invalid_argument("add_edge: duplicate edge");
-  matrix_[static_cast<std::size_t>(u) * words_per_row_ + (v >> 6)] |=
-      std::uint64_t{1} << (v & 63);
-  matrix_[static_cast<std::size_t>(v) * words_per_row_ + (u >> 6)] |=
-      std::uint64_t{1} << (u & 63);
-  // Keep lists sorted: generators mostly add edges in increasing order, so
-  // the common case is an O(1) append.
-  auto insert_sorted = [](std::vector<NodeId>& list, NodeId x) {
-    if (list.empty() || list.back() < x) {
-      list.push_back(x);
-    } else {
-      list.insert(std::lower_bound(list.begin(), list.end(), x), x);
-    }
-  };
-  insert_sorted(adjacency_[u], v);
-  insert_sorted(adjacency_[v], u);
-  ++m_;
+  bits_.set(u, v, true);
+  csr_.insert(u, v);
 }
 
 void Graph::remove_edge(NodeId u, NodeId v) {
-  if (u >= n_ || v >= n_) {
-    throw std::invalid_argument("remove_edge: node out of range");
-  }
-  if (u == v) throw std::invalid_argument("remove_edge: self-loop");
+  check_pair("remove_edge", node_count(), u, v);
   if (!has_edge(u, v)) throw std::invalid_argument("remove_edge: not an edge");
-  matrix_[static_cast<std::size_t>(u) * words_per_row_ + (v >> 6)] &=
-      ~(std::uint64_t{1} << (v & 63));
-  matrix_[static_cast<std::size_t>(v) * words_per_row_ + (u >> 6)] &=
-      ~(std::uint64_t{1} << (u & 63));
-  auto erase_sorted = [](std::vector<NodeId>& list, NodeId x) {
-    list.erase(std::lower_bound(list.begin(), list.end(), x));
-  };
-  erase_sorted(adjacency_[u], v);
-  erase_sorted(adjacency_[v], u);
-  --m_;
+  bits_.set(u, v, false);
+  csr_.erase(u, v);
 }
 
 std::size_t Graph::min_degree() const noexcept {
-  std::size_t best = n_ == 0 ? 0 : adjacency_[0].size();
-  for (const auto& list : adjacency_) best = std::min(best, list.size());
+  const std::size_t n = node_count();
+  std::size_t best = n == 0 ? 0 : degree(0);
+  for (NodeId u = 0; u < n; ++u) best = std::min(best, degree(u));
   return best;
 }
 
 std::size_t Graph::max_degree() const noexcept {
   std::size_t best = 0;
-  for (const auto& list : adjacency_) best = std::max(best, list.size());
+  for (NodeId u = 0; u < node_count(); ++u) best = std::max(best, degree(u));
   return best;
 }
 

@@ -1,5 +1,7 @@
 #include "incompressibility/graph_compressor.hpp"
 
+#include <vector>
+
 #include "bitio/bit_stream.hpp"
 #include "incompressibility/enumerative.hpp"
 
@@ -18,14 +20,14 @@ bitio::BitVector compress_graph(const graph::Graph& g) {
 
 graph::Graph decompress_graph(const bitio::BitVector& bits, std::size_t n) {
   bitio::BitReader r(bits);
-  graph::Graph g(n);
+  std::vector<graph::Edge> edges;
   for (graph::NodeId u = 0; u + 1 < n; ++u) {
     const bitio::BitVector row = read_fixed_weight(r, n - 1 - u);
     for (graph::NodeId v = u + 1; v < n; ++v) {
-      if (row.get(v - u - 1)) g.add_edge(u, v);
+      if (row.get(v - u - 1)) edges.emplace_back(u, v);
     }
   }
-  return g;
+  return graph::Graph(n, edges);
 }
 
 std::size_t compressed_graph_bits(const graph::Graph& g) {

@@ -1,9 +1,10 @@
 #include "incompressibility/lemma_codecs.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
 #include <string>
+#include <vector>
 
 #include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
@@ -93,21 +94,21 @@ graph::Graph lemma1_decode(const bitio::BitVector& bits, std::size_t n) {
   BitReader r(bits);
   const auto u = static_cast<NodeId>(r.read_bits(id_width(n)));
   const bitio::BitVector row = read_fixed_weight(r, n - 1);
-  graph::Graph g(n);
+  std::vector<graph::Edge> edges;
   {
     std::size_t i = 0;
     for (NodeId v = 0; v < n; ++v) {
       if (v == u) continue;
-      if (row.get(i++)) g.add_edge(u, v);
+      if (row.get(i++)) edges.emplace_back(u, v);
     }
   }
   for (NodeId a = 0; a + 1 < n; ++a) {
     for (NodeId b = a + 1; b < n; ++b) {
       if (a == u || b == u) continue;
-      if (r.read_bit()) g.add_edge(a, b);
+      if (r.read_bit()) edges.emplace_back(a, b);
     }
   }
-  return g;
+  return graph::Graph(n, edges);
 }
 
 // --- Lemma 2 -----------------------------------------------------------------
@@ -152,26 +153,24 @@ graph::Graph lemma2_decode(const bitio::BitVector& bits, std::size_t n) {
   BitReader r(bits);
   const auto u = static_cast<NodeId>(r.read_bits(id_width(n)));
   const auto v = static_cast<NodeId>(r.read_bits(id_width(n)));
-  graph::Graph g(n);
-  {
-    std::size_t i = 0;
-    for (NodeId x = 0; x < n; ++x) {
-      if (x == u) continue;
-      if (r.read_bit()) g.add_edge(u, x);
-      ++i;
+  std::vector<graph::Edge> edges;
+  std::vector<bool> near_u(n, false);  // N(u)
+  for (NodeId x = 0; x < n; ++x) {
+    if (x == u) continue;
+    if (r.read_bit()) {
+      edges.emplace_back(u, x);
+      near_u[x] = true;
     }
   }
   for (NodeId a = 0; a + 1 < n; ++a) {
     for (NodeId b = a + 1; b < n; ++b) {
       if (a == u || b == u) continue;
       // Edges {w, v} with w ∈ N(u) are known absent.
-      if ((b == v && g.has_edge(u, a)) || (a == v && g.has_edge(u, b))) {
-        continue;
-      }
-      if (r.read_bit()) g.add_edge(a, b);
+      if ((b == v && near_u[a]) || (a == v && near_u[b])) continue;
+      if (r.read_bit()) edges.emplace_back(a, b);
     }
   }
-  return g;
+  return graph::Graph(n, edges);
 }
 
 // --- Lemma 3 -----------------------------------------------------------------
@@ -243,31 +242,28 @@ graph::Graph lemma3_decode(const bitio::BitVector& bits, std::size_t n,
   BitReader r(bits);
   const auto u = static_cast<NodeId>(r.read_bits(id_width(n)));
   const auto w = static_cast<NodeId>(r.read_bits(id_width(n)));
-  graph::Graph g(n);
+  std::vector<graph::Edge> edges;
   for (NodeId x = 0; x < n; ++x) {
     if (x == u) continue;
-    if (r.read_bit()) g.add_edge(u, x);
+    if (r.read_bit()) edges.emplace_back(u, x);
   }
-  const auto nbrs = g.neighbors(u);  // now complete
+  // u's least `prefix` neighbours, in increasing order.
+  std::vector<NodeId> least;
+  for (std::size_t i = 0; i < std::min(prefix, edges.size()); ++i) {
+    least.push_back(edges[i].second);
+  }
   for (NodeId x = 0; x < n; ++x) {
     if (x == w || x == u) continue;
-    bool known_zero = false;
-    for (std::size_t i = 0; i < std::min(prefix, nbrs.size()); ++i) {
-      if (nbrs[i] == x) {
-        known_zero = true;
-        break;
-      }
-    }
-    if (known_zero) continue;
-    if (r.read_bit()) g.add_edge(w, x);
+    if (std::find(least.begin(), least.end(), x) != least.end()) continue;
+    if (r.read_bit()) edges.emplace_back(w, x);
   }
   for (NodeId a = 0; a + 1 < n; ++a) {
     for (NodeId b = a + 1; b < n; ++b) {
       if (a == u || b == u || a == w || b == w) continue;
-      if (r.read_bit()) g.add_edge(a, b);
+      if (r.read_bit()) edges.emplace_back(a, b);
     }
   }
-  return g;
+  return graph::Graph(n, edges);
 }
 
 }  // namespace optrt::incompress

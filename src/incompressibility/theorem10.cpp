@@ -75,8 +75,8 @@ graph::Graph theorem10_decode(const bitio::BitVector& bits, std::size_t n) {
   bitio::BitVector fn(n * d);
   for (std::size_t i = 0; i < n * d; ++i) fn.set(i, r.read_bit());
 
-  graph::Graph g(n);
-  for (NodeId v : neighbors) g.add_edge(u, v);
+  std::vector<graph::Edge> edges;
+  for (NodeId v : neighbors) edges.emplace_back(u, v);
   // Recover (neighbour, non-neighbour) edges: with sorted ports, the port
   // of neighbour v is its rank; {v, w} ∈ E iff port-rank(v) is flagged on
   // a shortest path u → w (diameter 2: those paths are exactly u—v—w).
@@ -84,7 +84,7 @@ graph::Graph theorem10_decode(const bitio::BitVector& bits, std::size_t n) {
     if (w == u || is_neighbor[w]) continue;
     for (std::size_t rank = 0; rank < d; ++rank) {
       if (fn.get(static_cast<std::size_t>(w) * d + rank)) {
-        g.add_edge(neighbors[rank], w);
+        edges.emplace_back(neighbors[rank], w);
       }
     }
   }
@@ -92,10 +92,10 @@ graph::Graph theorem10_decode(const bitio::BitVector& bits, std::size_t n) {
     for (NodeId b = a + 1; b < n; ++b) {
       if (a == u || b == u) continue;
       if (is_neighbor[a] != is_neighbor[b]) continue;
-      if (r.read_bit()) g.add_edge(a, b);
+      if (r.read_bit()) edges.emplace_back(a, b);
     }
   }
-  return g;
+  return graph::Graph(n, edges);
 }
 
 }  // namespace optrt::incompress

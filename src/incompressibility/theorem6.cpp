@@ -96,8 +96,8 @@ graph::Graph theorem6_decode(const bitio::BitVector& bits, std::size_t n,
   const schemes::DecodedCompactNode decoded =
       schemes::decode_compact_node(fn_bits, n, u, node_opt, neighbors);
 
-  graph::Graph g(n);
-  for (NodeId v : neighbors) g.add_edge(u, v);
+  std::vector<graph::Edge> edges;
+  for (NodeId v : neighbors) edges.emplace_back(u, v);
   // Edges recovered from the routing function.
   std::vector<bool> known(n * (n - 1) / 2, false);
   for (NodeId v = 0; v < n; ++v) {
@@ -105,16 +105,16 @@ graph::Graph theorem6_decode(const bitio::BitVector& bits, std::size_t n,
     const NodeId mid = decoded.next_of[v];
     const std::size_t idx = graph::edge_index(n, mid, v);
     known[idx] = true;
-    g.add_edge(mid, v);
+    edges.emplace_back(mid, v);
   }
   std::size_t index = 0;
   for (NodeId a = 0; a + 1 < n; ++a) {
     for (NodeId b = a + 1; b < n; ++b, ++index) {
       if (a == u || b == u || known[index]) continue;
-      if (r.read_bit()) g.add_edge(a, b);
+      if (r.read_bit()) edges.emplace_back(a, b);
     }
   }
-  return g;
+  return graph::Graph(n, edges);
 }
 
 }  // namespace optrt::incompress

@@ -1,7 +1,9 @@
 #include "incompressibility/theorem7.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
@@ -117,7 +119,7 @@ graph::Graph theorem7_decode(const schemes::FullTableScheme& scheme,
                              const bitio::BitVector& bits, std::size_t n) {
   const std::size_t selected = (n + 1) / 2;
   bitio::BitReader r(bits);
-  graph::Graph g(n);
+  std::vector<graph::Edge> edges;
   for (graph::NodeId u = 0; u < selected; ++u) {
     // Re-split the stream exactly as claim3_decode would: widths follow
     // from the per-port destination lists.
@@ -126,16 +128,19 @@ graph::Graph theorem7_decode(const schemes::FullTableScheme& scheme,
       const auto rank = static_cast<std::size_t>(r.read_bits(
           bitio::ceil_log2(std::max<std::size_t>(list.size(), 1))));
       const graph::NodeId v = scheme.node_of_label(list[rank]);
-      if (!g.has_edge(u, v)) g.add_edge(u, v);
+      edges.emplace_back(std::min(u, v), std::max(u, v));
     }
   }
+  // Two selected endpoints each recover their shared edge.
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   for (graph::NodeId a = static_cast<graph::NodeId>(selected); a + 1 < n;
        ++a) {
     for (graph::NodeId b = a + 1; b < n; ++b) {
-      if (r.read_bit()) g.add_edge(a, b);
+      if (r.read_bit()) edges.emplace_back(a, b);
     }
   }
-  return g;
+  return graph::Graph(n, edges);
 }
 
 }  // namespace optrt::incompress

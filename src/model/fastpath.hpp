@@ -2,9 +2,10 @@
 //
 // A FastPath is a scheme's serialized routing function *compiled once*
 // into flat, cache-friendly structures — membership bit-vectors with
-// per-word rank counts, bit-packed fixed-width value arrays, and CSR
-// port→neighbour tables (graph::CsrGraph) — so a
-// lookup is a handful of word reads instead of a decode loop. Most
+// per-word rank counts, bit-packed fixed-width value arrays, and a copy of
+// the one graph store the lookup reads (graph::CsrAdjacency for
+// port→neighbour, graph::AdjacencyBits for model II's free edge test) — so
+// a lookup is a handful of word reads instead of a decode loop. Most
 // schemes build theirs in the constructor, through the same validating
 // decode that reads an artifact, and answer next_hop from it; the bits
 // stay the only other thing they store.
@@ -166,33 +167,6 @@ class PackedSparseArray {
   std::size_t members_ = 0;
   std::size_t values_at_ = 0;  // index of the first value word
   unsigned width_ = 0;
-};
-
-/// Self-contained copy of a graph's packed adjacency matrix: the O(1)
-/// edge test the model-II compiled forms need, without borrowing the
-/// Graph they were built from.
-class AdjacencyBits {
- public:
-  AdjacencyBits() = default;
-  explicit AdjacencyBits(const graph::Graph& g)
-      : words_per_row_((g.node_count() + 63) / 64) {
-    words_.reserve(g.node_count() * words_per_row_);
-    for (graph::NodeId u = 0; u < g.node_count(); ++u) {
-      const auto row = g.row_words(u);
-      words_.insert(words_.end(), row.begin(), row.end());
-    }
-  }
-
-  [[nodiscard]] bool has_edge(graph::NodeId u,
-                              graph::NodeId v) const noexcept {
-    const std::size_t i =
-        static_cast<std::size_t>(u) * words_per_row_ + (v >> 6);
-    return (words_[i] >> (v & 63)) & 1u;
-  }
-
- private:
-  std::size_t words_per_row_ = 0;
-  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace optrt::model

@@ -66,10 +66,6 @@ struct RepairStats {
 };
 
 struct RepairConfig {
-  /// Fall back to a full rebuild when more than this fraction of the
-  /// per-node tables is dirty (the patch bookkeeping would cost more than
-  /// rebuilding outright).
-  double rebuild_fraction = 0.5;
   /// Always rebuild from scratch — the baseline mode bench_churn measures
   /// incremental repair against.
   bool force_rebuild = false;

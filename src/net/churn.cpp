@@ -56,15 +56,16 @@ std::vector<std::size_t> fail_preference(const graph::Graph& g,
   return pref;
 }
 
-/// The live graph with edge `skip` additionally removed (SIZE_MAX = none).
-graph::Graph live_minus(const std::vector<std::pair<NodeId, NodeId>>& edges,
+/// The live graph with edge `skip` additionally removed.
+graph::Graph live_minus(const std::vector<graph::Edge>& edges,
                         const std::vector<bool>& down, std::size_t n,
                         std::size_t skip) {
-  graph::Graph g(n);
+  std::vector<graph::Edge> live;
+  live.reserve(edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    if (!down[i] && i != skip) g.add_edge(edges[i].first, edges[i].second);
+    if (!down[i] && i != skip) live.push_back(edges[i]);
   }
-  return g;
+  return graph::Graph(n, live);
 }
 
 /// Merges a slice into the running totals: sums, except the high-water
@@ -160,7 +161,7 @@ ChurnPlan make_churn_plan(const graph::Graph& g, const ChurnOptions& opt) {
   graph::Rng rng(core::mix64(opt.seed));
   std::uniform_int_distribution<std::uint64_t> gap(1, 2 * opt.mean_gap);
   std::uniform_real_distribution<double> coin(0.0, 1.0);
-  std::uint64_t time = opt.start_time;
+  std::uint64_t time = 0;
 
   for (std::size_t i = 0; i < opt.events; ++i) {
     time += gap(rng);
@@ -170,7 +171,7 @@ ChurnPlan make_churn_plan(const graph::Graph& g, const ChurnOptions& opt) {
     } else if (down_count >= cap) {
       do_fail = false;
     } else {
-      do_fail = coin(rng) < opt.fail_bias;
+      do_fail = coin(rng) < 0.5;
     }
 
     FaultEvent event;
@@ -192,15 +193,14 @@ ChurnPlan make_churn_plan(const graph::Graph& g, const ChurnOptions& opt) {
       event.v = u;
     } else if (do_fail) {
       // First live edge in preference order whose removal keeps the live
-      // graph connected (when preservation is on); if every live edge is a
-      // bridge, fall back to a repair so the plan never stalls.
+      // graph connected; if every live edge is a bridge, fall back to a
+      // repair so the plan never stalls.
       std::size_t chosen = edges.size();
       std::size_t fallback = edges.size();
       for (std::size_t e : pref) {
         if (down[e]) continue;
         if (fallback == edges.size()) fallback = e;
-        if (!opt.preserve_connectivity ||
-            graph::is_connected(live_minus(edges, down, n, e))) {
+        if (graph::is_connected(live_minus(edges, down, n, e))) {
           chosen = e;
           break;
         }

@@ -39,21 +39,13 @@ struct ChurnOptions {
   /// shuffle, targeted = largest degree sum first, partition = cut edges
   /// of a seeded bisection first, nodes = whole-node churn.
   FaultModel model = FaultModel::kUniform;
-  std::size_t events = 32;       ///< total fail+repair events
-  std::uint64_t mean_gap = 4;    ///< gaps drawn uniform from [1, 2·mean_gap]
-  std::uint64_t start_time = 0;  ///< time before the first gap
-  /// P(next event is a fail) when both choices are open; forced to fail
-  /// when nothing is down and to repair when max_down is reached.
-  double fail_bias = 0.5;
+  std::size_t events = 32;     ///< total fail+repair events
+  std::uint64_t mean_gap = 4;  ///< gaps drawn uniform from [1, 2·mean_gap]
   /// Cap on simultaneously-down links (nodes for kNodes); 0 = uncapped.
   std::size_t max_down = 0;
   /// Every quiesce_every-th event (and always the last) becomes a quiesce
   /// point where the differential oracle runs.
   std::size_t quiesce_every = 8;
-  /// Skip fail candidates whose removal would disconnect the live graph
-  /// (link models only; node churn may disconnect — the session reports
-  /// it as a typed status instead of certifying).
-  bool preserve_connectivity = true;
 
   /// Stable spec string, e.g. "uniform:32,4,8" — parse(name()) == *this
   /// up to the fields the spec does not carry.
@@ -75,10 +67,14 @@ struct ChurnPlan {
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
-/// Generates a seeded churn plan over `g`. Fail events follow the model's
-/// preference order over live links (skipping disconnecting candidates
-/// when preserve_connectivity is set); repair events pick uniformly among
-/// the currently-down links. Every choice derives from opt.seed only.
+/// Generates a seeded churn plan over `g`, starting at time 0. Each event
+/// is a fail or a repair with probability ½ each — a fail when nothing is
+/// down, a repair when max_down is reached. Link fails follow the model's
+/// preference order over live links, skipping candidates whose removal
+/// would disconnect the live graph (node churn may disconnect; the session
+/// reports it as a typed status instead of certifying); repairs pick
+/// uniformly among the currently-down links. Every choice derives from
+/// opt.seed only.
 [[nodiscard]] ChurnPlan make_churn_plan(const graph::Graph& g,
                                         const ChurnOptions& opt);
 

@@ -29,13 +29,13 @@ const char* to_string(RunStatus status) noexcept {
 }
 
 std::size_t Context::node_count() const noexcept {
-  return eng_->csr_.node_count();
+  return eng_->g_->node_count();
 }
 
-std::size_t Context::degree() const noexcept { return eng_->csr_.degree(id_); }
+std::size_t Context::degree() const noexcept { return eng_->g_->degree(id_); }
 
 NodeId Context::neighbor(PortId p) const {
-  return eng_->csr_.neighbor_at(id_, p);
+  return eng_->g_->neighbor_at(id_, p);
 }
 
 bool Context::port_up(PortId p) const {
@@ -44,9 +44,9 @@ bool Context::port_up(PortId p) const {
 
 void Context::send(PortId p, Message m) {
   const NodeId to = neighbor(p);
-  const auto back = eng_->csr_.arc_index(to, id_);
+  const auto back = eng_->g_->arc_index(to, id_);
   outbox_->push_back(Flight{
-      id_, to, static_cast<PortId>(back - eng_->csr_.arc_begin(to)),
+      id_, to, static_cast<PortId>(back - eng_->g_->arc_begin(to)),
       std::move(m)});
 }
 
@@ -58,7 +58,7 @@ void Context::send_all(const Message& m) {
 void Context::label_phase(std::string label) { *label_ = std::move(label); }
 
 Engine::Engine(const graph::Graph& g, EngineOptions options)
-    : csr_(g), options_(options), node_down_(g.node_count(), 0) {
+    : g_(&g), options_(options), node_down_(g.node_count(), 0) {
   if (options_.max_rounds == 0) {
     options_.max_rounds = 64 * g.node_count() + 256;
   }
@@ -81,14 +81,14 @@ void Engine::schedule(const FaultPlan& plan) {
 bool Engine::link_usable(NodeId u, NodeId v) const {
   if (node_down_[u] || node_down_[v]) return false;
   if (failed_links_.empty()) return true;
-  const std::uint64_t n = csr_.node_count();
+  const std::uint64_t n = g_->node_count();
   const std::uint64_t a = std::min(u, v);
   const std::uint64_t b = std::max(u, v);
   return failed_links_.find(a * n + b) == failed_links_.end();
 }
 
 void Engine::apply_faults(std::uint64_t now) {
-  const std::uint64_t n = csr_.node_count();
+  const std::uint64_t n = g_->node_count();
   while (next_event_ < events_.size() && events_[next_event_].time <= now) {
     const FaultEvent& e = events_[next_event_++];
     const std::uint64_t key = std::uint64_t{std::min(e.u, e.v)} * n +
@@ -101,11 +101,9 @@ void Engine::apply_faults(std::uint64_t now) {
         failed_links_.erase(key);
         break;
       case FaultKind::kNodeFail:
-        if (!node_down_[e.u]) ++failed_node_count_;
         node_down_[e.u] = 1;
         break;
       case FaultKind::kNodeRepair:
-        if (node_down_[e.u]) --failed_node_count_;
         node_down_[e.u] = 0;
         break;
     }
@@ -113,7 +111,7 @@ void Engine::apply_faults(std::uint64_t now) {
 }
 
 RunStats Engine::run(std::span<ProtocolNode* const> nodes) {
-  const std::size_t n = csr_.node_count();
+  const std::size_t n = g_->node_count();
   RunStats stats;
   stats.phase_stats.emplace_back();
   core::ThreadPool pool(options_.threads);

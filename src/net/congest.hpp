@@ -14,7 +14,7 @@
 //   · Time advances in global rounds. A message sent in round r over port
 //     p is delivered at the port-p neighbour in round r + 1, together
 //     with every other message that arrives that round.
-//   · Links are the graph's real edges in CsrGraph port order; the seeded
+//   · Links are the graph's real edges in sorted port order; the seeded
 //     FaultPlan machinery (net/faults.hpp) replays against the engine's
 //     round clock, so construction can run on a faulty network: fault
 //     events at time t apply before the round-t deliveries, and a message
@@ -45,8 +45,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
+#include "graph/ports.hpp"
 #include "net/faults.hpp"
 
 namespace optrt::net::congest {
@@ -162,8 +162,9 @@ struct EngineOptions {
   std::size_t max_phases = 0;
 };
 
-/// The synchronous scheduler. Construct over a graph, optionally schedule
-/// fault plans, then run() a vector of per-node state machines.
+/// The synchronous scheduler. Construct over a graph (which must outlive
+/// the engine), optionally schedule fault plans, then run() a vector of
+/// per-node state machines.
 class Engine {
  public:
   explicit Engine(const graph::Graph& g, EngineOptions options = {});
@@ -176,27 +177,18 @@ class Engine {
   /// limit. `nodes` must have exactly node_count() entries.
   RunStats run(std::span<ProtocolNode* const> nodes);
 
-  [[nodiscard]] const graph::CsrGraph& csr() const noexcept { return csr_; }
-
-  /// True while any scheduled fault is still unrepaired (useful after
-  /// run(): tables audited on a changed topology are suspect).
-  [[nodiscard]] bool topology_degraded() const noexcept {
-    return !failed_links_.empty() || failed_node_count_ > 0;
-  }
-
  private:
   friend class Context;
 
   [[nodiscard]] bool link_usable(NodeId u, NodeId v) const;
   void apply_faults(std::uint64_t now);
 
-  graph::CsrGraph csr_;
+  const graph::Graph* g_;  // port p of u = g_->neighbor_at(u, p)
   EngineOptions options_;
   std::vector<FaultEvent> events_;  // stable-sorted by time
   std::size_t next_event_ = 0;
   std::unordered_set<std::uint64_t> failed_links_;  // key min·n + max
   std::vector<std::uint8_t> node_down_;
-  std::size_t failed_node_count_ = 0;
 };
 
 }  // namespace optrt::net::congest

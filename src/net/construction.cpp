@@ -200,20 +200,22 @@ ConstructionResult distributed_compact_construction(
   auto built = core::parallel_map<Built>(
       protocol.threads, n, [&](std::size_t u) {
         Built b;
-        graph::Graph view(n);
+        std::vector<graph::Edge> edges;
         for (NodeId v : g.neighbors(static_cast<NodeId>(u))) {
-          view.add_edge(static_cast<NodeId>(u), v);
+          edges.emplace_back(static_cast<NodeId>(u), v);
         }
         for (const auto& [v, list] : nodes[u]->lists_) {
           for (const std::uint32_t w : list) {
-            if (w != u && !view.has_edge(v, static_cast<NodeId>(w))) {
-              view.add_edge(v, static_cast<NodeId>(w));
-            }
+            const auto x = static_cast<NodeId>(w);
+            if (x != u) edges.emplace_back(std::min(v, x), std::max(v, x));
           }
         }
+        // Two neighbours of u each report the edge between them.
+        std::sort(edges.begin(), edges.end());
+        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
         try {
-          b.bits = schemes::build_compact_node(view, static_cast<NodeId>(u),
-                                               options)
+          b.bits = schemes::build_compact_node(graph::Graph(n, edges),
+                                               static_cast<NodeId>(u), options)
                        .bits;
           b.ok = true;
         } catch (const schemes::SchemeInapplicable& e) {

@@ -164,17 +164,12 @@ std::optional<FaultModel> parse_fault_model(std::string_view name) noexcept {
 
 LiveTopology::LiveTopology(const graph::Graph& base)
     : base_(&base),
-      node_failed_(base.node_count(), false),
-      edges_(edge_list(base)) {
-  link_failed_.assign(edges_.size(), false);
-}
+      link_failed_(base.arc_count(), false),
+      node_failed_(base.node_count(), false) {}
 
-std::ptrdiff_t LiveTopology::edge_rank(NodeId u, NodeId v) const {
+std::size_t LiveTopology::link_id(NodeId u, NodeId v) const {
   if (u > v) std::swap(u, v);
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(),
-                                   std::make_pair(u, v));
-  if (it == edges_.end() || *it != std::make_pair(u, v)) return -1;
-  return it - edges_.begin();
+  return u < node_failed_.size() ? base_->arc_index(u, v) : graph::kNoArc;
 }
 
 bool LiveTopology::node_up(NodeId u) const {
@@ -182,36 +177,38 @@ bool LiveTopology::node_up(NodeId u) const {
 }
 
 bool LiveTopology::link_live(NodeId u, NodeId v) const {
-  const std::ptrdiff_t rank = edge_rank(u, v);
-  return rank >= 0 && !link_failed_[static_cast<std::size_t>(rank)] &&
-         node_up(u) && node_up(v);
+  const std::size_t id = link_id(u, v);
+  return id != graph::kNoArc && !link_failed_[id] && node_up(u) &&
+         node_up(v);
 }
 
 std::size_t LiveTopology::down_link_count() const {
-  std::size_t down = 0;
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    if (!link_live(edges_[i].first, edges_[i].second)) ++down;
-  }
-  return down;
+  return base_->edge_count() - live_edges().size();
 }
 
 graph::Graph LiveTopology::live_graph() const {
-  graph::Graph g(base_->node_count());
-  for (const auto& [u, v] : edges_) {
-    if (link_live(u, v)) g.add_edge(u, v);
+  return graph::Graph(base_->node_count(), live_edges());
+}
+
+std::vector<graph::Edge> LiveTopology::live_edges() const {
+  std::vector<graph::Edge> live;
+  for (NodeId u = 0; u < base_->node_count(); ++u) {
+    for (NodeId v : base_->neighbors(u)) {
+      if (u < v && link_live(u, v)) live.emplace_back(u, v);
+    }
   }
-  return g;
+  return live;
 }
 
 std::vector<model::TopologyEvent> LiveTopology::apply(const FaultEvent& event) {
   std::vector<model::TopologyEvent> deltas;
   switch (event.kind) {
     case FaultKind::kLinkFail: {
-      const std::ptrdiff_t rank = edge_rank(event.u, event.v);
+      const std::size_t id = link_id(event.u, event.v);
       // Non-edges and already-failed links are deterministic no-ops.
-      if (rank < 0 || link_failed_[static_cast<std::size_t>(rank)]) break;
+      if (id == graph::kNoArc || link_failed_[id]) break;
       const bool was_live = link_live(event.u, event.v);
-      link_failed_[static_cast<std::size_t>(rank)] = true;
+      link_failed_[id] = true;
       if (was_live) {
         deltas.push_back({std::min(event.u, event.v),
                           std::max(event.u, event.v), false});
@@ -219,10 +216,10 @@ std::vector<model::TopologyEvent> LiveTopology::apply(const FaultEvent& event) {
       break;
     }
     case FaultKind::kLinkRepair: {
-      const std::ptrdiff_t rank = edge_rank(event.u, event.v);
+      const std::size_t id = link_id(event.u, event.v);
       // Repairing a never-failed (or non-existent) link is a no-op.
-      if (rank < 0 || !link_failed_[static_cast<std::size_t>(rank)]) break;
-      link_failed_[static_cast<std::size_t>(rank)] = false;
+      if (id == graph::kNoArc || !link_failed_[id]) break;
+      link_failed_[id] = false;
       if (link_live(event.u, event.v)) {
         deltas.push_back({std::min(event.u, event.v),
                           std::max(event.u, event.v), true});

@@ -170,12 +170,14 @@ class LiveTopology {
   [[nodiscard]] const graph::Graph& base() const noexcept { return *base_; }
 
  private:
+  /// Base arc id of min(u,v) → max(u,v), or graph::kNoArc for a non-edge.
+  [[nodiscard]] std::size_t link_id(NodeId u, NodeId v) const;
+  /// Live base edges, lexicographic.
+  [[nodiscard]] std::vector<graph::Edge> live_edges() const;
+
   const graph::Graph* base_;
-  std::vector<bool> link_failed_;  // indexed by rank in edge_list(base)
+  std::vector<bool> link_failed_;  // indexed by link_id
   std::vector<bool> node_failed_;
-  // edge {u<v} → rank in the lexicographic edge list, for O(log m) lookup.
-  [[nodiscard]] std::ptrdiff_t edge_rank(NodeId u, NodeId v) const;
-  std::vector<std::pair<NodeId, NodeId>> edges_;  // sorted lexicographic
 };
 
 }  // namespace optrt::net

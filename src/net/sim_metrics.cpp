@@ -8,7 +8,11 @@ void write_stats_fields(obs::JsonWriter& w, const SimulationStats& stats) {
   w.key("dropped").value(stats.dropped);
   w.key("delivery_rate").value(stats.delivery_rate());
   w.key("mean_hops").value(stats.mean_hops());
-  w.key("mean_stretch").value(stats.mean_stretch());
+  if (stats.shortest_hops == 0) {
+    w.key("mean_stretch").null();  // not measured, or nothing delivered
+  } else {
+    w.key("mean_stretch").value(stats.mean_stretch());
+  }
   w.key("total_hops").value(stats.total_hops);
   w.key("makespan").value(stats.makespan);
   w.key("max_link_load").value(stats.max_link_load);

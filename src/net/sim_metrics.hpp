@@ -13,8 +13,9 @@ namespace optrt::net {
 /// Appends the canonical stats block to an object under construction:
 ///   sent, delivered, dropped, delivery_rate, mean_hops, mean_stretch,
 ///   total_hops, makespan, max_link_load, retries, deflections, fallbacks
-/// (exact key order — regression-pinned). The caller owns the enclosing
-/// begin_object()/end_object().
+/// (exact key order — regression-pinned). mean_stretch is null when
+/// shortest_hops is 0: stretch was not measured or nothing was delivered.
+/// The caller owns the enclosing begin_object()/end_object().
 void write_stats_fields(obs::JsonWriter& w, const SimulationStats& stats);
 
 /// The stats block as a standalone JSON object.

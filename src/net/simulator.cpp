@@ -21,9 +21,8 @@ Simulator::Simulator(const graph::Graph& g, const model::RoutingScheme& scheme,
       scheme_(&scheme),
       full_info_(dynamic_cast<const model::FullInformationRouting*>(&scheme)),
       config_(config),
-      csr_(g),
-      link_free_at_(csr_.arc_count(), 0),
-      link_load_(csr_.arc_count(), 0) {
+      link_free_at_(g.arc_count(), 0),
+      link_load_(g.arc_count(), 0) {
   if (config_.max_hops == 0) {
     config_.max_hops = model::default_hop_budget(g.node_count());
   }
@@ -94,8 +93,8 @@ void Simulator::apply_faults_until(std::uint64_t now) {
 }
 
 std::uint64_t Simulator::link_load(NodeId u, NodeId v) const {
-  const std::size_t arc = csr_.arc_index(u, v);
-  return arc == graph::CsrGraph::kNoArc ? 0 : link_load_[arc];
+  const std::size_t arc = g_->arc_index(u, v);
+  return arc == graph::kNoArc ? 0 : link_load_[arc];
 }
 
 std::optional<NodeId> Simulator::pick_next_hop(Event& e) {
@@ -251,8 +250,8 @@ SimulationStats Simulator::run_core(std::uint64_t limit, bool apply_trailing) {
     ++record.hops;
     c_hops.inc();
     e.header.came_from = e.at;
-    const std::size_t arc = csr_.arc_index(e.at, *hop);
-    if (arc == graph::CsrGraph::kNoArc) {
+    const std::size_t arc = g_->arc_index(e.at, *hop);
+    if (arc == graph::kNoArc) {
       throw std::logic_error(
           "Simulator: scheme returned a non-neighbour next hop");
     }

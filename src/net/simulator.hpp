@@ -17,7 +17,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "model/scheme.hpp"
 #include "net/faults.hpp"
@@ -85,7 +84,9 @@ struct SimulationStats {
                            static_cast<double>(sent);
   }
   /// Mean route length of delivered messages relative to the *pre-failure*
-  /// shortest path — the degradation stretch. 0 unless measure_stretch.
+  /// shortest path — the degradation stretch. 0 when shortest_hops is 0
+  /// (measure_stretch off, or nothing delivered); write_stats_fields then
+  /// writes null.
   [[nodiscard]] double mean_stretch() const noexcept {
     return shortest_hops == 0 ? 0.0
                               : static_cast<double>(total_hops) /
@@ -187,10 +188,9 @@ class Simulator {
   bool fault_schedule_dirty_ = false;
   std::unordered_set<std::uint64_t> failed_links_;  // edge_index keys
   std::unordered_set<NodeId> failed_nodes_;
-  // Per-directed-link state lives in flat arrays indexed by the CSR arc
-  // id of u → v — the event loop does one binary search per hop instead
-  // of hashing, and the arrays stay cache-resident across hops.
-  graph::CsrGraph csr_;
+  // Per-directed-link state lives in flat arrays indexed by g_'s arc id of
+  // u → v — the event loop does one binary search per hop instead of
+  // hashing, and the arrays stay cache-resident across hops.
   // serialize_links: earliest next departure per directed link.
   std::vector<std::uint64_t> link_free_at_;
   // Messages per directed link, across runs.

@@ -7,7 +7,6 @@
 
 #include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
-#include "graph/csr.hpp"
 #include "model/fastpath.hpp"
 
 // The batched lookup kernel has an AVX-512 gather variant selected at

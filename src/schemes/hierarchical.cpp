@@ -11,7 +11,7 @@
 #include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/csr.hpp"
+#include "graph/ports.hpp"
 #include "model/fastpath.hpp"
 #include "schemes/errors.hpp"
 
@@ -91,7 +91,7 @@ class HierarchicalFastPath final : public model::FastPath {
 
   HierarchicalFastPath(std::vector<model::PackedSparseArray> tables,
                        std::vector<std::vector<NodeId>> pivot_of,
-                       graph::CsrGraph csr)
+                       graph::CsrAdjacency csr)
       : tables_(std::move(tables)),
         pivot_of_(std::move(pivot_of)),
         csr_(std::move(csr)) {}
@@ -144,7 +144,7 @@ class HierarchicalFastPath final : public model::FastPath {
   [[nodiscard]] NodeId pivot_of(std::size_t level, NodeId v) const {
     return pivot_of_[level][v];
   }
-  [[nodiscard]] const graph::CsrGraph& csr() const { return csr_; }
+  [[nodiscard]] const graph::CsrAdjacency& csr() const { return csr_; }
 
  private:
   [[nodiscard]] NodeId hop(NodeId u, NodeId target) const {
@@ -154,7 +154,7 @@ class HierarchicalFastPath final : public model::FastPath {
 
   std::vector<model::PackedSparseArray> tables_;
   std::vector<std::vector<NodeId>> pivot_of_;  // [level][v]
-  graph::CsrGraph csr_;  // sorted = port order for this scheme
+  graph::CsrAdjacency csr_;  // sorted = port order for this scheme
 };
 
 HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
@@ -310,7 +310,7 @@ void HierarchicalScheme::compile(const graph::Graph& g,
     tables.emplace_back(std::move(mask), ports, port_width);
   }
   fast_ = std::make_shared<HierarchicalFastPath>(
-      std::move(tables), std::move(pivot_of), graph::CsrGraph(g));
+      std::move(tables), std::move(pivot_of), g.csr());
   model::note_fastpath_compiled("hierarchical");
 }
 

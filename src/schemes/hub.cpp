@@ -14,7 +14,7 @@ namespace optrt::schemes {
 
 class HubFastPath final : public model::FastPath {
  public:
-  HubFastPath(std::size_t n, NodeId hub, model::AdjacencyBits adjacency,
+  HubFastPath(std::size_t n, NodeId hub, graph::AdjacencyBits adjacency,
               model::PackedSparseArray hub_table,
               std::vector<NodeId> toward_hub)
       : n_(n),
@@ -41,7 +41,7 @@ class HubFastPath final : public model::FastPath {
  private:
   std::size_t n_;
   NodeId hub_;
-  model::AdjacencyBits adjacency_;
+  graph::AdjacencyBits adjacency_;
   model::PackedSparseArray hub_table_;
   std::vector<NodeId> toward_hub_;  // distance-2 nodes only
 };
@@ -135,7 +135,7 @@ void HubScheme::compile(const graph::Graph& g) {
       throw std::invalid_argument("HubScheme: trailing bits in a node table");
     }
   }
-  fast_ = std::make_shared<HubFastPath>(n_, hub_, model::AdjacencyBits(g),
+  fast_ = std::make_shared<HubFastPath>(n_, hub_, g.bit_rows(),
                                         std::move(hub_table),
                                         std::move(toward_hub));
   model::note_fastpath_compiled("hub");

@@ -65,7 +65,7 @@ LandmarkTables compile_landmark_tables(
   for (std::uint32_t i = 0; i < landmarks.size(); ++i) {
     t.landmark_index[landmarks[i]] = i;
   }
-  t.csr = graph::CsrGraph(g);
+  t.csr = g.csr();
   t.listed.reserve(n);
   t.landmark_port.reserve(n);
   const auto bad_port = [&] {

@@ -17,7 +17,6 @@
 
 #include "bitio/bit_vector.hpp"
 #include "graph/algorithms.hpp"
-#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "graph/ports.hpp"
 #include "model/fastpath.hpp"
@@ -35,7 +34,7 @@ struct LandmarkTables {
   /// Landmark id → its index in the sorted landmark list.
   std::vector<std::uint32_t> landmark_index;
   /// Sorted adjacency: neighbor_at(u, p) is the node on u's port p.
-  graph::CsrGraph csr;
+  graph::CsrAdjacency csr;
 
   /// The stored port of `u` toward `v`'s landmark.
   [[nodiscard]] std::uint64_t port_toward_landmark(graph::NodeId u,

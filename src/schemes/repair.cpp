@@ -16,6 +16,15 @@ namespace optrt::schemes {
 
 using graph::NodeId;
 
+namespace {
+
+/// Past this fraction of n dirty tables a full rebuild is cheaper than
+/// patch bookkeeping; likewise a full BFS past this fraction of candidate
+/// rows for a delete.
+constexpr double kRebuildFraction = 0.5;
+
+}  // namespace
+
 // ---- shared base ----------------------------------------------------------
 
 RepairableBase::RepairableBase(const graph::Graph& base,
@@ -38,7 +47,7 @@ std::vector<NodeId> RepairableBase::refresh_distances(
     return {};
   }
   graph::DistanceMatrix::LinkDelta delta = dist.apply_link_delta(
-      live_, event.u, event.v, event.up, config_.rebuild_fraction);
+      live_, event.u, event.v, event.up, kRebuildFraction);
   stats_.dist_rows_bfs += delta.rows_bfs;
   stats_.dist_rows_patched += delta.rows_patched;
   return std::move(delta.changed_rows);
@@ -47,8 +56,7 @@ std::vector<NodeId> RepairableBase::refresh_distances(
 bool RepairableBase::full_rebuild_due(std::size_t dirty) const {
   return config_.force_rebuild ||
          static_cast<double>(dirty) >
-             config_.rebuild_fraction *
-                 static_cast<double>(live_.node_count());
+             kRebuildFraction * static_cast<double>(live_.node_count());
 }
 
 model::RepairOutcome RepairableBase::rebuilt() {

@@ -52,8 +52,8 @@ class RepairableBase : public model::RepairableScheme {
   /// which rebuilds every table anyway).
   std::vector<graph::NodeId> refresh_distances(
       graph::DistanceMatrix& dist, const model::TopologyEvent& event);
-  /// True when force_rebuild is set or `dirty` tables exceed the rebuild
-  /// fraction: every table is rebuilt.
+  /// True when force_rebuild is set or `dirty` tables exceed
+  /// kRebuildFraction of n: every table is rebuilt.
   [[nodiscard]] bool full_rebuild_due(std::size_t dirty) const;
 
   /// Outcome bookkeeping. A full rebuild leaves the scheme available (its

@@ -15,7 +15,7 @@ namespace optrt::schemes {
 
 class RoutingCenterFastPath final : public model::FastPath {
  public:
-  RoutingCenterFastPath(std::size_t n, model::AdjacencyBits adjacency,
+  RoutingCenterFastPath(std::size_t n, graph::AdjacencyBits adjacency,
                         bitio::RankSelect in_b,
                         std::vector<model::PackedSparseArray> center_tables,
                         std::vector<NodeId> my_center)
@@ -46,7 +46,7 @@ class RoutingCenterFastPath final : public model::FastPath {
 
  private:
   std::size_t n_;
-  model::AdjacencyBits adjacency_;
+  graph::AdjacencyBits adjacency_;
   bitio::RankSelect in_b_;
   std::vector<model::PackedSparseArray> center_tables_;
   std::vector<NodeId> my_center_;  // valid when not in B
@@ -162,7 +162,7 @@ void RoutingCenterScheme::compile(const graph::Graph& g) {
     }
   }
   fast_ = std::make_shared<RoutingCenterFastPath>(
-      n_, model::AdjacencyBits(g), bitio::RankSelect(std::move(in_b)),
+      n_, g.bit_rows(), bitio::RankSelect(std::move(in_b)),
       std::move(tables), std::move(my_center));
   model::note_fastpath_compiled("routing_center");
 }

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "graph/csr.hpp"
 #include "model/fastpath.hpp"
 
 namespace optrt::schemes {
@@ -15,7 +14,8 @@ namespace {
 
 class SequentialSearchFastPath final : public model::FastPath {
  public:
-  SequentialSearchFastPath(model::AdjacencyBits adjacency, graph::CsrGraph csr)
+  SequentialSearchFastPath(graph::AdjacencyBits adjacency,
+                           graph::CsrAdjacency csr)
       : adjacency_(std::move(adjacency)), csr_(std::move(csr)) {}
 
   [[nodiscard]] std::string name() const override {
@@ -37,8 +37,8 @@ class SequentialSearchFastPath final : public model::FastPath {
   }
 
  private:
-  model::AdjacencyBits adjacency_;
-  graph::CsrGraph csr_;  // sorted neighbour slices
+  graph::AdjacencyBits adjacency_;
+  graph::CsrAdjacency csr_;  // sorted neighbour slices
 };
 
 }  // namespace
@@ -46,8 +46,8 @@ class SequentialSearchFastPath final : public model::FastPath {
 std::shared_ptr<const model::FastPath> SequentialSearchScheme::compile_fast()
     const {
   model::note_fastpath_compiled("sequential_search");
-  return std::make_shared<SequentialSearchFastPath>(model::AdjacencyBits(*g_),
-                                                    graph::CsrGraph(*g_));
+  return std::make_shared<SequentialSearchFastPath>(g_->bit_rows(),
+                                                    g_->csr());
 }
 
 NodeId SequentialSearchScheme::next_hop(NodeId u, NodeId dest_label,

@@ -1,8 +1,11 @@
-// Tests for the graph substrate: structure, E(G) encoding (Definition 2),
-// and generators including the Theorem 9 graph G_B.
+// Tests for the graph substrate: structure, the CSR slices and bit rows a
+// Graph keeps in step, E(G) encoding (Definition 2), and generators
+// including the Theorem 9 graph G_B.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -130,6 +133,123 @@ TEST(Graph, MinMaxDegree) {
   const Graph g = star(8);
   EXPECT_EQ(g.max_degree(), 7u);
   EXPECT_EQ(g.min_degree(), 1u);
+}
+
+// --- The two stores: CSR slices and bit rows ---------------------------------
+
+/// Checks every CSR slice against the bit rows and the arc-id contract.
+void expect_stores_agree(const Graph& g) {
+  const std::size_t n = g.node_count();
+  std::size_t arcs = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto nbrs = g.neighbors(u);
+    ASSERT_EQ(nbrs.size(), g.degree(u));
+    EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end())) << "node " << u;
+    EXPECT_EQ(g.arc_begin(u), arcs);
+    for (std::size_t p = 0; p < nbrs.size(); ++p) {
+      EXPECT_EQ(g.neighbor_at(u, static_cast<std::uint32_t>(p)), nbrs[p]);
+      EXPECT_EQ(g.arc_index(u, nbrs[p]), g.arc_begin(u) + p);
+    }
+    arcs += nbrs.size();
+    const auto row = g.row_words(u);
+    for (NodeId v = 0; v < n; ++v) {
+      const bool listed = std::binary_search(nbrs.begin(), nbrs.end(), v);
+      ASSERT_EQ(((row[v >> 6] >> (v & 63)) & 1u) != 0, listed)
+          << u << "-" << v;
+      ASSERT_EQ(g.has_edge(u, v), listed);
+      if (!listed) ASSERT_EQ(g.arc_index(u, v), kNoArc) << u << "-" << v;
+    }
+  }
+  EXPECT_EQ(g.arc_count(), arcs);
+  EXPECT_EQ(g.edge_count() * 2, arcs);
+}
+
+/// Checks that two graphs' bit rows agree word for word.
+void expect_same_rows(const Graph& a, const Graph& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  for (NodeId u = 0; u < a.node_count(); ++u) {
+    const auto x = a.row_words(u);
+    const auto y = b.row_words(u);
+    EXPECT_TRUE(std::equal(x.begin(), x.end(), y.begin(), y.end()))
+        << "row " << u;
+  }
+}
+
+TEST(Graph, BulkAddEdgeAndToggledGraphsCompareEqual) {
+  // n = 65 and 130 put rows across two and three matrix words. Each trial
+  // toggles random pairs in place (add_edge when absent, remove_edge when
+  // present, in a random orientation) while tracking the edge set, then
+  // builds the same set in bulk (shuffled, mixed orientation) and edge by
+  // edge.
+  std::mt19937_64 rng(2024);
+  for (const std::size_t n : {2u, 3u, 17u, 64u, 65u, 130u}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      Graph toggled(n);
+      std::set<Edge> present;
+      std::uniform_int_distribution<NodeId> node(
+          0, static_cast<NodeId>(n - 1));
+      for (std::size_t step = 0; step < 6 * n; ++step) {
+        const NodeId u = node(rng);
+        const NodeId v = node(rng);
+        if (u == v) continue;
+        const Edge key{std::min(u, v), std::max(u, v)};
+        if (present.erase(key) != 0) {
+          toggled.remove_edge(u, v);
+        } else {
+          toggled.add_edge(u, v);
+          present.insert(key);
+        }
+        if (step % 16 == 0) expect_stores_agree(toggled);
+      }
+      std::vector<Edge> edges(present.begin(), present.end());
+      std::shuffle(edges.begin(), edges.end(), rng);
+      for (Edge& e : edges) {
+        if (rng() & 1) std::swap(e.first, e.second);
+      }
+      const Graph bulk(n, edges);
+      Graph incremental(n);
+      for (const auto& [u, v] : edges) incremental.add_edge(u, v);
+
+      expect_stores_agree(bulk);
+      expect_stores_agree(incremental);
+      expect_stores_agree(toggled);
+      EXPECT_EQ(bulk.edge_count(), present.size());
+      EXPECT_EQ(bulk, incremental);
+      EXPECT_EQ(bulk, toggled);
+      expect_same_rows(bulk, incremental);
+      expect_same_rows(bulk, toggled);
+      EXPECT_EQ(fingerprint(bulk), fingerprint(toggled));
+    }
+  }
+}
+
+TEST(Graph, StoreCopiesAnswerLikeTheGraph) {
+  Rng rng(11);
+  const Graph g = random_gnp(90, 0.25, rng);
+  const CsrAdjacency csr = g.csr();
+  const AdjacencyBits bits = g.bit_rows();
+  ASSERT_EQ(csr.node_count(), g.node_count());
+  for (NodeId u = 0; u < g.node_count(); ++u) {
+    const auto a = csr.neighbors(u);
+    const auto b = g.neighbors(u);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(bits.has_edge(u, v), g.has_edge(u, v));
+      EXPECT_EQ(csr.arc_index(u, v), g.arc_index(u, v));
+    }
+  }
+}
+
+TEST(Graph, BulkConstructorRejectsLoopsDuplicatesOutOfRange) {
+  const auto build = [](std::vector<Edge> edges) { Graph g(4, edges); };
+  EXPECT_NO_THROW(build({{0, 1}, {3, 2}, {1, 3}}));
+  EXPECT_THROW(build({{0, 1}, {2, 2}}), std::invalid_argument);  // loop
+  EXPECT_THROW(build({{0, 1}, {0, 1}}), std::invalid_argument);  // same way
+  EXPECT_THROW(build({{0, 1}, {1, 0}}), std::invalid_argument);  // reversed
+  EXPECT_THROW(build({{0, 4}}), std::invalid_argument);  // out of range
+  EXPECT_THROW(build({{4, 0}}), std::invalid_argument);
+  EXPECT_THROW(Graph(0, std::vector<Edge>{{0, 0}}), std::invalid_argument);
+  EXPECT_EQ(Graph(4, std::vector<Edge>{}), Graph(4));
 }
 
 // --- Definition 2: E(G) ------------------------------------------------------

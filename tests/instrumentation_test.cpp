@@ -20,9 +20,11 @@
 #include "net/sim_metrics.hpp"
 #include "net/simulator.hpp"
 #include "net/workload.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "schemes/compact_diam2.hpp"
 #include "schemes/compiler.hpp"
+#include "schemes/hub.hpp"
 #include "schemes/serialization.hpp"
 
 namespace optrt {
@@ -247,12 +249,41 @@ TEST(StatsJsonSchema, ExactFieldOrderAndFormatting) {
 }
 
 TEST(StatsJsonSchema, DefaultStatsRenderZeros) {
+  // Nothing measured: stretch is null, not 0.
   EXPECT_EQ(net::stats_json(net::SimulationStats{}),
             "{\"sent\":0,\"delivered\":0,\"dropped\":0,"
             "\"delivery_rate\":1,\"mean_hops\":0,"
-            "\"mean_stretch\":0,\"total_hops\":0,\"makespan\":0,"
+            "\"mean_stretch\":null,\"total_hops\":0,\"makespan\":0,"
             "\"max_link_load\":0,\"retries\":0,\"deflections\":0,"
             "\"fallbacks\":0}");
+}
+
+TEST(StatsJsonSchema, SimulateWritesStretchOnlyWhenMeasured) {
+  // Hub routing detours through the hub, so the measured ratio is > 1.
+  Rng rng(41);
+  const Graph g = core::certified_random_graph(40, rng);
+  const schemes::HubScheme scheme(g);
+  for (const bool measure : {false, true}) {
+    SCOPED_TRACE(measure ? "measure_stretch on" : "measure_stretch off");
+    net::SimulatorConfig config;
+    config.measure_stretch = measure;
+    net::Simulator sim(g, scheme, config);
+    for (graph::NodeId u = 2; u < 40; ++u) sim.send(1, u, 0);
+    const net::SimulationStats stats = sim.run();
+    ASSERT_EQ(stats.delivered, 38u);
+    const obs::JsonValue block = obs::parse_json(net::stats_json(stats));
+    const obs::JsonValue* stretch = block.find("mean_stretch");
+    ASSERT_NE(stretch, nullptr);
+    if (!measure) {
+      EXPECT_EQ(stretch->kind, obs::JsonValue::Kind::kNull);
+      continue;
+    }
+    ASSERT_GT(stats.shortest_hops, 0u);
+    EXPECT_EQ(stretch->as_double(),
+              static_cast<double>(stats.total_hops) /
+                  static_cast<double>(stats.shortest_hops));
+    EXPECT_GT(stretch->as_double(), 1.0);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // RankSelect against a naive bit-scan oracle — exhaustively on every
 // bit-vector up to length 20, then on seeded large vectors spanning the
-// block-boundary edge cases — plus the two other primitives the compiled
-// fast paths rely on: PackedSparseArray against a naive map, and the
-// CSR-vs-adjacency equivalence.
+// block-boundary edge cases — plus PackedSparseArray, the other primitive
+// the compiled fast paths rely on, against a naive map. The CSR store they
+// also read is tested in graph_test.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -11,7 +11,6 @@
 
 #include "bitio/bit_vector.hpp"
 #include "bitio/rank_select.hpp"
-#include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ports.hpp"
@@ -151,45 +150,6 @@ TEST(PackedSparseArray, RejectsMisalignedOrOversizedValues) {
   EXPECT_THROW(model::PackedSparseArray(mask, two, 4), std::invalid_argument);
   const std::vector<std::uint32_t> wide = {16};
   EXPECT_THROW(model::PackedSparseArray(mask, wide, 4), std::invalid_argument);
-}
-
-TEST(CsrGraph, EquivalentToAdjacencyOnRandomGraphs) {
-  std::mt19937_64 seed_rng(777);
-  for (int trial = 0; trial < 12; ++trial) {
-    const std::size_t n = 2 + seed_rng() % 48;
-    graph::Rng rng(seed_rng());
-    const graph::Graph g = graph::random_gnp(n, 0.3, rng);
-    const graph::CsrGraph csr(g);
-    ASSERT_EQ(csr.node_count(), n);
-    std::size_t arcs = 0;
-    for (graph::NodeId u = 0; u < n; ++u) {
-      ASSERT_EQ(csr.degree(u), g.degree(u));
-      const auto nbrs = csr.neighbors(u);
-      ASSERT_EQ(nbrs.size(), g.degree(u));
-      for (std::size_t p = 0; p < nbrs.size(); ++p) {
-        ASSERT_EQ(nbrs[p], csr.neighbor_at(u, static_cast<graph::PortId>(p)));
-        ASSERT_TRUE(g.has_edge(u, nbrs[p]));
-        // arc_index inverts neighbor_at: it names this arc's flat slot.
-        ASSERT_EQ(csr.arc_index(u, nbrs[p]), csr.arc_begin(u) + p);
-      }
-      arcs += nbrs.size();
-      for (graph::NodeId v = 0; v < n; ++v) {
-        ASSERT_EQ(csr.has_edge(u, v), g.has_edge(u, v));
-        ASSERT_EQ(csr.arc_index(u, v) != graph::CsrGraph::kNoArc,
-                  g.has_edge(u, v));
-      }
-    }
-    ASSERT_EQ(csr.arc_count(), arcs);
-    // The port-order builder agrees with the adjacency builder when ports
-    // are assigned in sorted order (the repo's standard assignment).
-    const auto from_ports =
-        graph::CsrGraph::from_ports(graph::PortAssignment::sorted(g));
-    for (graph::NodeId u = 0; u < n; ++u) {
-      const auto a = csr.neighbors(u);
-      const auto b = from_ports.neighbors(u);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
-    }
-  }
 }
 
 }  // namespace
