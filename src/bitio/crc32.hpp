@@ -7,6 +7,12 @@
 // overload packs bits into bytes least-significant-bit first — the same
 // convention as schemes::to_bytes — so the checksum of an artifact's bits
 // equals the checksum of its on-disk payload bytes.
+//
+// Both overloads fold 16 bytes per step through slicing-by-16 tables
+// (sixteen 256-entry tables, two little-endian 64-bit lanes per step) and
+// finish byte-wise; the BitVector overload feeds its length prefix and
+// whole words in directly as lanes, since they already are the
+// little-endian byte image.
 #pragma once
 
 #include <cstddef>

@@ -89,24 +89,13 @@ void LandmarkScheme::compile(const graph::Graph& g,
   for (NodeId l : landmarks_) {
     if (l >= n_) throw std::invalid_argument("LandmarkScheme: bad landmark id");
   }
-  // Nearest landmarks are a deterministic function of the graph: one BFS
-  // per landmark, visited in stored order with a strict <, so every node
-  // keeps the first landmark (in that order) at its least distance.
-  std::vector<NodeId> landmark_of(n_, landmarks_[0]);
-  std::vector<std::uint32_t> best(n_, graph::kUnreachable);
-  for (NodeId l : landmarks_) {
-    const auto dist = graph::bfs_distances(g, l);
-    for (NodeId v = 0; v < n_; ++v) {
-      if (dist[v] < best[v]) {
-        best[v] = dist[v];
-        landmark_of[v] = l;
-      }
-    }
-  }
+  // Nearest landmarks are a deterministic function of the graph: one
+  // multi-source BFS gives every node the first landmark (in stored order)
+  // at its least distance, and landmarks_[0] when none reaches it.
   function_bits_ = std::move(node_bits);
-  fast_ = std::make_shared<LandmarkFastPath>(
-      compile_landmark_tables(g, landmarks_, std::move(landmark_of),
-                              function_bits_, "LandmarkScheme", "vicinity"));
+  fast_ = std::make_shared<LandmarkFastPath>(compile_landmark_tables(
+      g, landmarks_, nearest_landmarks(g, landmarks_), function_bits_,
+      "LandmarkScheme", "vicinity"));
   model::note_fastpath_compiled("landmark");
 }
 

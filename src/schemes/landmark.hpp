@@ -51,8 +51,8 @@ class LandmarkScheme final : public model::RoutingScheme {
 
   /// Reconstructs from serialized state (deserialization path; see
   /// schemes/serialization.hpp): the sorted landmark set plus per-node
-  /// bits. Nearest landmarks are recomputed from the graph (deterministic:
-  /// least id on ties).
+  /// bits. Nearest landmarks are recomputed from the graph by one
+  /// multi-source BFS (deterministic: the first in stored order on ties).
   LandmarkScheme(const graph::Graph& g, std::vector<NodeId> landmarks,
                  std::vector<bitio::BitVector> node_bits);
 

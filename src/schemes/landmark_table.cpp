@@ -20,6 +20,44 @@ unsigned id_width(std::size_t n) {
 
 }  // namespace
 
+NearestLandmarks nearest_landmarks(
+    const graph::Graph& g, const std::vector<graph::NodeId>& landmarks) {
+  const std::size_t n = g.node_count();
+  NearestLandmarks out;
+  out.distance.assign(n, graph::kUnreachable);
+  out.index.assign(n, 0);
+  out.exit_port.assign(n, 0);
+  std::vector<graph::NodeId> queue;
+  queue.reserve(n);
+  for (std::uint32_t i = 0; i < landmarks.size(); ++i) {
+    const graph::NodeId l = landmarks[i];
+    if (out.distance[l] == 0) continue;
+    out.distance[l] = 0;
+    out.index[l] = i;
+    queue.push_back(l);
+  }
+  // Each node copies the pair of the parent that reaches it first. The
+  // queue stays sorted by (index, exit port) level by level: landmarks
+  // enter in index order and hand out (index, port) in port order, and
+  // every later node is appended in its first parent's queue order. So
+  // the first parent carries the least pair over all of the node's
+  // parents.
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const graph::NodeId u = queue[head];
+    const auto nbrs = g.neighbors(u);
+    for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
+      const graph::NodeId x = nbrs[p];
+      if (out.distance[x] != graph::kUnreachable) continue;
+      out.distance[x] = out.distance[u] + 1;
+      out.index[x] = out.index[u];
+      // Out of a landmark, x is its own first hop.
+      out.exit_port[x] = out.distance[u] == 0 ? p : out.exit_port[u];
+      queue.push_back(x);
+    }
+  }
+  return out;
+}
+
 bitio::BitVector build_landmark_node_bits(
     const graph::Graph& g, const graph::DistanceMatrix& dist,
     const std::vector<graph::NodeId>& landmarks,
@@ -55,12 +93,15 @@ bitio::BitVector build_landmark_node_bits(
 
 LandmarkTables compile_landmark_tables(
     const graph::Graph& g, const std::vector<graph::NodeId>& landmarks,
-    std::vector<graph::NodeId> landmark_of,
+    const NearestLandmarks& nearest,
     const std::vector<bitio::BitVector>& bits, const std::string& scheme,
     const std::string& list) {
   const std::size_t n = g.node_count();
   LandmarkTables t;
-  t.landmark_of = std::move(landmark_of);
+  t.landmark_of.resize(n);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    t.landmark_of[v] = landmarks[nearest.index[v]];
+  }
   t.landmark_index.assign(n, 0);
   for (std::uint32_t i = 0; i < landmarks.size(); ++i) {
     t.landmark_index[landmarks[i]] = i;

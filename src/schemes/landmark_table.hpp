@@ -1,5 +1,6 @@
-// The node table layout LandmarkScheme and TzScheme share, and its one
-// validating decode into the compiled form both fast paths read.
+// The node table layout LandmarkScheme and TzScheme share, its one
+// validating decode into the compiled form both fast paths read, and the
+// one nearest-landmark search both decoders derive their labels from.
 //
 // Node w stores, at port width ⌈log₂ d(w)⌉ (ports in sorted neighbour
 // order):
@@ -46,6 +47,28 @@ struct LandmarkTables {
   }
 };
 
+/// Every node's nearest landmark, from one multi-source BFS over the
+/// landmark list.
+struct NearestLandmarks {
+  /// d(v, A); graph::kUnreachable when no landmark reaches v.
+  std::vector<std::uint32_t> distance;
+  /// The least stored landmark index at distance[v] (0 when unreachable).
+  std::vector<std::uint32_t> index;
+  /// At landmarks[index[v]], the port (sorted-neighbour rank) of the least
+  /// first hop toward v; 0 at the landmarks and at unreachable nodes.
+  std::vector<graph::PortId> exit_port;
+};
+
+/// The BFS carries the lexicographic least (landmark index, first-hop
+/// rank) down its shortest-path DAG. That is exact: every node on a
+/// shortest path from v's least nearest landmark l to v has l as its own
+/// least nearest landmark, so v's pair is the least over its BFS parents.
+/// A repeated landmark id keeps its first index. O(n + m). Precondition:
+/// `landmarks` is nonempty and every id is below n (both decoders check
+/// this first).
+[[nodiscard]] NearestLandmarks nearest_landmarks(
+    const graph::Graph& g, const std::vector<graph::NodeId>& landmarks);
+
 /// Encodes node w's table: shortest-path ports toward every landmark,
 /// then every v ≠ w with d(w, v) < list_below[v]. Each port is the rank
 /// of the least shortest-path successor in g.neighbors(w). The one
@@ -58,12 +81,13 @@ struct LandmarkTables {
 
 /// Decodes every node's bits — checking stored ports below the degree, at
 /// most n entries, ids below n and strictly increasing, and exact
-/// consumption — and compiles them. Throws std::out_of_range on a
-/// truncated table and std::invalid_argument otherwise; messages name
-/// `scheme` and call the id list `list`.
+/// consumption — and compiles them, with l(v) = landmarks[nearest.index[v]]
+/// as the label table. Throws std::out_of_range on a truncated table and
+/// std::invalid_argument otherwise; messages name `scheme` and call the id
+/// list `list`.
 [[nodiscard]] LandmarkTables compile_landmark_tables(
     const graph::Graph& g, const std::vector<graph::NodeId>& landmarks,
-    std::vector<graph::NodeId> landmark_of,
+    const NearestLandmarks& nearest,
     const std::vector<bitio::BitVector>& bits, const std::string& scheme,
     const std::string& list);
 

@@ -220,7 +220,7 @@ RepairableTz::RepairableTz(const graph::Graph& base, TzOptions options,
 
 void RepairableTz::rebuild_all() {
   const std::size_t n = live_.node_count();
-  dva_ = tz_landmark_distances(dist_, landmarks_);
+  dva_ = nearest_landmarks(live_, landmarks_).distance;
   tables_.resize(n);
   for (NodeId w = 0; w < n; ++w) {
     tables_[w] = build_landmark_node_bits(live_, dist_, landmarks_, dva_, w);
@@ -230,7 +230,7 @@ void RepairableTz::rebuild_all() {
 }
 
 void RepairableTz::materialize() {
-  scheme_ = std::make_unique<TzScheme>(live_, landmarks_, tables_, dist_);
+  scheme_ = std::make_unique<TzScheme>(live_, landmarks_, tables_);
 }
 
 model::RepairOutcome RepairableTz::apply_event(
@@ -244,7 +244,8 @@ model::RepairOutcome RepairableTz::apply_event(
   // Replay the seeded election against the maintained matrix — the same
   // draws a fresh build on this topology would make. A changed electorate
   // (or recovery from a stale period, or force_rebuild) rebuilds every
-  // table, but with no BFS beyond the refresh: the matrix is exact.
+  // table, but with no all-pairs BFS beyond the refresh: the matrix is
+  // exact. Materializing runs the decoder's one multi-source landmark BFS.
   std::vector<NodeId> elected = tz_sample_landmarks(live_, dist_, options_);
   if (!available_ || config_.force_rebuild || elected != landmarks_) {
     landmarks_ = std::move(elected);
@@ -254,7 +255,8 @@ model::RepairOutcome RepairableTz::apply_event(
   // Same landmarks: diff d(·, A) and flip-test cluster membership. w's
   // table reads N(w), d(w, ·), d(x, ·) for x ∈ N(w) (successor steps),
   // and the strict test d(w, v) < d(v, A) per destination v.
-  std::vector<std::uint32_t> dva_new = tz_landmark_distances(dist_, landmarks_);
+  std::vector<std::uint32_t> dva_new =
+      nearest_landmarks(live_, landmarks_).distance;
   std::vector<bool> is_dirty(n, false);
   for (NodeId w :
        close_over_neighbors(live_, {event.u, event.v}, changed_rows)) {

@@ -443,8 +443,11 @@ RoutingCenterScheme deserialize_routing_center(const bitio::BitVector& artifact,
 namespace {
 
 /// Landmark and TZ payloads: the sorted landmark set, then the per-node
-/// function bits. Nearest landmarks (and TZ's exit ports) are recomputed
-/// from the graph by the scheme's validating constructor.
+/// function bits. The scheme's validating constructor recomputes nearest
+/// landmarks (and TZ's exit ports) from the graph with one multi-source
+/// BFS over the landmarks (nearest_landmarks, schemes/landmark_table); a
+/// TZ payload whose graph leaves a node unreachable from every landmark
+/// is rejected as semantically invalid.
 template <typename Scheme>
 bitio::BitVector serialize_landmark_payload(SchemeKind kind,
                                             const Scheme& scheme) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "bitio/codes.hpp"
 #include "graph/algorithms.hpp"
@@ -13,15 +14,6 @@
 #include "schemes/landmark_table.hpp"
 
 namespace optrt::schemes {
-
-std::vector<std::uint32_t> tz_landmark_distances(
-    const graph::DistanceMatrix& dist, const std::vector<NodeId>& landmarks) {
-  std::vector<std::uint32_t> dva(dist.node_count(), graph::kUnreachable);
-  for (NodeId v = 0; v < dva.size(); ++v) {
-    for (NodeId l : landmarks) dva[v] = std::min(dva[v], dist.at(v, l));
-  }
-  return dva;
-}
 
 std::size_t TzScheme::cluster_cap(std::size_t n) {
   if (n < 2) return 1;
@@ -72,7 +64,8 @@ std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
       ++resamples;
       continue;
     }
-    const auto dva = tz_landmark_distances(dist, sample);
+    const std::vector<std::uint32_t> dva =
+        nearest_landmarks(g, sample).distance;
     std::size_t max_cluster = 0;
     for (NodeId w = 0; w < n; ++w) {
       std::size_t size = 0;
@@ -128,35 +121,25 @@ TzScheme::TzScheme(const graph::Graph& g, Options options)
   if (!graph::is_connected(g)) {
     throw SchemeInapplicable("tz: graph disconnected");
   }
-  const auto dist_cached = graph::DistanceCache::global().get(g);
-  const graph::DistanceMatrix& dist = *dist_cached;
-  landmarks_ = tz_sample_landmarks(g, dist, options);
-  const auto dva = tz_landmark_distances(dist, landmarks_);
   std::vector<bitio::BitVector> bits(n_);
-  for (NodeId w = 0; w < n_; ++w) {
-    bits[w] = build_landmark_node_bits(g, dist, landmarks_, dva, w);
+  NearestLandmarks nearest;
+  {
+    // A private matrix, released before the tables compile: the shared
+    // DistanceCache would pin its 4n² bytes for as long as it lives.
+    const graph::DistanceMatrix dist(g);
+    landmarks_ = tz_sample_landmarks(g, dist, options);
+    nearest = nearest_landmarks(g, landmarks_);
+    for (NodeId w = 0; w < n_; ++w) {
+      bits[w] =
+          build_landmark_node_bits(g, dist, landmarks_, nearest.distance, w);
+    }
   }
-  compile(g, std::move(bits), dist);
+  compile(g, std::move(bits), std::move(nearest));
 }
 
 TzScheme::TzScheme(const graph::Graph& g, std::vector<NodeId> landmarks,
                    std::vector<bitio::BitVector> node_bits)
     : n_(g.node_count()), landmarks_(std::move(landmarks)) {
-  // Nearest landmarks are a deterministic function of the graph.
-  const auto dist_cached = graph::DistanceCache::global().get(g);
-  compile(g, std::move(node_bits), *dist_cached);
-}
-
-TzScheme::TzScheme(const graph::Graph& g, std::vector<NodeId> landmarks,
-                   std::vector<bitio::BitVector> node_bits,
-                   const graph::DistanceMatrix& dist)
-    : n_(g.node_count()), landmarks_(std::move(landmarks)) {
-  compile(g, std::move(node_bits), dist);
-}
-
-void TzScheme::compile(const graph::Graph& g,
-                       std::vector<bitio::BitVector> node_bits,
-                       const graph::DistanceMatrix& dist) {
   if (node_bits.size() != n_ || landmarks_.empty()) {
     throw std::invalid_argument("TzScheme: bad serialized state");
   }
@@ -166,37 +149,32 @@ void TzScheme::compile(const graph::Graph& g,
       throw std::invalid_argument("TzScheme: bad landmark set");
     }
   }
-  // Nearest landmark per node (least id on ties — landmarks_ is sorted).
-  std::vector<NodeId> landmark_of(n_, landmarks_[0]);
+  compile(g, std::move(node_bits), nearest_landmarks(g, landmarks_));
+}
+
+void TzScheme::compile(const graph::Graph& g,
+                       std::vector<bitio::BitVector> node_bits,
+                       NearestLandmarks nearest) {
+  // The label tables come from the landmark BFS: l(v), v's nearest
+  // landmark (least id on ties — landmarks_ is sorted), and the exit port
+  // at l(v) toward v (its least shortest-path successor), the second and
+  // third components of the charged (v, l(v), port) label.
   for (NodeId v = 0; v < n_; ++v) {
-    std::uint32_t best = graph::kUnreachable;
-    for (NodeId l : landmarks_) {
-      if (dist.at(v, l) < best) {
-        best = dist.at(v, l);
-        landmark_of[v] = l;
-      }
+    if (nearest.distance[v] == graph::kUnreachable) {
+      throw std::invalid_argument("TzScheme: node " + std::to_string(v) +
+                                  " is unreachable from every landmark");
     }
   }
   function_bits_ = std::move(node_bits);
-  LandmarkTables tables =
-      compile_landmark_tables(g, landmarks_, std::move(landmark_of),
-                              function_bits_, "TzScheme", "cluster");
-  // Label exit ports: at l(v), the port toward v (least shortest-path
-  // successor) — the third component of the charged (v, l(v), port) label.
-  std::vector<graph::PortId> exit_port(n_, 0);
-  for (NodeId v = 0; v < n_; ++v) {
-    const NodeId l = tables.landmark_of[v];
-    if (l == v) continue;
-    const NodeId succ = graph::shortest_path_successors(g, dist, l, v).front();
-    exit_port[v] = static_cast<graph::PortId>(tables.csr.arc_index(l, succ) -
-                                              tables.csr.arc_begin(l));
-  }
+  LandmarkTables tables = compile_landmark_tables(
+      g, landmarks_, nearest, function_bits_, "TzScheme", "cluster");
   auto cluster_sizes = obs::histogram("schemes.tz.cluster_size",
                                       obs::hop_buckets());
   for (const auto& cluster : tables.listed) {
     cluster_sizes.observe(cluster.member_count());
   }
-  fast_ = std::make_shared<TzFastPath>(std::move(tables), std::move(exit_port));
+  fast_ = std::make_shared<TzFastPath>(std::move(tables),
+                                       std::move(nearest.exit_port));
   model::note_fastpath_compiled("tz");
   obs::counter("schemes.tz.built").inc();
 }

@@ -51,34 +51,27 @@ struct TzOptions {
     const graph::Graph& g, const graph::DistanceMatrix& dist,
     const TzOptions& options);
 
-/// d(v, A) for every node v, against the landmark set A. The cluster
-/// bound build_landmark_node_bits (schemes/landmark_table.hpp) takes for
-/// a TZ table: C(w) = {v : d(w, v) < d(v, A)}.
-[[nodiscard]] std::vector<std::uint32_t> tz_landmark_distances(
-    const graph::DistanceMatrix& dist, const std::vector<NodeId>& landmarks);
-
 class TzFastPath;
+struct NearestLandmarks;
 
 class TzScheme final : public model::RoutingScheme {
  public:
   using Options = TzOptions;
 
+  /// Builds the tables from a private all-pairs matrix that is released
+  /// before this returns (nothing is left in DistanceCache::global()).
   /// Throws SchemeInapplicable on disconnected graphs.
   explicit TzScheme(const graph::Graph& g, Options options = {});
 
-  /// Reconstructs from serialized state (deserialization path; see
-  /// schemes/serialization.hpp): the sorted landmark set plus per-node
-  /// bits. Nearest landmarks and the per-destination exit ports are
-  /// recomputed from the graph (deterministic: least id on ties).
+  /// Reconstructs from serialized state: the sorted landmark set plus
+  /// per-node bits. The deserialization path (schemes/serialization.hpp),
+  /// churn repair and the CONGEST construction all land here. Nearest
+  /// landmarks (least id on ties) and the per-destination exit ports come
+  /// from one multi-source BFS over the landmarks; no all-pairs matrix is
+  /// read. Throws std::invalid_argument on a malformed landmark set or
+  /// table, and when some node is unreachable from every landmark.
   TzScheme(const graph::Graph& g, std::vector<NodeId> landmarks,
            std::vector<bitio::BitVector> node_bits);
-
-  /// Same reconstruction, but against caller-supplied distances instead of
-  /// DistanceCache::global() — the churn repair path maintains its own
-  /// incrementally patched matrix and must not pay a full BFS per event.
-  TzScheme(const graph::Graph& g, std::vector<NodeId> landmarks,
-           std::vector<bitio::BitVector> node_bits,
-           const graph::DistanceMatrix& dist);
 
   [[nodiscard]] std::string name() const override { return "tz"; }
   [[nodiscard]] model::Model routing_model() const override {
@@ -115,10 +108,11 @@ class TzScheme final : public model::RoutingScheme {
   }
 
  private:
-  /// The validating decode of the node bits into fast_, shared by all
-  /// constructors; also derives the label tables from `dist`.
+  /// The validating decode of the node bits into fast_, shared by both
+  /// constructors; the label tables come from `nearest`, the landmark BFS
+  /// the caller ran over landmarks_.
   void compile(const graph::Graph& g, std::vector<bitio::BitVector> node_bits,
-               const graph::DistanceMatrix& dist);
+               NearestLandmarks nearest);
 
   std::size_t n_;
   std::vector<NodeId> landmarks_;  // sorted

@@ -1,5 +1,8 @@
 #include "serve/protocol.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "bitio/crc32.hpp"
 
 namespace optrt::serve {
@@ -18,6 +21,25 @@ void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
 std::uint16_t get_u16(std::span<const std::uint8_t> bytes, std::size_t offset) {
   return static_cast<std::uint16_t>(bytes[offset] |
                                     (std::uint16_t{bytes[offset + 1]} << 8));
+}
+
+/// Every u32 codec goes through these two: one 4-byte load or store,
+/// byte-swapped only on a big-endian host.
+std::uint32_t load_u32(const std::uint8_t* at) noexcept {
+  std::uint32_t v;
+  std::memcpy(&v, at, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
+std::uint8_t* store_u32(std::uint8_t* at, std::uint32_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(at, &v, sizeof v);
+  return at + sizeof v;
 }
 
 bool known_request_opcode(std::uint8_t op) noexcept {
@@ -43,10 +65,11 @@ Frame make_pair_request(Opcode op, std::uint32_t artifact_id,
   f.opcode = static_cast<std::uint8_t>(op);
   f.artifact_id = artifact_id;
   f.pair_count = static_cast<std::uint32_t>(pairs.size());
-  f.payload.reserve(pairs.size() * 8);
+  f.payload.resize(pairs.size() * 8);
+  std::uint8_t* at = f.payload.data();
   for (const QueryPair& p : pairs) {
-    put_u32(f.payload, p.src);
-    put_u32(f.payload, p.dst);
+    at = store_u32(at, p.src);
+    at = store_u32(at, p.dst);
   }
   return f;
 }
@@ -81,17 +104,19 @@ const char* to_string(WireError code) noexcept {
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  put_u32s(out, std::span<const std::uint32_t>(&v, 1));
+}
+
+void put_u32s(std::vector<std::uint8_t>& out,
+              std::span<const std::uint32_t> values) {
+  const std::size_t start = out.size();
+  out.resize(start + values.size() * 4);
+  std::uint8_t* at = out.data() + start;
+  for (const std::uint32_t v : values) at = store_u32(at, v);
 }
 
 std::uint32_t get_u32(std::span<const std::uint8_t> bytes, std::size_t offset) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= std::uint32_t{bytes[offset + static_cast<std::size_t>(i)]} << (8 * i);
-  }
-  return v;
+  return load_u32(bytes.subspan(offset, 4).data());
 }
 
 std::vector<std::uint8_t> encode_frame(const Frame& frame) {
@@ -196,9 +221,11 @@ std::vector<QueryPair> decode_query_pairs(const Frame& frame) {
         WireError::kMalformed,
         "query payload must hold exactly pair_count 8-byte pairs");
   std::vector<QueryPair> pairs(frame.pair_count);
-  for (std::uint32_t i = 0; i < frame.pair_count; ++i) {
-    pairs[i].src = get_u32(frame.payload, std::size_t{i} * 8);
-    pairs[i].dst = get_u32(frame.payload, std::size_t{i} * 8 + 4);
+  const std::uint8_t* at = frame.payload.data();
+  for (QueryPair& p : pairs) {
+    p.src = load_u32(at);
+    p.dst = load_u32(at + 4);
+    at += 8;
   }
   return pairs;
 }
@@ -209,7 +236,7 @@ std::vector<graph::NodeId> decode_next_hops(const Frame& frame) {
         "next_hop response must hold exactly pair_count u32 hops");
   std::vector<graph::NodeId> hops(frame.pair_count);
   for (std::uint32_t i = 0; i < frame.pair_count; ++i) {
-    hops[i] = get_u32(frame.payload, std::size_t{i} * 4);
+    hops[i] = load_u32(frame.payload.data() + std::size_t{i} * 4);
   }
   return hops;
 }

@@ -126,8 +126,11 @@ struct Frame {
   bool operator==(const Frame&) const = default;
 };
 
-/// Little-endian integer accessors used by every payload codec.
+/// Little-endian integer accessors used by every payload codec. put_u32s
+/// appends a whole run of values, growing `out` once.
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v);
+void put_u32s(std::vector<std::uint8_t>& out,
+              std::span<const std::uint32_t> values);
 [[nodiscard]] std::uint32_t get_u32(std::span<const std::uint8_t> bytes,
                                     std::size_t offset);
 

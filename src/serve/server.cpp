@@ -391,8 +391,7 @@ Frame Server::dispatch(const Frame& request) {
         }
         std::vector<graph::NodeId> hops(pairs.size());
         artifact->compiled.fast->route_batch(batch, hops);
-        reply.payload.reserve(hops.size() * 4);
-        for (const graph::NodeId hop : hops) put_u32(reply.payload, hop);
+        put_u32s(reply.payload, hops);
         return reply;
       }
 
@@ -415,7 +414,7 @@ Frame Server::dispatch(const Frame& request) {
           path.push_back(at);
         }
         put_u32(reply.payload, static_cast<std::uint32_t>(path.size()));
-        for (const graph::NodeId hop : path) put_u32(reply.payload, hop);
+        put_u32s(reply.payload, path);
       }
       return reply;
     }

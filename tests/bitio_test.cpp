@@ -255,14 +255,54 @@ TEST(BitVectorDifferential, ReadBitsAtEveryOffset) {
 }
 
 TEST(BitVectorDifferential, BytesAndCrcMatchTheBytePacking) {
+  // Past 520 bits every tail shape follows one 16-byte CRC step or more.
   std::mt19937_64 rng(42);
-  for (std::size_t n = 0; n < 400; ++n) {
+  for (std::size_t n = 0; n <= 520; ++n) {
     const Bits model = random_bits(rng, n);
     const BitVector v = from_model(model);
     const std::vector<std::uint8_t> bytes = model_bytes(model);
     ASSERT_EQ(schemes::to_bytes(v), bytes) << n;
     ASSERT_EQ(schemes::from_bytes(bytes), v) << n;
     ASSERT_EQ(crc32(v), crc32(bytes.data(), bytes.size())) << n;
+  }
+}
+
+/// Bit-at-a-time CRC-32 over the reflected polynomial 0xEDB88320, seeded
+/// like crc32: the reference the table-driven code is held to.
+std::uint32_t bitwise_crc32(const std::uint8_t* data, std::size_t len,
+                            std::uint32_t seed) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32, MatchesABitAtATimeReference) {
+  const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(crc32(check, sizeof check), 0xCBF43926u);
+  EXPECT_EQ(bitwise_crc32(check, sizeof check, 0), 0xCBF43926u);
+
+  std::mt19937_64 rng(1996);
+  std::vector<std::uint8_t> buffer(16 + 300);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng());
+  // Every length against every start alignment of the 16-byte steps.
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::uint8_t* data = buffer.data() + start;
+      ASSERT_EQ(crc32(data, len), bitwise_crc32(data, len, 0))
+          << "start " << start << " length " << len;
+    }
+  }
+  // A split buffer continues from the first part's value at every split.
+  const std::uint8_t* data = buffer.data();
+  const std::uint32_t whole = bitwise_crc32(data, 300, 0);
+  for (std::size_t split = 0; split <= 300; ++split) {
+    ASSERT_EQ(crc32(data + split, 300 - split, crc32(data, split)), whole)
+        << "split " << split;
   }
 }
 

@@ -1,16 +1,21 @@
 // Landmark (stretch-3, §1.2 related-work baseline) scheme tests: delivery
 // and the stretch-<3 guarantee on arbitrary connected graphs, vicinity
-// semantics, and the size regimes against Theorem 1.
+// semantics, the size regimes against Theorem 1, and the nearest-landmark
+// BFS both landmark decoders share against a distance-matrix oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/experiment.hpp"
+#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "model/verifier.hpp"
 #include "schemes/compact_diam2.hpp"
 #include "schemes/errors.hpp"
 #include "schemes/landmark.hpp"
+#include "schemes/landmark_table.hpp"
 
 namespace optrt::schemes {
 namespace {
@@ -139,6 +144,45 @@ TEST(Landmark, VicinityRuleMatchesDefinition) {
       }
     }
     EXPECT_EQ(scheme.vicinity_size(w), expected);
+  }
+}
+
+TEST(LandmarkTable, NearestLandmarksMatchADistanceMatrixOracle) {
+  // Stored order is arbitrary (the landmark decoder keeps it), ids may
+  // repeat, and sparse G(n, p) often leaves nodes no landmark reaches.
+  Rng rng(2024);
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t n = 2 + rng() % 40;
+    const double p = std::min(
+        1.0, static_cast<double>(1 + rng() % 6) / static_cast<double>(n));
+    const Graph g = graph::random_gnp(n, p, rng);
+    std::vector<graph::NodeId> landmarks(1 + rng() % 6);
+    for (auto& l : landmarks) l = static_cast<graph::NodeId>(rng() % n);
+    const NearestLandmarks nearest = nearest_landmarks(g, landmarks);
+    const graph::DistanceMatrix dist(g);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      std::uint32_t best = graph::kUnreachable;
+      std::uint32_t index = 0;
+      for (std::uint32_t i = 0; i < landmarks.size(); ++i) {
+        if (dist.at(v, landmarks[i]) < best) {
+          best = dist.at(v, landmarks[i]);
+          index = i;
+        }
+      }
+      ASSERT_EQ(nearest.distance[v], best) << round << " " << v;
+      ASSERT_EQ(nearest.index[v], index) << round << " " << v;
+      // At the landmark, the rank of the least shortest-path successor.
+      graph::PortId exit = 0;
+      const graph::NodeId l = landmarks[index];
+      if (best != graph::kUnreachable && l != v) {
+        const graph::NodeId succ =
+            graph::shortest_path_successors(g, dist, l, v).front();
+        const auto nbrs = g.neighbors(l);
+        exit = static_cast<graph::PortId>(
+            std::find(nbrs.begin(), nbrs.end(), succ) - nbrs.begin());
+      }
+      ASSERT_EQ(nearest.exit_port[v], exit) << round << " " << v;
+    }
   }
 }
 

@@ -674,5 +674,30 @@ TEST(ServeStore, FailedReloadKeepsTheOldCatalog) {
   EXPECT_EQ(store.catalog()->epoch, 1u) << "epoch counts successful swaps only";
 }
 
+/// A TZ artifact whose .eg leaves a node unreachable from every landmark
+/// is a typed load failure, never a crash: the 6-cycle's artifact against
+/// two disjoint triangles. The degrees are equal, so every stored port
+/// validates; landmark seed 2 puts every landmark in one triangle.
+TEST(ServeStore, TzArtifactOnAGraphNoLandmarkSpansKeepsTheOldCatalog) {
+  const Graph ring = graph::TopologyFamily::ring().make(6, 0);
+  TempDir dir;
+  core::save_graph(dir.file("g0.eg"), ring);
+  const schemes::TzScheme scheme(ring, {.seed = 2});
+  schemes::save_artifact(dir.file("g0.ort"), schemes::serialize(scheme));
+  serve::ArtifactStore store(dir.str());
+  ASSERT_TRUE(store.load().ok());
+  const auto catalog = store.catalog();
+
+  const std::vector<graph::Edge> triangles = {{0, 1}, {1, 2}, {0, 2},
+                                              {3, 4}, {4, 5}, {3, 5}};
+  core::save_graph(dir.file("g0.eg"), Graph(6, triangles));
+  const serve::LoadReport bad = store.load();
+  ASSERT_EQ(bad.failures.size(), 1u);
+  EXPECT_EQ(bad.failures[0].path, dir.file("g0.ort"));
+  EXPECT_NE(bad.failures[0].message.find("semantic-invalid"), std::string::npos)
+      << bad.failures[0].message;
+  EXPECT_EQ(store.catalog(), catalog) << "failed reload must not swap";
+}
+
 }  // namespace
 }  // namespace optrt

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -18,6 +19,7 @@
 #include "model/fastpath.hpp"
 #include "model/verifier.hpp"
 #include "schemes/errors.hpp"
+#include "schemes/repair.hpp"
 #include "schemes/serialization.hpp"
 #include "schemes/tz.hpp"
 
@@ -111,19 +113,83 @@ TEST(Tz, ClusterSemanticsAreStrict) {
   }
 }
 
-TEST(Tz, NearestLandmarkIsNearestWithLeastIdTie) {
-  const Graph g = TopologyFamily::grid().make(36, 0);
-  const TzScheme scheme(g);
+/// The label tables against the distance oracle: l(v) is a nearest
+/// landmark, least id on ties, and at l(v) the label's exit port leads to
+/// v's least shortest-path successor (a landmark's cluster is empty, so
+/// next_hop(l(v), v) takes the exit port). Returns the exits checked.
+std::size_t expect_labels_match_the_oracle(const Graph& g,
+                                           const TzScheme& scheme) {
   const graph::DistanceMatrix dist(g);
+  model::MessageHeader header;
+  std::size_t exits = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
     const NodeId l = scheme.landmark_of(v);
     for (NodeId other : scheme.landmarks()) {
-      EXPECT_LE(dist.at(v, l), dist.at(v, other));
+      EXPECT_LE(dist.at(v, l), dist.at(v, other)) << v;
       if (dist.at(v, other) == dist.at(v, l)) {
-        EXPECT_LE(l, other);
+        EXPECT_LE(l, other) << v;
       }
     }
+    if (v == l) continue;
+    EXPECT_EQ(scheme.next_hop(l, v, header),
+              graph::shortest_path_successors(g, dist, l, v).front())
+        << v;
+    ++exits;
   }
+  return exits;
+}
+
+/// Two links down, then both back up: on a ring the second failure
+/// disconnects it, so the stream walks the patched, inapplicable and
+/// rebuilt paths of RepairableTz.
+std::vector<model::TopologyEvent> churn_events(const Graph& g) {
+  const NodeId a = 0;
+  const NodeId b = static_cast<NodeId>(g.node_count() / 2);
+  const model::TopologyEvent first{a, g.neighbors(a).front(), false};
+  const model::TopologyEvent second{b, g.neighbors(b).back(), false};
+  return {first, second, {first.u, first.v, true}, {second.u, second.v, true}};
+}
+
+TEST(Tz, NearestLandmarkIsNearestWithLeastIdTie) {
+  const Graph gnp = TopologyFamily::gnp(0.08).make(70, 4);
+  ASSERT_TRUE(graph::is_connected(gnp));
+  const std::vector<std::pair<std::string, Graph>> graphs = {
+      {"grid", TopologyFamily::grid().make(36, 0)},
+      {"ring", TopologyFamily::ring().make(41, 0)},
+      {"ba:2", TopologyFamily::power_law(2).make(96, 5)},
+      {"gnp", gnp},
+  };
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
+    const TzScheme built(g);
+    EXPECT_GT(expect_labels_match_the_oracle(g, built), 0u);
+    expect_labels_match_the_oracle(g, deserialize_tz(serialize(built), g));
+    // Churn repair materializes through the decoding constructor.
+    RepairableTz repairable(g);
+    std::size_t materialized = 0;
+    for (const model::TopologyEvent& event : churn_events(g)) {
+      (void)repairable.apply_event(event);
+      if (!repairable.available()) continue;
+      expect_labels_match_the_oracle(
+          repairable.topology(),
+          dynamic_cast<const TzScheme&>(repairable.scheme()));
+      ++materialized;
+    }
+    EXPECT_GE(materialized, 3u);
+  }
+}
+
+TEST(Tz, BuildAndDecodeLeaveNoMatrixInTheSharedCache) {
+  // The build's all-pairs matrix is private and the decoder reads none:
+  // a served TZ artifact pins no n² state.
+  auto& cache = graph::DistanceCache::global();
+  cache.clear();
+  const Graph g = TopologyFamily::power_law(2).make(72, 13);
+  const TzScheme built(g);
+  const TzScheme loaded = deserialize_tz(serialize(built), g);
+  EXPECT_EQ(loaded.landmarks(), built.landmarks());
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
 }
 
 TEST(Tz, ClusterAndBunchSizesObeyTheSqrtNLogNPin) {
@@ -299,6 +365,31 @@ TEST(Tz, DeserializationRejectsCorruptTables) {
     cut.push_back(artifact.get(i));
   }
   EXPECT_THROW((void)deserialize_tz(cut, g), DecodeError);
+}
+
+TEST(Tz, DecodeRejectsANodeNoLandmarkReaches) {
+  // A well-formed artifact for the 6-cycle, decoded against two disjoint
+  // triangles: every degree is 2, so every stored port validates, but
+  // seed 2 puts every landmark in one triangle and the other triangle's
+  // nodes have no nearest landmark.
+  const Graph ring = TopologyFamily::ring().make(6, 0);
+  const TzScheme scheme(ring, {.seed = 2});
+  const std::vector<graph::Edge> edges = {{0, 1}, {1, 2}, {0, 2},
+                                          {3, 4}, {4, 5}, {3, 5}};
+  const Graph triangles(6, edges);
+  const auto& landmarks = scheme.landmarks();
+  ASSERT_TRUE(landmarks.back() < 3 || landmarks.front() >= 3);
+  try {
+    (void)deserialize_any(serialize(scheme), triangles);
+    FAIL() << "a node no landmark reaches must not decode";
+  } catch (const DecodeError& e) {
+    EXPECT_EQ(e.kind(), DecodeErrorKind::kSemanticInvalid) << e.what();
+  }
+  std::vector<bitio::BitVector> bits;
+  for (NodeId u = 0; u < ring.node_count(); ++u) {
+    bits.push_back(scheme.function_bits(u));
+  }
+  EXPECT_THROW(TzScheme(triangles, landmarks, bits), std::invalid_argument);
 }
 
 TEST(Tz, ConstructorValidatesSerializedState) {

@@ -28,14 +28,17 @@ fi
 # once validation passes, so an off-by-one there is an out-of-bounds read
 # that only ASan reliably catches. The graph decoder, algorithm and
 # simulator suites read neighbors() spans into the one flat CSR array,
-# which any add_edge/remove_edge invalidates.
+# which any add_edge/remove_edge invalidates. The route fingerprints are
+# the one suite that pins TZ exit ports, which the landmark BFS derives
+# by indexing per-node arrays.
 SANITIZED_TARGETS=(bitio_test graph_test algorithms_test landmark_test
   schemes_test hierarchical_test lemma_codecs_test theorem_codecs_test
   theorem9_test theorem7_aggregate_test simulator_test parallel_test
   distance_cache_test verifier_test faults_test resilience_test obs_test
   instrumentation_test serialization_test chaos_test fuzz_test
   fastpath_test rank_select_test serve_test serve_chaos_test topology_test
-  tz_test congest_test congest_chaos_test churn_test churn_chaos_test)
+  tz_test route_fingerprint_test congest_test congest_chaos_test churn_test
+  churn_chaos_test)
 
 for stage in "${STAGES[@]}"; do
   echo "=== [$stage] configure ==="
