@@ -25,11 +25,35 @@
 //     protocol stages. Nodes open the next phase by sending; the run ends
 //     when a pulse produces no node that wants to continue.
 //
+// Message plane: nothing on the send, delivery or staging path allocates
+// once the run's buffers have grown.
+//   · Each contiguous range of an activation list owns one outbox (its
+//     flights plus a word buffer) that lives for the whole run. send()
+//     copies the message's words into that buffer; send_all() copies them
+//     once and queues one flight per port. A flight is a plain record —
+//     sender, receiver, arrival port, type, bits, and the offset and
+//     length of its words. The arrival port comes from a per-arc table the
+//     Engine builds once, so sending searches nothing.
+//   · After the activations, the outboxes merge in range order into the
+//     round's one word arena, each range's offsets rebased onto it.
+//   · Delivery is one counting sort: flights over a down link are dropped
+//     (already charged), the rest go, stably by receiver, into one
+//     contiguous Received array, so each inbox is a slice in (sender,
+//     send) order. A Received's words view the delivered arena, which is
+//     overwritten by the next round: they are valid only during the
+//     on_round call that receives them. A node copies what it keeps.
+//
 // Determinism contract (the congest-labelled tests enforce it at 1/2/8
-// threads): node activations run on a core::ThreadPool but outboxes merge
-// in ascending node order, inboxes preserve (sender, port) order, and all
-// accounting is integer sums — every RunStats field and every byte of
-// protocol state is bit-identical for any `threads` value.
+// threads): node activations run on a core::ThreadPool, but the outboxes
+// merge in range order, which is ascending node order at any thread
+// count; inboxes preserve (sender, send) order; all accounting is integer
+// sums; and a phase row takes the last label in node order. So every
+// RunStats field and every byte of protocol state is bit-identical for any
+// `threads` value.
+//
+// Tracing: under an obs::TraceScope, run() records one net.congest.run
+// span, one net.congest.round span per delivered round and one
+// net.congest.pulse span per quiescence pulse, all on the calling thread.
 //
 // Accounting: `rounds` counts rounds in which at least one message was in
 // flight (pulses are free — they stand in for locally-counted phase
@@ -39,9 +63,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -58,11 +82,13 @@ using graph::PortId;
 /// declare what a real encoding would cost (e.g. an id flood charges
 /// ⌈log₂ n⌉ even though `words` also carries a hop counter derivable from
 /// the round number); the accounting tests pin these charges to the
-/// closed forms documented in net/construction.hpp.
+/// closed forms documented in net/construction.hpp. `words` is a view:
+/// send() copies it, and in a Received it views the delivered arena, valid
+/// only for the duration of the on_round call.
 struct Message {
   std::uint16_t type = 0;
   std::uint32_t bits = 0;
-  std::vector<std::uint32_t> words;
+  std::span<const std::uint32_t> words;
 };
 
 /// A delivered message, tagged with the arrival port at the receiver.
@@ -72,6 +98,8 @@ struct Received {
 };
 
 class Engine;
+/// One range's send buffer (defined in congest.cpp).
+struct Outbox;
 
 /// Per-activation view a node gets of itself and its links. Valid only
 /// for the duration of the on_start/on_round/on_phase_end call.
@@ -87,24 +115,26 @@ class Context {
   /// applied so far; nodes use this for the audit-phase liveness checks).
   [[nodiscard]] bool port_up(PortId p) const;
 
-  /// Queues m for delivery over port p next round.
-  void send(PortId p, Message m);
-  /// Queues one copy of m per incident port.
+  /// Queues m for delivery over port p next round (copies m.words).
+  void send(PortId p, const Message& m);
+  /// Queues one copy of m per incident port (stores m.words once).
   void send_all(const Message& m);
   /// Names the current phase in the engine's per-phase stats breakdown
   /// (all nodes of a well-formed protocol pass the same label).
-  void label_phase(std::string label);
+  void label_phase(std::string_view label);
 
  private:
   friend class Engine;
-  Context(const Engine* eng, NodeId id, std::vector<struct Flight>* outbox,
-          std::string* label)
-      : eng_(eng), id_(id), outbox_(outbox), label_(label) {}
+  Context(const Engine* eng, NodeId id, Outbox* out)
+      : eng_(eng), id_(id), out_(out) {}
+
+  /// Queues one flight over port p whose words start at `offset` of the
+  /// outbox buffer.
+  void queue(PortId p, const Message& m, std::size_t offset);
 
   const Engine* eng_;
   NodeId id_;
-  std::vector<struct Flight>* outbox_;
-  std::string* label_;
+  Outbox* out_;
 };
 
 /// A node's protocol state machine. The engine owns the schedule; the
@@ -116,7 +146,8 @@ class ProtocolNode {
   virtual ~ProtocolNode() = default;
   /// Round 0: initial sends.
   virtual void on_start(Context&) {}
-  /// Called whenever the node receives at least one message.
+  /// Called whenever the node receives at least one message. The inbox
+  /// and every msg.words in it are valid only during this call.
   virtual void on_round(Context&, std::span<const Received> inbox) = 0;
   /// Called at quiescence. Return true to keep the protocol running
   /// (typically opening the next phase with fresh sends); the run ends at
@@ -185,6 +216,8 @@ class Engine {
 
   const graph::Graph* g_;  // port p of u = g_->neighbor_at(u, p)
   EngineOptions options_;
+  /// far_port_[arc_begin(u) + p]: the port of u at neighbor_at(u, p).
+  std::vector<PortId> far_port_;
   std::vector<FaultEvent> events_;  // stable-sorted by time
   std::size_t next_event_ = 0;
   std::unordered_set<std::uint64_t> failed_links_;  // key min·n + max
