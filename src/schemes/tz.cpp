@@ -216,6 +216,10 @@ NodeId TzScheme::landmark_of(NodeId v) const {
   return fast_->tables().landmark_of[v];
 }
 
+graph::PortId TzScheme::exit_port(NodeId v) const {
+  return fast_->exit_port(v);
+}
+
 std::size_t TzScheme::cluster_size(NodeId w) const {
   return fast_->tables().listed[w].member_count();
 }

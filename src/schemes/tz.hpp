@@ -29,6 +29,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
+#include "graph/ports.hpp"
 #include "model/scheme.hpp"
 
 namespace optrt::schemes {
@@ -99,6 +100,9 @@ class TzScheme final : public model::RoutingScheme {
   }
   /// v's nearest landmark (least id on ties), from the label table.
   [[nodiscard]] NodeId landmark_of(NodeId v) const;
+  /// The label's exit port: at l(v), the port toward v's least
+  /// shortest-path successor (0 for a landmark), from the label table.
+  [[nodiscard]] graph::PortId exit_port(NodeId v) const;
   [[nodiscard]] std::size_t cluster_size(NodeId w) const;
   /// |B(v)| = |{w : d(v, w) < d(v, A)}| + |A| (v's bunch: the nodes whose
   /// cluster contains v, plus every landmark).

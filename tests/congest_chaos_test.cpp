@@ -15,6 +15,7 @@
 #include "core/optrt.hpp"
 #include "net/congest.hpp"
 #include "net/construction.hpp"
+#include "schemes/landmark_table.hpp"
 
 namespace optrt {
 namespace {
@@ -145,14 +146,72 @@ TEST(CongestChaos, TzConvergesOrReportsTyped) {
         continue;
       }
       // Converged under faults: the audit accepted, so the scheme must
-      // certify at the paper's bound.
+      // certify at the paper's bound, and every label exit port learned
+      // in-network must be the landmark BFS's.
       ASSERT_NE(built.scheme, nullptr);
       ASSERT_NE(again.scheme, nullptr);
       for (NodeId u = 0; u < g.node_count(); ++u) {
         EXPECT_EQ(built.scheme->function_bits(u), again.scheme->function_bits(u));
       }
       EXPECT_TRUE(model::verify_scheme_stretch(g, *built.scheme, 3.0).ok());
+      const auto nearest =
+          schemes::nearest_landmarks(g, built.scheme->landmarks());
+      EXPECT_EQ(built.exit_ports, nearest.exit_port);
     }
+  }
+}
+
+// --- TZ exit ports: a lost registration is a typed failure ----------------
+
+// One transient link fault during the registration flood: the audit and
+// the stretch check both pass (the decoder derives exit ports from its own
+// landmark BFS), but l(v) never learned v's exit port, or learned it from
+// a non-least successor whose copy survived the least one's.
+TEST(CongestChaos, TzExitPortLostToAFaultIsNotOk) {
+  struct ExitCell {
+    TopologyFamily family;
+    std::uint64_t seed;
+    std::uint64_t fail_time;
+    std::uint64_t repair_after;
+    net::ConstructStatus status;
+    NodeId dest;  ///< the least destination whose learned port is off
+    graph::PortId learned;  ///< what l(dest) learned (0: nothing)
+    graph::PortId label;    ///< the exit port l(dest) should have learned
+  };
+  const std::vector<ExitCell> cells = {
+      {TopologyFamily::power_law(2), 1, 18, 3,
+       net::ConstructStatus::kIncompleteInfo, 5, 0, 3},
+      {TopologyFamily::power_law(2), 5, 19, 2,
+       net::ConstructStatus::kInconsistent, 24, 4, 1},
+      {TopologyFamily::grid(), 8, 32, 3, net::ConstructStatus::kInconsistent,
+       23, 3, 2},
+  };
+  for (const ExitCell& cell : cells) {
+    SCOPED_TRACE(cell.family.name() + " seed=" + std::to_string(cell.seed) +
+                 " fail=" + std::to_string(cell.fail_time) +
+                 " repair=" + std::to_string(cell.repair_after));
+    const Graph g = connected_member(cell.family, 406);
+    net::FaultOptions fault;
+    fault.seed = cell.seed;
+    fault.fail_time = cell.fail_time;
+    fault.repair_after = cell.repair_after;
+    const auto plan =
+        net::make_fault_plan(g, net::FaultModel::kUniform, 1, fault);
+    schemes::TzOptions opt;
+    opt.seed = 17;
+    const auto built =
+        net::distributed_tz_construction(g, opt, {.faults = &plan});
+    EXPECT_GT(built.dropped, 0u);
+    EXPECT_EQ(built.status, cell.status) << built.detail;
+    EXPECT_EQ(built.scheme, nullptr);
+    EXPECT_EQ(built.detail.rfind("node " + std::to_string(cell.dest) + ": ", 0),
+              0u)
+        << built.detail;
+    // The faults strike after the election, so the landmarks, and with
+    // them the labels, are the fault-free build's.
+    const schemes::TzScheme central(g, opt);
+    EXPECT_EQ(built.exit_ports[cell.dest], cell.learned);
+    EXPECT_EQ(central.exit_port(cell.dest), cell.label);
   }
 }
 
