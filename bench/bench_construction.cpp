@@ -5,23 +5,34 @@
 // to assemble the tables in-network?
 //
 // Per (family, n, protocol) row the runtime's measured counters are put
-// next to their analytic predictions: compact message bits against the
-// exact Σ d(v)²·⌈log₂ n⌉ form, TZ accepted-attempt flood rounds against
-// the max-landmark-eccentricity + 1 bound and announce/register rounds
-// against the handoff radius max_v d(v, A), full-table rounds against
-// diameter + 2. Every produced scheme is certified (verify_scheme for the
-// stretch-1 protocols, verify_scheme_stretch bound 3 for TZ) before its
-// row is emitted, and the whole JSON is bit-identical at any --threads.
+// next to the closed forms of net/construction.hpp, and `verified` reads
+// every comparison:
+//   · compact: rounds ≤ 1 and message bits = Σ d(v)²·⌈log₂ n⌉;
+//   · tz: each phase's rounds against its form — tree 3·ecc(0) + 2, flood
+//     max_l ecc(l) + 1, announce and register the handoff radius
+//     max_v d(v, A), audit 1 — and the total against `rounds_bound`, their
+//     sum plus, for every vetoed attempt (one tz.veto row each), a flood,
+//     an announcement and a veto flood of at most D + 1, D and D + 1
+//     rounds on a diameter-D network;
+//   · full-table: rounds ≤ diameter + 2 and message bits = the flood's
+//     n·2|E|·I plus the audit's Σ_u d(u)·(W + n·(I + W)).
+// Every produced scheme is certified (verify_scheme for the stretch-1
+// protocols, verify_scheme_stretch bound 3 for TZ) before its row is
+// emitted, and the whole JSON is bit-identical at any --threads.
 //
-// Emits BENCH_construction.json (schema optrt.bench_construction.v1):
+// Emits BENCH_construction.json (schema optrt.bench_construction.v2):
 //
-//   {"schema":"optrt.bench_construction.v1","seed":…,"sizes":[…],
+//   {"schema":"optrt.bench_construction.v2","seed":…,"sizes":[…],
 //    "rows":[{"family":…, "n":…, "protocol":"compact|tz|full-table",
 //             "applies":true, "status":"ok", "rounds":…, "messages":…,
 //             "message_bits":…, "dropped":0, "table_bits":…,
 //             "rounds_bound":…, "bits_predicted":…, "verified":true,
 //             … per-protocol extras …}, …],
 //    "metrics":{…}}
+//
+// TZ extras: "landmarks", "handoff_radius", "vetoed_attempts", and
+// "<phase>_rounds" beside "<phase>_bound" for tree, flood, announce,
+// register and audit.
 //
 //   bench_construction [--seed 1996] [--smoke] [--threads N]
 //                      [-o BENCH_construction.json]
@@ -63,8 +74,14 @@ struct Row {
   bool verified = false;
   // TZ extras (zero elsewhere).
   std::size_t landmarks = 0;
-  std::size_t flood_rounds = 0;
   std::size_t handoff_radius = 0;
+  std::size_t vetoed_attempts = 0;
+  struct Phase {
+    const char* name;
+    std::size_t rounds;
+    std::size_t bound;
+  };
+  std::vector<Phase> phases{};
 };
 
 std::uint64_t bits_of(const std::vector<bitio::BitVector>& tables) {
@@ -93,7 +110,9 @@ Row run_compact(const std::string& family, const graph::Graph& g) {
     const schemes::CompactDiam2Scheme scheme(
         g, {}, std::vector<bitio::BitVector>(built.node_tables));
     const auto verdict = model::verify_scheme(g, scheme);
-    row.verified = verdict.ok() && verdict.max_stretch == 1.0;
+    row.verified = row.rounds <= row.rounds_bound &&
+                   row.message_bits == row.bits_predicted && verdict.ok() &&
+                   verdict.max_stretch == 1.0;
   } catch (const schemes::SchemeInapplicable&) {
   }
   return row;
@@ -114,24 +133,39 @@ Row run_tz(const std::string& family, const graph::Graph& g,
     row.message_bits = built.message_bits;
     row.dropped = built.dropped;
     row.landmarks = built.landmark_count;
-    row.flood_rounds = built.flood_rounds;
     for (NodeId u = 0; u < g.node_count(); ++u) {
       row.table_bits += built.scheme->function_bits(u).size();
     }
     const auto dist = graph::DistanceCache::global().get(g);
+    std::size_t ecc0 = 0;
     std::size_t max_ecc = 0;
-    std::vector<std::uint32_t> dva(g.node_count(), graph::kUnreachable);
     for (NodeId v = 0; v < g.node_count(); ++v) {
+      ecc0 = std::max<std::size_t>(ecc0, dist->at(0, v));
+      std::uint32_t dva = graph::kUnreachable;
       for (const NodeId l : built.scheme->landmarks()) {
         max_ecc = std::max<std::size_t>(max_ecc, dist->at(l, v));
-        dva[v] = std::min(dva[v], dist->at(l, v));
+        dva = std::min(dva, dist->at(l, v));
       }
-      row.handoff_radius = std::max<std::size_t>(row.handoff_radius, dva[v]);
+      row.handoff_radius = std::max<std::size_t>(row.handoff_radius, dva);
     }
-    row.rounds_bound = max_ecc + 1;  // accepted-attempt flood bound
-    row.verified = built.flood_rounds <= row.rounds_bound &&
-                   built.announce_rounds <= row.handoff_radius &&
-                   built.register_rounds <= row.handoff_radius &&
+    row.phases = {
+        {"tree", built.tree_rounds, 3 * ecc0 + 2},
+        {"flood", built.flood_rounds, max_ecc + 1},
+        {"announce", built.announce_rounds, row.handoff_radius},
+        {"register", built.register_rounds, row.handoff_radius},
+        {"audit", built.audit_rounds, 1},
+    };
+    for (const auto& phase : built.phase_stats) {
+      if (phase.label.rfind("tz.veto", 0) == 0) ++row.vetoed_attempts;
+    }
+    const std::size_t diameter = dist->diameter();
+    row.rounds_bound = row.vetoed_attempts * (3 * diameter + 2);
+    row.verified = true;
+    for (const Row::Phase& phase : row.phases) {
+      row.rounds_bound += phase.bound;
+      row.verified = row.verified && phase.rounds <= phase.bound;
+    }
+    row.verified = row.verified && row.rounds <= row.rounds_bound &&
                    model::verify_scheme_stretch(g, *built.scheme, 3.0).ok();
   } catch (const schemes::SchemeInapplicable&) {
   }
@@ -151,14 +185,21 @@ Row run_full_table(const std::string& family, const graph::Graph& g) {
   row.table_bits = bits_of(built.node_tables);
   const auto dist = graph::DistanceCache::global().get(g);
   row.rounds_bound = dist->diameter() + 2;  // flood + drain + audit
-  row.bits_predicted = std::uint64_t{g.node_count()} * 2 * g.edge_count() *
-                       bitio::ceil_log2(g.node_count());
+  const std::uint64_t n = g.node_count();
+  const unsigned id_width = bitio::ceil_log2(n);
+  const unsigned cnt_width = bitio::ceil_log2_plus1(n);
+  row.bits_predicted = n * 2 * g.edge_count() * id_width;  // the floods
+  for (NodeId u = 0; u < n; ++u) {  // the audit's distance vectors
+    row.bits_predicted +=
+        std::uint64_t{g.degree(u)} * (cnt_width + n * (id_width + cnt_width));
+  }
   const schemes::FullTableScheme scheme(
       g, graph::PortAssignment::sorted(g),
       graph::Labeling::identity(g.node_count()), model::kIAalpha,
       std::vector<bitio::BitVector>(built.node_tables));
   const auto verdict = model::verify_scheme(g, scheme);
-  row.verified = row.rounds <= row.rounds_bound && verdict.ok() &&
+  row.verified = row.rounds <= row.rounds_bound &&
+                 row.message_bits == row.bits_predicted && verdict.ok() &&
                  verdict.max_stretch == 1.0;
   return row;
 }
@@ -232,7 +273,7 @@ int main(int argc, char** argv) {
 
   obs::JsonWriter w;
   w.begin_object();
-  w.key("schema").value("optrt.bench_construction.v1");
+  w.key("schema").value("optrt.bench_construction.v2");
   w.key("seed").value(cfg.seed);
   w.key("sizes").begin_array();
   for (std::size_t n : cfg.sizes) w.value(static_cast<std::uint64_t>(n));
@@ -257,10 +298,16 @@ int main(int argc, char** argv) {
       }
       if (row.protocol == "tz") {
         w.key("landmarks").value(static_cast<std::uint64_t>(row.landmarks));
-        w.key("flood_rounds")
-            .value(static_cast<std::uint64_t>(row.flood_rounds));
         w.key("handoff_radius")
             .value(static_cast<std::uint64_t>(row.handoff_radius));
+        w.key("vetoed_attempts")
+            .value(static_cast<std::uint64_t>(row.vetoed_attempts));
+        for (const Row::Phase& phase : row.phases) {
+          w.key(std::string(phase.name) + "_rounds")
+              .value(static_cast<std::uint64_t>(phase.rounds));
+          w.key(std::string(phase.name) + "_bound")
+              .value(static_cast<std::uint64_t>(phase.bound));
+        }
       }
       w.key("verified").value(row.verified);
     }

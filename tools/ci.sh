@@ -76,6 +76,17 @@ for stage in "${STAGES[@]}"; do
         exit 1
       }
     done
+    # The construction sweep promises the same bytes at any thread count;
+    # the CONGEST engine's range-ordered outbox merge is what keeps it.
+    for threads in 1 8; do
+      echo "=== [$stage] bench_construction --threads $threads ==="
+      ./build/bench/bench_construction --threads "$threads" \
+        -o "build/BENCH_construction.t$threads.json"
+      cmp "build/BENCH_construction.t$threads.json" BENCH_construction.json || {
+        echo "BENCH_construction.json differs at --threads $threads"
+        exit 1
+      }
+    done
     # Smoke-run the end-to-end benchmark (its own CMake project, Release):
     # every workload's gates on n = 64 graphs, including the catalog gate
     # (route_batch answers after a reload must equal the in-memory
