@@ -8,12 +8,15 @@
 // answer before any number is reported — a mismatch fails the run. Each
 // kind is loaded the way optrtd loads it: compile_fast_from_artifact on
 // the scheme's serialized artifact. compile_ms times that call and
-// resident_bytes is the in-use heap it leaves behind (glibc
-// mallinfo2().uordblks delta, distance cache already warm) — what the
-// daemon holds per artifact. Emits BENCH_lookup.json (schema
-// optrt.bench_lookup.v2):
+// resident_bytes is the live heap it leaves behind, counted by this
+// program's own operator new/delete (requested bytes, distance cache
+// already warm) — what the daemon holds per artifact beyond the graph.
+// graph_bytes is what one Graph of the benchmark's network holds, counted
+// the same way, so the graph is listed once rather than inside every row.
+// Emits BENCH_lookup.json (schema optrt.bench_lookup.v3):
 //
-//   {"schema":"optrt.bench_lookup.v2","n":…,"seed":…,"pairs":…,"reps":…,
+//   {"schema":"optrt.bench_lookup.v3","n":…,"seed":…,"pairs":…,"reps":…,
+//    "graph_bytes":…,
 //    "schemes":[{"scheme":…, "table_bits":…, "compile_ms":…,
 //                "resident_bytes":…,
 //                "slow_ns_per_lookup":…, "fast_ns_per_lookup":…,
@@ -27,10 +30,11 @@
 //
 //   bench_lookup [--n 512] [--seed 1996] [--pairs 200000] [--reps 3]
 //                [--smoke] [-o BENCH_lookup.json]
-#include <malloc.h>
-
+#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -39,6 +43,44 @@
 #include <vector>
 
 #include "core/optrt.hpp"
+
+namespace {
+
+// The counting allocator: every operator new keeps its requested size in
+// a header ahead of the block, so live_bytes() is exactly the bytes handed
+// out and not yet freed. Unlike malloc statistics it never counts freed
+// chunks that the allocator keeps cached.
+std::atomic<std::int64_t> g_live_bytes{0};
+constexpr std::size_t kHeaderBytes = alignof(std::max_align_t);
+
+void* counted_alloc(std::size_t size) {
+  void* raw = std::malloc(size + kHeaderBytes);
+  if (raw == nullptr) throw std::bad_alloc();
+  *static_cast<std::size_t*>(raw) = size;
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(size),
+                         std::memory_order_relaxed);
+  return static_cast<char*>(raw) + kHeaderBytes;
+}
+
+void counted_free(void* block) noexcept {
+  if (block == nullptr) return;
+  void* raw = static_cast<char*>(block) - kHeaderBytes;
+  g_live_bytes.fetch_sub(
+      static_cast<std::int64_t>(*static_cast<std::size_t*>(raw)),
+      std::memory_order_relaxed);
+  std::free(raw);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* block) noexcept { counted_free(block); }
+void operator delete[](void* block) noexcept { counted_free(block); }
+void operator delete(void* block, std::size_t) noexcept { counted_free(block); }
+void operator delete[](void* block, std::size_t) noexcept {
+  counted_free(block);
+}
 
 namespace {
 
@@ -67,21 +109,36 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Heap bytes currently handed out by malloc.
-std::int64_t heap_in_use() {
-  return static_cast<std::int64_t>(mallinfo2().uordblks);
+/// Bytes handed out by operator new and not yet deleted.
+std::int64_t live_bytes() {
+  return g_live_bytes.load(std::memory_order_relaxed);
+}
+
+/// Live bytes one Graph with g's edges holds: a rebuild from its edge
+/// list, counted while it lives.
+std::int64_t graph_bytes(const graph::Graph& g) {
+  std::vector<graph::Edge> edges;
+  edges.reserve(g.edge_count());
+  for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+    for (const graph::NodeId v : g.neighbors(u)) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+  }
+  const std::int64_t before = live_bytes();
+  const graph::Graph rebuilt(g.node_count(), edges);
+  return live_bytes() - before;
 }
 
 SchemeRow measure(const graph::Graph& g, const bitio::BitVector& artifact,
                   const std::vector<model::RoutePair>& raw_pairs,
                   std::size_t reps) {
   SchemeRow row;
-  const std::int64_t heap_before = heap_in_use();
+  const std::int64_t live_before = live_bytes();
   const auto compile_start = Clock::now();
   const schemes::FastScheme loaded =
       schemes::compile_fast_from_artifact(artifact, g);
   row.compile_ms = seconds_since(compile_start) * 1e3;
-  row.resident_bytes = heap_in_use() - heap_before;
+  row.resident_bytes = live_bytes() - live_before;
   const model::RoutingScheme& scheme = *loaded.scheme;
   row.name = scheme.name();
   row.table_bits = scheme.space().total_bits();
@@ -204,11 +261,12 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   obs::JsonWriter w;
   w.begin_object();
-  w.key("schema").value("optrt.bench_lookup.v2");
+  w.key("schema").value("optrt.bench_lookup.v3");
   w.key("n").value(static_cast<std::uint64_t>(cfg.n));
   w.key("seed").value(cfg.seed);
   w.key("pairs").value(static_cast<std::uint64_t>(pairs.size()));
   w.key("reps").value(static_cast<std::uint64_t>(cfg.reps));
+  w.key("graph_bytes").value(graph_bytes(g));
   w.key("schemes").begin_array();
   for (const SchemeRow& row : rows) {
     const double speedup = row.fast_ns > 0 ? row.slow_ns / row.fast_ns : 0.0;
