@@ -16,23 +16,9 @@ void check_pair(const char* op, std::size_t n, NodeId u, NodeId v) {
   if (u == v) throw std::invalid_argument(std::string(op) + ": self-loop");
 }
 
-/// The bit rows of `edges`, rejecting what add_edge rejects — before the
-/// CSR builder, whose precondition this establishes, runs.
-AdjacencyBits checked_rows(std::size_t n, std::span<const Edge> edges) {
-  AdjacencyBits bits(n);
-  for (const auto& [u, v] : edges) {
-    check_pair("Graph", n, u, v);
-    if (bits.has_edge(u, v)) {
-      throw std::invalid_argument("Graph: duplicate edge");
-    }
-    bits.set(u, v, true);
-  }
-  return bits;
-}
-
 }  // namespace
 
-CsrAdjacency::CsrAdjacency(std::size_t n, std::span<const Edge> edges)
+Graph::CsrAdjacency::CsrAdjacency(std::size_t n, std::span<const Edge> edges)
     : offsets_(n + 1, 0), neighbors_(2 * edges.size()) {
   for (const auto& [u, v] : edges) {
     ++offsets_[u + 1];
@@ -53,7 +39,7 @@ CsrAdjacency::CsrAdjacency(std::size_t n, std::span<const Edge> edges)
   }
 }
 
-std::size_t CsrAdjacency::arc_index(NodeId u, NodeId v) const noexcept {
+std::size_t Graph::CsrAdjacency::arc_index(NodeId u, NodeId v) const noexcept {
   const auto begin = neighbors_.begin() + offsets_[u];
   const auto end = neighbors_.begin() + offsets_[u + 1];
   const auto it = std::lower_bound(begin, end, v);
@@ -61,7 +47,7 @@ std::size_t CsrAdjacency::arc_index(NodeId u, NodeId v) const noexcept {
   return static_cast<std::size_t>(it - neighbors_.begin());
 }
 
-void CsrAdjacency::insert(NodeId u, NodeId v) {
+void Graph::CsrAdjacency::insert(NodeId u, NodeId v) {
   for (const auto& [from, to] : {Edge{u, v}, Edge{v, u}}) {
     const auto slice = neighbors(from);
     const auto at = offsets_[from] + static_cast<std::size_t>(
@@ -71,7 +57,7 @@ void CsrAdjacency::insert(NodeId u, NodeId v) {
   }
 }
 
-void CsrAdjacency::erase(NodeId u, NodeId v) {
+void Graph::CsrAdjacency::erase(NodeId u, NodeId v) {
   for (const auto& [from, to] : {Edge{u, v}, Edge{v, u}}) {
     neighbors_.erase(neighbors_.begin() +
                      static_cast<std::ptrdiff_t>(arc_index(from, to)));
@@ -79,21 +65,40 @@ void CsrAdjacency::erase(NodeId u, NodeId v) {
   }
 }
 
-Graph::Graph(std::size_t n, std::span<const Edge> edges)
-    : bits_(checked_rows(n, edges)), csr_(n, edges) {}
+Graph::Graph(std::size_t n, std::span<const Edge> edges) {
+  // The bit rows reject what add_edge rejects before the CSR builder,
+  // whose precondition they establish, runs.
+  AdjacencyBits bits(n);
+  for (const auto& [u, v] : edges) {
+    check_pair("Graph", n, u, v);
+    if (bits.has_edge(u, v)) {
+      throw std::invalid_argument("Graph: duplicate edge");
+    }
+    bits.set(u, v, true);
+  }
+  store_ =
+      std::make_shared<Store>(Store{std::move(bits), CsrAdjacency(n, edges)});
+}
+
+Graph::Store& Graph::own() {
+  if (store_.use_count() != 1) store_ = std::make_shared<Store>(*store_);
+  return *store_;
+}
 
 void Graph::add_edge(NodeId u, NodeId v) {
   check_pair("add_edge", node_count(), u, v);
   if (has_edge(u, v)) throw std::invalid_argument("add_edge: duplicate edge");
-  bits_.set(u, v, true);
-  csr_.insert(u, v);
+  Store& store = own();
+  store.bits.set(u, v, true);
+  store.csr.insert(u, v);
 }
 
 void Graph::remove_edge(NodeId u, NodeId v) {
   check_pair("remove_edge", node_count(), u, v);
   if (!has_edge(u, v)) throw std::invalid_argument("remove_edge: not an edge");
-  bits_.set(u, v, false);
-  csr_.erase(u, v);
+  Store& store = own();
+  store.bits.set(u, v, false);
+  store.csr.erase(u, v);
 }
 
 std::size_t Graph::min_degree() const noexcept {

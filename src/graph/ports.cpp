@@ -10,45 +10,36 @@ PortAssignment PortAssignment::from_port_maps(
   if (port_to_neighbor.size() != g.node_count()) {
     throw std::invalid_argument("from_port_maps: wrong node count");
   }
-  PortAssignment pa;
-  pa.port_to_neighbor_ = std::move(port_to_neighbor);
-  pa.sorted_neighbors_.resize(g.node_count());
-  pa.rank_to_port_.resize(g.node_count());
+  constexpr auto kUnset = static_cast<PortId>(-1);
+  PortAssignment pa(g);
+  pa.rank_port_.assign(g.arc_count(), kUnset);
+  bool in_order = true;
   for (NodeId u = 0; u < g.node_count(); ++u) {
-    const auto nbrs = g.neighbors(u);
-    const auto& perm = pa.port_to_neighbor_[u];
-    if (perm.size() != nbrs.size()) {
+    const auto& perm = port_to_neighbor[u];
+    if (perm.size() != g.degree(u)) {
       throw std::invalid_argument("from_port_maps: wrong degree");
     }
-    pa.sorted_neighbors_[u].assign(nbrs.begin(), nbrs.end());
-    pa.rank_to_port_[u].assign(nbrs.size(), 0);
-    // Invert the permutation: for each port p, find the rank of its
-    // neighbour in the sorted list.
-    std::vector<bool> seen(nbrs.size(), false);
+    pa.port_neighbor_.insert(pa.port_neighbor_.end(), perm.begin(), perm.end());
+    // Invert the permutation through the arc ids: the arc of perm[p] is
+    // its rank in u's sorted slice.
     for (PortId p = 0; p < perm.size(); ++p) {
-      const auto it =
-          std::lower_bound(nbrs.begin(), nbrs.end(), perm[p]);
-      if (it == nbrs.end() || *it != perm[p]) {
+      const std::size_t arc = g.arc_index(u, perm[p]);
+      if (arc == kNoArc) {
         throw std::invalid_argument("from_port_maps: not a neighbour");
       }
-      const auto rank = static_cast<std::size_t>(it - nbrs.begin());
-      if (seen[rank]) {
+      if (pa.rank_port_[arc] != kUnset) {
         throw std::invalid_argument("from_port_maps: duplicate neighbour");
       }
-      seen[rank] = true;
-      pa.rank_to_port_[u][rank] = p;
+      pa.rank_port_[arc] = p;
+      in_order = in_order && arc == g.arc_begin(u) + p;
     }
   }
+  if (in_order) return PortAssignment(g);  // the graph's own order
   return pa;
 }
 
 PortAssignment PortAssignment::sorted(const Graph& g) {
-  std::vector<std::vector<NodeId>> ports(g.node_count());
-  for (NodeId u = 0; u < g.node_count(); ++u) {
-    const auto nbrs = g.neighbors(u);
-    ports[u].assign(nbrs.begin(), nbrs.end());
-  }
-  return from_port_maps(g, std::move(ports));
+  return PortAssignment(g);
 }
 
 PortAssignment PortAssignment::random(const Graph& g, Rng& rng) {
@@ -62,12 +53,12 @@ PortAssignment PortAssignment::random(const Graph& g, Rng& rng) {
 }
 
 PortId PortAssignment::port_of(NodeId u, NodeId v) const {
-  const auto& nbrs = sorted_neighbors_[u];
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-  if (it == nbrs.end() || *it != v) {
+  const std::size_t arc = g_.arc_index(u, v);
+  if (arc == kNoArc) {
     throw std::invalid_argument("PortAssignment::port_of: not a neighbour");
   }
-  return rank_to_port_[u][static_cast<std::size_t>(it - nbrs.begin())];
+  if (rank_port_.empty()) return static_cast<PortId>(arc - g_.arc_begin(u));
+  return rank_port_[arc];
 }
 
 }  // namespace optrt::graph

@@ -5,6 +5,9 @@
 // bound sets it to a random permutation of the neighbours); model IB lets
 // the routing strategy re-assign ports locally, and the canonical free
 // choice is "the i-th least neighbour sits on port i" (proof of Theorem 1).
+// That sorted order is the Graph's own CSR order, so a PortAssignment
+// shares the Graph's adjacency block and stores only what differs from
+// it: nothing for the sorted order, two flat arc-indexed arrays otherwise.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +21,10 @@ namespace optrt::graph {
 
 using PortId = std::uint32_t;
 
-/// A port assignment for every node of a graph.
+/// A port assignment for every node of a graph. It holds the Graph, so
+/// the sorted (model IB) assignment stores nothing of its own: port p of u
+/// is the graph's arc arc_begin(u) + p. Any other assignment also stores
+/// two arrays indexed by arc id: port → neighbour and rank → port.
 class PortAssignment {
  public:
   /// The canonical (model IB) assignment: port i ↦ i-th least neighbour.
@@ -36,7 +42,7 @@ class PortAssignment {
 
   /// Neighbour reached over port `p` of node `u`.
   [[nodiscard]] NodeId neighbor_at(NodeId u, PortId p) const noexcept {
-    return port_to_neighbor_[u][p];
+    return ports(u)[p];
   }
 
   /// Port of node `u` leading to neighbour `v`.
@@ -44,33 +50,27 @@ class PortAssignment {
   [[nodiscard]] PortId port_of(NodeId u, NodeId v) const;
 
   [[nodiscard]] std::size_t degree(NodeId u) const noexcept {
-    return port_to_neighbor_[u].size();
+    return g_.degree(u);
   }
   [[nodiscard]] std::size_t node_count() const noexcept {
-    return port_to_neighbor_.size();
+    return g_.node_count();
   }
 
   /// The full port → neighbour permutation at `u`.
   [[nodiscard]] std::span<const NodeId> ports(NodeId u) const noexcept {
-    return port_to_neighbor_[u];
-  }
-
-  /// Port of the rank-th least neighbour of `u` (rank aligned with
-  /// Graph::neighbors(u)).
-  [[nodiscard]] PortId port_of_rank(NodeId u, std::size_t rank) const noexcept {
-    return rank_to_port_[u][rank];
+    if (port_neighbor_.empty()) return g_.neighbors(u);
+    return {port_neighbor_.data() + g_.arc_begin(u), g_.degree(u)};
   }
 
  private:
-  PortAssignment() = default;
+  explicit PortAssignment(Graph g) : g_(std::move(g)) {}
 
-  // port_to_neighbor_[u][p] = neighbour of u on port p.
-  std::vector<std::vector<NodeId>> port_to_neighbor_;
-  // rank_to_port_[u][i] = port of the i-th least neighbour of u.
-  std::vector<std::vector<PortId>> rank_to_port_;
-  // sorted_neighbors_[u] = neighbours of u in increasing order (for
-  // port_of lookups without the Graph at hand).
-  std::vector<std::vector<NodeId>> sorted_neighbors_;
+  Graph g_;
+  // Empty for the sorted order. Otherwise port_neighbor_[arc_begin(u) + p]
+  // is the neighbour on u's port p, and rank_port_[arc_begin(u) + i] the
+  // port of u's i-th least neighbour.
+  std::vector<NodeId> port_neighbor_;
+  std::vector<PortId> rank_port_;
 };
 
 }  // namespace optrt::graph

@@ -97,7 +97,7 @@ LandmarkTables compile_landmark_tables(
     const std::vector<bitio::BitVector>& bits, const std::string& scheme,
     const std::string& list) {
   const std::size_t n = g.node_count();
-  LandmarkTables t;
+  LandmarkTables t(g);
   t.landmark_of.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     t.landmark_of[v] = landmarks[nearest.index[v]];
@@ -106,7 +106,6 @@ LandmarkTables compile_landmark_tables(
   for (std::uint32_t i = 0; i < landmarks.size(); ++i) {
     t.landmark_index[landmarks[i]] = i;
   }
-  t.csr = g.csr();
   t.listed.reserve(n);
   t.landmark_port.reserve(n);
   const auto bad_port = [&] {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bitio/bit_vector.hpp"
@@ -26,6 +27,10 @@ namespace optrt::schemes {
 
 /// The compiled node tables plus the label data both schemes route by.
 struct LandmarkTables {
+  explicit LandmarkTables(graph::Graph g) : graph(std::move(g)) {}
+
+  /// The graph: neighbor_at(u, p) is the node on u's sorted port p.
+  graph::Graph graph;
   /// Per node: listed destination id → stored port (rank-indexed).
   std::vector<model::PackedSparseArray> listed;
   /// Per node: landmark index → stored port.
@@ -34,8 +39,6 @@ struct LandmarkTables {
   std::vector<graph::NodeId> landmark_of;
   /// Landmark id → its index in the sorted landmark list.
   std::vector<std::uint32_t> landmark_index;
-  /// Sorted adjacency: neighbor_at(u, p) is the node on u's port p.
-  graph::CsrAdjacency csr;
 
   /// The stored port of `u` toward `v`'s landmark.
   [[nodiscard]] std::uint64_t port_toward_landmark(graph::NodeId u,
@@ -43,7 +46,7 @@ struct LandmarkTables {
     return landmark_port[u].at(landmark_index[landmark_of[v]]);
   }
   [[nodiscard]] graph::NodeId hop(graph::NodeId u, std::uint64_t port) const {
-    return csr.neighbor_at(u, static_cast<graph::PortId>(port));
+    return graph.neighbor_at(u, static_cast<graph::PortId>(port));
   }
 };
 

@@ -13,7 +13,7 @@ namespace optrt::schemes {
 NeighborLabelScheme::NeighborLabelScheme(const graph::Graph& g)
     : n_(g.node_count()),
       id_width_(bitio::ceil_log2(std::max<std::size_t>(n_, 2))),
-      g_(&g) {
+      g_(g) {
   labels_.label_of_node.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
     const graph::NeighborCover cover = graph::least_neighbor_cover(g, u);
@@ -49,10 +49,10 @@ NodeId NeighborLabelScheme::next_hop(NodeId u, NodeId dest_label,
     throw std::invalid_argument("NeighborLabelScheme: routing to self");
   }
   // Free under II: u knows its neighbours (and their labels).
-  if (g_->has_edge(u, dest.id)) return dest.id;
+  if (g_.has_edge(u, dest.id)) return dest.id;
   // Lemma 3 at the destination: some neighbour of u is in f(dest).
   NodeId best = static_cast<NodeId>(-1);
-  for (NodeId z : g_->neighbors(u)) {
+  for (NodeId z : g_.neighbors(u)) {
     if (std::find(dest.cover.begin(), dest.cover.end(), z) !=
         dest.cover.end()) {
       best = z;

@@ -53,7 +53,7 @@ class NeighborLabelScheme final : public model::RoutingScheme {
   std::size_t n_;
   unsigned id_width_;
   graph::ArbitraryLabels labels_;
-  const graph::Graph* g_;  // free neighbour knowledge under model II
+  graph::Graph g_;  // free neighbour knowledge under model II
 };
 
 }  // namespace optrt::schemes

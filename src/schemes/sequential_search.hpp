@@ -30,7 +30,7 @@ class SequentialSearchScheme final : public model::RoutingScheme {
     return model::kIIalpha;
   }
   [[nodiscard]] std::size_t node_count() const override {
-    return g_->node_count();
+    return g_.node_count();
   }
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
@@ -47,7 +47,7 @@ class SequentialSearchScheme final : public model::RoutingScheme {
   static constexpr std::uint32_t kReturning = 2;
 
  private:
-  const graph::Graph* g_;  // free neighbour knowledge under model II
+  graph::Graph g_;  // free neighbour knowledge under model II
 };
 
 }  // namespace optrt::schemes

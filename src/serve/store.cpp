@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -101,16 +102,17 @@ LoadReport ArtifactStore::load() {
     auto served = std::make_unique<ServedArtifact>();
     served->id = static_cast<std::uint32_t>(fresh->artifacts.size());
     served->name = stem;
+    std::optional<graph::Graph> g;
     try {
-      served->graph = std::make_unique<graph::Graph>(core::load_graph(eg));
+      g.emplace(core::load_graph(eg));
     } catch (const std::exception& e) {
       report.failures.push_back({eg, e.what()});
       continue;
     }
     try {
       // One frame parse and CRC per artifact: the decode reports the kind.
-      served->compiled = schemes::compile_fast_from_artifact(
-          load_artifact_mmap(ort), *served->graph);
+      served->compiled =
+          schemes::compile_fast_from_artifact(load_artifact_mmap(ort), *g);
       served->kind = served->compiled.kind;
     } catch (const std::exception& e) {
       report.failures.push_back({ort, e.what()});

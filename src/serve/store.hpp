@@ -21,19 +21,17 @@
 #include <string>
 #include <vector>
 
-#include "graph/graph.hpp"
 #include "schemes/serialization.hpp"
 
 namespace optrt::serve {
 
-/// One served artifact: the graph it binds to, the decoded scheme, and
-/// its compiled fast path (FastScheme keeps the scheme alive for the
-/// fast path; the graph must outlive the scheme, so it lives here too).
+/// One served artifact: the decoded scheme and its compiled fast path
+/// (FastScheme keeps the scheme alive for the fast path). Whatever part
+/// of the graph they read, they hold themselves.
 struct ServedArtifact {
   std::uint32_t id = 0;
   std::string name;  ///< file stem, e.g. "g0" for g0.ort + g0.eg
   schemes::SchemeKind kind = schemes::SchemeKind::kFullTable;
-  std::unique_ptr<graph::Graph> graph;
   schemes::FastScheme compiled;
 
   [[nodiscard]] std::size_t node_count() const {

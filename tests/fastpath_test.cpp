@@ -18,12 +18,16 @@
 #include "model/scheme.hpp"
 #include "obs/metrics.hpp"
 #include "schemes/compact_diam2.hpp"
+#include "schemes/full_information.hpp"
 #include "schemes/full_table.hpp"
 #include "schemes/hierarchical.hpp"
 #include "schemes/hub.hpp"
+#include "schemes/k_interval.hpp"
 #include "schemes/landmark.hpp"
+#include "schemes/neighbor_label.hpp"
 #include "schemes/routing_center.hpp"
 #include "schemes/sequential_search.hpp"
+#include "schemes/serialization.hpp"
 #include "schemes/tz.hpp"
 
 namespace optrt {
@@ -252,6 +256,84 @@ TEST(FastPath, BatchFingerprintsIndependentOfThreadCount) {
   expect_fingerprints_stable(g, schemes::HierarchicalScheme(g));
   expect_fingerprints_stable(g, schemes::SequentialSearchScheme(g));
   expect_fingerprints_stable(g, schemes::TzScheme(g));
+}
+
+// --- Every scheme outlives the Graph it was built on ------------------------
+
+/// A scheme's answers over every non-self pair: next_hop with a fresh
+/// header, and route_batch on a fresh compile_fast().
+struct Answers {
+  std::vector<Outcome> hops;
+  std::vector<NodeId> batch;
+
+  bool operator==(const Answers&) const = default;
+};
+
+std::vector<model::RoutePair> non_self_pairs(
+    const model::RoutingScheme& scheme) {
+  const auto n = static_cast<NodeId>(scheme.node_count());
+  std::vector<model::RoutePair> pairs;
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (v != u) pairs.push_back({u, scheme.label_of(v)});
+    }
+  }
+  return pairs;
+}
+
+Answers answers(const model::RoutingScheme& scheme) {
+  const auto pairs = non_self_pairs(scheme);
+  Answers out;
+  for (const auto& [u, label] : pairs) {
+    out.hops.push_back(capture([&] {
+      model::MessageHeader header;
+      return scheme.next_hop(u, label, header);
+    }));
+  }
+  out.batch.resize(pairs.size());
+  scheme.compile_fast()->route_batch(pairs, out.batch);
+  return out;
+}
+
+/// Keeps a built scheme and the scheme decoded from its artifact.
+template <typename Scheme>
+void keep_built_and_decoded(
+    std::vector<std::unique_ptr<model::RoutingScheme>>& out, const Graph& g,
+    Scheme built) {
+  out.push_back(schemes::deserialize_any(schemes::serialize(built), g));
+  out.push_back(std::make_unique<Scheme>(std::move(built)));
+}
+
+TEST(FastPath, EverySchemeOutlivesItsGraph) {
+  auto g = std::make_unique<Graph>(certified(64, 1996));
+  std::vector<std::unique_ptr<model::RoutingScheme>> all;
+  keep_built_and_decoded(all, *g, schemes::CompactDiam2Scheme(*g, {}));
+  keep_built_and_decoded(all, *g, schemes::FullTableScheme::standard(*g));
+  keep_built_and_decoded(all, *g, schemes::HubScheme(*g));
+  keep_built_and_decoded(all, *g, schemes::RoutingCenterScheme(*g));
+  keep_built_and_decoded(all, *g, schemes::LandmarkScheme(*g));
+  keep_built_and_decoded(all, *g, schemes::HierarchicalScheme(*g));
+  keep_built_and_decoded(all, *g, schemes::SequentialSearchScheme(*g));
+  keep_built_and_decoded(all, *g, schemes::TzScheme(*g));
+  all.push_back(std::make_unique<schemes::NeighborLabelScheme>(*g));
+  all.push_back(std::make_unique<schemes::FullInformationScheme>(
+      schemes::FullInformationScheme::standard(*g)));
+  all.push_back(std::make_unique<schemes::KIntervalScheme>(*g));
+
+  std::vector<Answers> before;
+  std::vector<std::shared_ptr<const model::FastPath>> compiled;
+  for (const auto& scheme : all) {
+    before.push_back(answers(*scheme));
+    compiled.push_back(scheme->compile_fast());
+  }
+  g.reset();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(answers(*all[i]), before[i]) << all[i]->name();
+    const auto pairs = non_self_pairs(*all[i]);
+    std::vector<NodeId> hops(pairs.size());
+    compiled[i]->route_batch(pairs, hops);
+    EXPECT_EQ(hops, before[i].batch) << all[i]->name();
+  }
 }
 
 // --- Fallback, batch contract, and lookup.* counters -----------------------

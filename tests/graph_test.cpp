@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -223,20 +224,86 @@ TEST(Graph, BulkAddEdgeAndToggledGraphsCompareEqual) {
   }
 }
 
-TEST(Graph, StoreCopiesAnswerLikeTheGraph) {
-  Rng rng(11);
-  const Graph g = random_gnp(90, 0.25, rng);
-  const CsrAdjacency csr = g.csr();
-  const AdjacencyBits bits = g.bit_rows();
-  ASSERT_EQ(csr.node_count(), g.node_count());
+/// The edge set of g, as sorted (u < v) pairs.
+std::set<Edge> edge_set(const Graph& g) {
+  std::set<Edge> edges;
   for (NodeId u = 0; u < g.node_count(); ++u) {
-    const auto a = csr.neighbors(u);
-    const auto b = g.neighbors(u);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      EXPECT_EQ(bits.has_edge(u, v), g.has_edge(u, v));
-      EXPECT_EQ(csr.arc_index(u, v), g.arc_index(u, v));
+    for (const NodeId v : g.neighbors(u)) {
+      if (u < v) edges.emplace(u, v);
     }
+  }
+  return edges;
+}
+
+TEST(Graph, CopiesShareUntilOneIsMutated) {
+  Rng rng(11);
+  Graph original = random_gnp(90, 0.25, rng);
+  const std::set<Edge> before = edge_set(original);
+  ASSERT_FALSE(before.empty());
+  const auto [a, b] = *before.begin();
+  NodeId x = 0;
+  NodeId y = 1;
+  while (original.has_edge(x, y)) ++y;
+
+  Graph copy = original;
+  EXPECT_EQ(copy, original);
+  copy.remove_edge(a, b);  // copies the shared block first
+  const Graph snapshot = copy;
+  copy.add_edge(x, y);     // shared with the snapshot: copies again
+  original.add_edge(x, y);
+
+  std::set<Edge> want_copy = before;
+  want_copy.erase({a, b});
+  std::set<Edge> want_snapshot = want_copy;
+  want_copy.emplace(x, y);
+  std::set<Edge> want_original = before;
+  want_original.emplace(x, y);
+  EXPECT_EQ(edge_set(copy), want_copy);
+  EXPECT_EQ(edge_set(snapshot), want_snapshot);
+  EXPECT_EQ(edge_set(original), want_original);
+  expect_stores_agree(copy);
+  expect_stores_agree(snapshot);
+  expect_stores_agree(original);
+  EXPECT_FALSE(snapshot.has_edge(a, b));
+  EXPECT_FALSE(snapshot.has_edge(x, y));
+  EXPECT_TRUE(original.has_edge(a, b));
+}
+
+TEST(Graph, CopiesMutatedOnSeparateThreadsKeepTheirOwnEdges) {
+  Rng rng(12);
+  const Graph original = random_gnp(70, 0.3, rng);
+  const std::set<Edge> before = edge_set(original);
+  // Thread t removes every edge {u, v} with u % 4 == t and adds {t, v}
+  // for every non-neighbour v > t, each on its own copy.
+  constexpr NodeId kThreads = 4;
+  std::vector<Graph> copies(kThreads, Graph(0));
+  std::vector<std::set<Edge>> want(kThreads, before);
+  for (NodeId t = 0; t < kThreads; ++t) {
+    for (const Edge& e : before) {
+      if (e.first % kThreads == t) want[t].erase(e);
+    }
+    for (NodeId v = t + 1; v < original.node_count(); ++v) {
+      if (!original.has_edge(t, v)) want[t].emplace(t, v);
+    }
+  }
+  std::vector<std::thread> threads;
+  for (NodeId t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Graph mine = original;
+      for (const Edge& e : before) {
+        if (e.first % kThreads == t) mine.remove_edge(e.first, e.second);
+      }
+      for (NodeId v = t + 1; v < mine.node_count(); ++v) {
+        if (!original.has_edge(t, v)) mine.add_edge(t, v);
+      }
+      copies[t] = mine;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(edge_set(original), before);
+  for (NodeId t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(edge_set(copies[t]), want[t]) << "copy " << t;
+    expect_stores_agree(copies[t]);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "schemes/errors.hpp"
 #include "schemes/hierarchical.hpp"
 #include "schemes/landmark.hpp"
+#include "schemes/serialization.hpp"
 
 namespace optrt::schemes {
 namespace {
@@ -145,6 +146,26 @@ TEST(Hierarchical, RejectsBadInputs) {
   HierarchicalOptions opt;
   opt.levels = 1;
   EXPECT_THROW(HierarchicalScheme(graph::chain(8), opt), SchemeInapplicable);
+}
+
+TEST(Hierarchical, DecodeLeavesNoMatrixInTheSharedCache) {
+  // The decoder finds each level's nearest pivots by multi-source BFS: a
+  // served hierarchical artifact pins no n² state.
+  const Graph g = graph::TopologyFamily::power_law(2).make(72, 13);
+  HierarchicalOptions opt;
+  opt.levels = 3;
+  const HierarchicalScheme built(g, opt);
+  const bitio::BitVector artifact = serialize(built);
+  auto& cache = graph::DistanceCache::global();
+  cache.clear();
+  const HierarchicalScheme loaded = deserialize_hierarchical(artifact, g);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
+  for (std::size_t level = 0; level < built.levels(); ++level) {
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      EXPECT_EQ(loaded.pivot_of(level, v), built.pivot_of(level, v));
+    }
+  }
 }
 
 TEST(Hierarchical, SpaceMatchesSerializedBits) {

@@ -30,8 +30,12 @@ fi
 # simulator suites read neighbors() spans into the one flat CSR array,
 # which any add_edge/remove_edge invalidates. The route fingerprints are
 # the one suite that pins TZ exit ports, which the landmark BFS derives
-# by indexing per-node arrays.
-SANITIZED_TARGETS=(bitio_test graph_test algorithms_test landmark_test
+# by indexing per-node arrays. A PortAssignment indexes its port arrays
+# by arc id unchecked, so its suites run under ASan; copies of one Graph
+# share its adjacency block through a reference count, so graph_test's
+# cross-thread copy-on-write case runs under TSan.
+SANITIZED_TARGETS=(bitio_test graph_test ports_labeling_test
+  permutation_code_test algorithms_test landmark_test
   schemes_test hierarchical_test lemma_codecs_test theorem_codecs_test
   theorem9_test theorem7_aggregate_test simulator_test parallel_test
   distance_cache_test verifier_test faults_test resilience_test obs_test
