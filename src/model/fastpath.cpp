@@ -19,16 +19,9 @@ void FastPath::route_batch(std::span<const RoutePair> pairs,
   obs::counter("lookup.pairs").inc(pairs.size());
 }
 
-void FastPath::batch_impl(std::span<const RoutePair> pairs,
-                          std::span<graph::NodeId> out_hops) const {
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    out_hops[i] = next_hop(pairs[i].src, pairs[i].dst_label);
-  }
-}
-
 namespace {
 
-class FallbackFastPath final : public FastPath {
+class FallbackFastPath final : public DirectBatchFastPath<FallbackFastPath> {
  public:
   explicit FallbackFastPath(const RoutingScheme& scheme) : scheme_(&scheme) {}
 

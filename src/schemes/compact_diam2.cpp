@@ -7,7 +7,8 @@
 
 namespace optrt::schemes {
 
-class CompactDiam2FastPath final : public model::FastPath {
+class CompactDiam2FastPath final
+    : public model::DirectBatchFastPath<CompactDiam2FastPath> {
  public:
   explicit CompactDiam2FastPath(std::vector<model::PackedSparseArray> tables)
       : tables_(std::move(tables)) {}

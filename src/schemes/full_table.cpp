@@ -245,6 +245,7 @@ std::shared_ptr<const model::FastPath> FullTableScheme::compile_fast() const {
   };
   for (NodeId u = 0; u < n_; ++u) {
     const NodeId self = labeling_.label_of(u);
+    const auto ports = ports_.ports(u);
     bitio::BitReader r(table_bits_[u]);
     for (std::size_t dest = 0; dest < row_entries; ++dest) {
       const std::size_t slot = (std::size_t{u} << row_shift) + dest;
@@ -256,7 +257,7 @@ std::shared_ptr<const model::FastPath> FullTableScheme::compile_fast() const {
       }
       r.seek(dest * width_[u]);
       const auto port = static_cast<graph::PortId>(r.read_bits(width_[u]));
-      put(slot, ports_.neighbor_at(u, port));
+      put(slot, ports[port]);
     }
   }
   model::note_fastpath_compiled("full_table");

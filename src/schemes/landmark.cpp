@@ -13,7 +13,8 @@
 
 namespace optrt::schemes {
 
-class LandmarkFastPath final : public model::FastPath {
+class LandmarkFastPath final
+    : public model::DirectBatchFastPath<LandmarkFastPath> {
  public:
   explicit LandmarkFastPath(LandmarkTables tables)
       : t_(std::move(tables)) {}
