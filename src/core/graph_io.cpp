@@ -14,8 +14,8 @@ void save_graph(const std::string& path, const graph::Graph& g) {
   schemes::save_artifact(path, w.take());
 }
 
-graph::Graph load_graph(const std::string& path) {
-  const bitio::BitVector bits = schemes::load_artifact(path);
+graph::Graph decode_graph(std::span<const std::uint8_t> bytes) {
+  const bitio::BitVector bits = schemes::from_bytes(bytes);
   bitio::BitReader r(bits);
   std::uint64_t n = 0;
   try {
@@ -27,24 +27,28 @@ graph::Graph load_graph(const std::string& path) {
     throw schemes::DecodeError(schemes::DecodeErrorKind::kSemanticInvalid,
                                "graph file node count is malformed");
   }
-  // E(G) holds one bit per node pair; a hostile n must not drive the loop
-  // (or the adjacency allocation in decode) past the actual file contents.
-  // The n < 2^32 bound also keeps n·(n−1)/2 below any uint64 overflow.
+  // E(G) holds one bit per node pair; a hostile n must not drive the
+  // adjacency allocation in decode past the actual file contents. The
+  // n < 2^32 bound keeps n·(n−1)/2 below any uint64 overflow.
   if (n >> 32 != 0) {
     throw schemes::DecodeError(schemes::DecodeErrorKind::kResourceLimit,
                                "graph node count exceeds 32 bits");
   }
-  if (n != 0 && (n > r.remaining() || n * (n - 1) / 2 > r.remaining())) {
+  const auto pairs = static_cast<std::size_t>(n) * (n - 1) / 2;
+  if (pairs > r.remaining()) {
     throw schemes::DecodeError(
         schemes::DecodeErrorKind::kResourceLimit,
         "graph node count exceeds the file's edge bits");
   }
-  const auto pairs = static_cast<std::size_t>(n) * (n - 1) / 2;
   if (r.remaining() != pairs) {
     throw schemes::DecodeError(schemes::DecodeErrorKind::kSemanticInvalid,
                                "graph file size does not match E(G) for n");
   }
   return graph::decode(r.read_vector(pairs), static_cast<std::size_t>(n));
+}
+
+graph::Graph load_graph(const std::string& path) {
+  return decode_graph(schemes::read_file(path));
 }
 
 }  // namespace optrt::core

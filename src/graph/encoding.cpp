@@ -1,5 +1,7 @@
 #include "graph/encoding.hpp"
 
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -41,10 +43,24 @@ Graph decode(const bitio::BitVector& bits, std::size_t n) {
     throw std::invalid_argument("graph::decode: length != n(n-1)/2");
   }
   std::vector<Edge> edges;
-  std::size_t i = 0;
-  for (NodeId u = 0; u + 1 < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v, ++i) {
-      if (bits.get(i)) edges.emplace_back(u, v);
+  edges.reserve(bits.popcount());
+  // Row u holds the pairs (u, u+1), …, (u, n−1) at bits [row_begin,
+  // row_end). Set bits come in increasing order, so the row only advances;
+  // the zero tail past size() contributes none.
+  NodeId u = 0;
+  std::size_t row_begin = 0;
+  std::size_t row_end = n - 1;
+  const std::vector<std::uint64_t>& words = bits.words();
+  for (std::size_t k = 0; k < words.size(); ++k) {
+    for (std::uint64_t w = words[k]; w != 0; w &= w - 1) {
+      const std::size_t i =
+          k * 64 + static_cast<std::size_t>(std::countr_zero(w));
+      while (i >= row_end) {
+        ++u;
+        row_begin = row_end;
+        row_end += n - 1 - u;
+      }
+      edges.emplace_back(u, static_cast<NodeId>(u + 1 + (i - row_begin)));
     }
   }
   return Graph(n, edges);

@@ -28,8 +28,10 @@ struct EdgePair {
 /// Encodes G into its n(n−1)/2-bit string E(G).
 [[nodiscard]] bitio::BitVector encode(const Graph& g);
 
-/// Decodes an n(n−1)/2-bit string into a graph on n nodes.
-/// Throws std::invalid_argument if the length does not match.
+/// Decodes an n(n−1)/2-bit string into a graph on n nodes, walking the
+/// set bits a word at a time. Throws std::invalid_argument if the length
+/// does not match. Graph files go through core::decode_graph, which checks
+/// the file's header and size before it calls this.
 [[nodiscard]] Graph decode(const bitio::BitVector& bits, std::size_t n);
 
 }  // namespace optrt::graph

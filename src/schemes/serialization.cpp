@@ -731,8 +731,12 @@ void save_artifact(const std::string& path, const bitio::BitVector& bits) {
 
 bitio::BitVector load_artifact(const std::string& path) {
   obs::counter("schemes.artifact.loads").inc();
+  return from_bytes(read_file(path));
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_artifact: cannot open " + path);
+  if (!in) throw std::runtime_error("cannot open " + path);
   // One read of the whole file when its size is known; whatever is left
   // (a file that grew, or one whose size cannot be asked) is read bytewise.
   std::error_code ec;
@@ -742,7 +746,7 @@ bitio::BitVector load_artifact(const std::string& path) {
           static_cast<std::streamsize>(bytes.size()));
   bytes.resize(static_cast<std::size_t>(in.gcount()));
   if (in) bytes.insert(bytes.end(), std::istreambuf_iterator<char>(in), {});
-  return from_bytes(bytes);
+  return bytes;
 }
 
 }  // namespace optrt::schemes

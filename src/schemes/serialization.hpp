@@ -183,4 +183,8 @@ struct FastScheme {
 void save_artifact(const std::string& path, const bitio::BitVector& bits);
 [[nodiscard]] bitio::BitVector load_artifact(const std::string& path);
 
+/// The whole file at `path`, unparsed. Throws std::runtime_error naming
+/// `path` when it cannot be opened.
+[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);
+
 }  // namespace optrt::schemes

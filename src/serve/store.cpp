@@ -9,12 +9,13 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <optional>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "core/graph_io.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace optrt::serve {
 
@@ -66,6 +67,28 @@ class MappedFile {
   std::size_t size_ = 0;
 };
 
+/// The graph in the .eg file at `path`, decoded only when no file with
+/// the same bytes was decoded into `graphs` before. The key is a copy of
+/// the mapped bytes and the decode reads that copy, so a file rewritten
+/// mid-load cannot pair one content's key with another's graph. A file
+/// that fails to decode is not interned.
+const graph::Graph& intern_graph(
+    std::unordered_map<std::string, graph::Graph>& graphs,
+    const std::string& path) {
+  const MappedFile file(path);
+  std::string key(reinterpret_cast<const char*>(file.bytes().data()),
+                  file.bytes().size());
+  auto it = graphs.find(key);
+  if (it == graphs.end()) {
+    const obs::TraceSpan span("serve.store.decode_graph");
+    obs::counter("serve.graph_decodes").inc();
+    graph::Graph g = core::decode_graph(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(key.data()), key.size()));
+    it = graphs.emplace(std::move(key), std::move(g)).first;
+  }
+  return it->second;
+}
+
 }  // namespace
 
 bitio::BitVector load_artifact_mmap(const std::string& path) {
@@ -79,6 +102,7 @@ ArtifactStore::ArtifactStore(std::string directory)
 
 LoadReport ArtifactStore::load() {
   namespace fs = std::filesystem;
+  const obs::TraceSpan load_span("serve.store.load");
   LoadReport report;
   auto fresh = std::make_shared<Catalog>();
 
@@ -96,20 +120,24 @@ LoadReport ArtifactStore::load() {
   }
   std::sort(stems.begin(), stems.end());
 
+  // This load's graphs, keyed by their .eg bytes: artifacts on equal files
+  // share one decoded Graph.
+  std::unordered_map<std::string, graph::Graph> graphs;
   for (const std::string& stem : stems) {
     const std::string ort = directory_ + "/" + stem + ".ort";
     const std::string eg = directory_ + "/" + stem + ".eg";
     auto served = std::make_unique<ServedArtifact>();
     served->id = static_cast<std::uint32_t>(fresh->artifacts.size());
     served->name = stem;
-    std::optional<graph::Graph> g;
+    const graph::Graph* g = nullptr;
     try {
-      g.emplace(core::load_graph(eg));
+      g = &intern_graph(graphs, eg);
     } catch (const std::exception& e) {
       report.failures.push_back({eg, e.what()});
       continue;
     }
     try {
+      const obs::TraceSpan span("serve.store.load_artifact");
       // One frame parse and CRC per artifact: the decode reports the kind.
       served->compiled =
           schemes::compile_fast_from_artifact(load_artifact_mmap(ort), *g);

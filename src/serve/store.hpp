@@ -7,6 +7,13 @@
 // does). Artifact ids are the rank of the name in sorted order, so ids
 // are stable across reloads as long as the set of names is.
 //
+// The graph belongs to the network, not to any one scheme (model II's
+// free knowledge), so the artifacts of one network read one graph. A load
+// maps each `.eg` once and decodes it only if no `.eg` with exactly the
+// same bytes was decoded earlier in the same load; artifacts whose `.eg`
+// bytes are equal then share one decoded Graph (one adjacency block).
+// Nothing is cached across loads: every load rereads every file.
+//
 // Hot reload is copy-and-swap: load() builds a complete new immutable
 // Catalog and atomically replaces the served pointer. In-flight requests
 // keep the shared_ptr they resolved at dispatch time, so a reload never
@@ -85,7 +92,11 @@ class ArtifactStore {
   /// the failures are reported — the store never swaps in a half-loaded
   /// catalog. Callers decide policy: the daemon treats a failed first
   /// load as fatal (verify-artifact parity) and a failed reload as a
-  /// kept-old-catalog warning.
+  /// kept-old-catalog warning. Under the caller's obs::TraceScope it
+  /// records one `serve.store.load` span, and inside it one
+  /// `serve.store.decode_graph` per graph decoded and one
+  /// `serve.store.load_artifact` per artifact (mmap, frame CRC, decode,
+  /// compile_fast).
   LoadReport load();
 
   /// The currently served snapshot (never null after a successful load;

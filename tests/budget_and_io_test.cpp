@@ -87,6 +87,19 @@ TEST(GraphIo, RoundTripsEveryFamily) {
   std::remove(path.c_str());
 }
 
+/// E(G) is empty below n = 2 and one bit at n = 2; those files hold fewer
+/// edge bits than nodes and must still load.
+TEST(GraphIo, RoundTripsTinyGraphs) {
+  const std::string path = "/tmp/optrt_graph_io_tiny_test.eg";
+  for (std::size_t n = 0; n <= 3; ++n) {
+    for (const Graph& g : {Graph(n), graph::complete(n)}) {
+      core::save_graph(path, g);
+      EXPECT_EQ(core::load_graph(path), g) << "n " << n;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(GraphIo, MissingFileThrows) {
   EXPECT_THROW((void)core::load_graph("/nonexistent/no.eg"),
                std::runtime_error);

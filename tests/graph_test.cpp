@@ -366,6 +366,38 @@ TEST(Encoding, DecodeRejectsWrongLength) {
   EXPECT_THROW(decode(bits, 6), std::invalid_argument);
 }
 
+/// The word-level decode against the pair-by-pair definition. Every n in
+/// 0..130 starts and ends rows at every offset within a word, and ends
+/// E(G) both inside a word and on a word boundary (n = 128: 8128 bits).
+TEST(Encoding, WordLevelDecodeMatchesPairByPair) {
+  std::mt19937_64 rng(19);
+  std::uniform_real_distribution<double> random_density(0.0, 1.0);
+  for (std::size_t n = 0; n <= 130; ++n) {
+    const std::size_t pairs = n * (n - 1) / 2;
+    std::vector<double> densities = {0.0, 1.0 / 16, 0.5, 1.0};
+    for (int r = 0; r < 3; ++r) densities.push_back(random_density(rng));
+    for (const double p : densities) {
+      std::bernoulli_distribution bit(p);
+      bitio::BitVector bits(pairs);
+      for (std::size_t i = 0; i < pairs; ++i) bits.set(i, bit(rng));
+      std::vector<Edge> edges;
+      std::size_t i = 0;
+      for (NodeId u = 0; u + 1 < n; ++u) {
+        for (NodeId v = u + 1; v < n; ++v, ++i) {
+          if (bits.get(i)) edges.emplace_back(u, v);
+        }
+      }
+      EXPECT_EQ(decode(bits, n), Graph(n, edges)) << "n " << n << " p " << p;
+    }
+    EXPECT_THROW((void)decode(bitio::BitVector(pairs + 1), n),
+                 std::invalid_argument);
+    if (pairs > 0) {
+      EXPECT_THROW((void)decode(bitio::BitVector(pairs - 1), n),
+                   std::invalid_argument);
+    }
+  }
+}
+
 TEST(Encoding, EveryBitStringIsAGraph) {
   // Definition 2: the correspondence is onto.
   bitio::BitVector bits(6);  // n = 4

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "graph/generators.hpp"
 #include "model/scheme.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "schemes/compact_diam2.hpp"
 #include "schemes/full_table.hpp"
 #include "schemes/hierarchical.hpp"
@@ -119,6 +121,24 @@ std::vector<Fixture> all_kinds(const TempDir& dir, const Graph& g) {
       add_fixture(dir, "g6", g, schemes::SequentialSearchScheme(g)));
   fixtures.push_back(add_fixture(dir, "g7", g, schemes::TzScheme(g)));
   return fixtures;
+}
+
+/// all_kinds on one graph plus a full-table artifact g8 on a second
+/// certified graph with the same n: nine artifacts on two distinct .eg
+/// files.
+std::vector<Fixture> two_graph_kinds(const TempDir& dir) {
+  const Graph g = certified(48, 1996);
+  const Graph h = certified(48, 2026);
+  EXPECT_FALSE(g == h);
+  std::vector<Fixture> fixtures = all_kinds(dir, g);
+  fixtures.push_back(
+      add_fixture(dir, "g8", h, schemes::FullTableScheme::standard(h)));
+  return fixtures;
+}
+
+/// Cuts the last three bytes off a file on disk.
+void truncate_tail(const std::string& path) {
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 3);
 }
 
 /// An in-process server: no listeners, connections arrive as socketpair
@@ -697,6 +717,126 @@ TEST(ServeStore, TzArtifactOnAGraphNoLandmarkSpansKeepsTheOldCatalog) {
   EXPECT_NE(bad.failures[0].message.find("semantic-invalid"), std::string::npos)
       << bad.failures[0].message;
   EXPECT_EQ(store.catalog(), catalog) << "failed reload must not swap";
+}
+
+/// Artifacts whose .eg bytes are equal share one decode per load, and
+/// nothing carries over to the next load. Every artifact must answer every
+/// pair like its own in-memory scheme, so one paired with the other
+/// graph fails.
+TEST(ServeStore, LoadDecodesEachDistinctGraphOnce) {
+  TempDir dir;
+  const std::vector<Fixture> fixtures = two_graph_kinds(dir);
+
+  obs::ScopedRegistry scoped;
+  auto& reg = scoped.registry();
+  serve::ArtifactStore store(dir.str());
+  for (std::uint64_t round = 1; round <= 2; ++round) {
+    const serve::LoadReport report = store.load();
+    ASSERT_TRUE(report.ok()) << serve::format_load_failure(report.failures[0]);
+    ASSERT_EQ(report.loaded, fixtures.size());
+    EXPECT_EQ(reg.counter_value("serve.graph_decodes"), 2 * round);
+    EXPECT_EQ(reg.counter_value("serve.artifact_mmaps"),
+              round * fixtures.size());
+  }
+
+  const auto catalog = store.catalog();
+  ASSERT_EQ(catalog->artifacts.size(), fixtures.size());
+  for (std::size_t k = 0; k < fixtures.size(); ++k) {
+    const serve::ServedArtifact& artifact = *catalog->artifacts[k];
+    ASSERT_EQ(artifact.name, fixtures[k].stem);
+    const model::RoutingScheme& oracle = *fixtures[k].scheme;
+    const auto n = static_cast<NodeId>(oracle.node_count());
+    std::vector<model::RoutePair> pairs;
+    std::vector<NodeId> expected;
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = 0; v < n; ++v) {
+        if (u == v) continue;
+        const NodeId dest = oracle.label_of(v);
+        model::MessageHeader header;
+        pairs.push_back({u, dest});
+        expected.push_back(oracle.next_hop(u, dest, header));
+      }
+    }
+    std::vector<NodeId> hops(pairs.size());
+    artifact.compiled.fast->route_batch(pairs, hops);
+    EXPECT_EQ(hops, expected) << artifact.name;
+  }
+}
+
+/// Under the caller's trace a load records one serve.store.load span, and
+/// inside it one decode_graph per graph decoded and one load_artifact per
+/// artifact.
+TEST(ServeStore, LoadRecordsOneSpanPerStage) {
+  TempDir dir;
+  const std::vector<Fixture> fixtures = two_graph_kinds(dir);
+  serve::ArtifactStore store(dir.str());
+  obs::Trace trace;
+  {
+    const obs::TraceScope scope(trace);
+    ASSERT_TRUE(store.load().ok());
+  }
+  std::map<std::string, std::uint64_t> counts;
+  for (const auto& row : trace.summary()) counts[row.name] = row.count;
+  EXPECT_EQ(counts["serve.store.load"], 1u);
+  EXPECT_EQ(counts["serve.store.decode_graph"], 2u);
+  EXPECT_EQ(counts["serve.store.load_artifact"], fixtures.size());
+
+  std::uint32_t load_depth = 0;
+  for (const auto& e : trace.events()) {
+    if (e.name == "serve.store.load") load_depth = e.depth;
+  }
+  for (const auto& e : trace.events()) {
+    if (e.name == "serve.store.decode_graph" ||
+        e.name == "serve.store.load_artifact") {
+      EXPECT_EQ(e.depth, load_depth + 1) << e.name;
+    }
+  }
+}
+
+/// A bad .eg fails its own artifact with the error core::load_graph throws
+/// for the same bytes, and is never interned: a file equal to another
+/// that decoded still decodes, and two equal bad files fail twice.
+TEST(ServeStore, BadGraphFileKeepsTheOldCatalog) {
+  const Graph g = certified(32, 7);
+  TempDir dir;
+  add_fixture(dir, "g0", g, schemes::FullTableScheme::standard(g));
+  add_fixture(dir, "g1", g, schemes::HubScheme(g));
+  serve::ArtifactStore store(dir.str());
+  ASSERT_TRUE(store.load().ok());
+  const auto catalog = store.catalog();
+
+  truncate_tail(dir.file("g1.eg"));
+  std::string expected;
+  try {
+    (void)core::load_graph(dir.file("g1.eg"));
+  } catch (const schemes::DecodeError& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty()) << "a truncated .eg must not decode";
+
+  serve::LoadReport bad = store.load();
+  ASSERT_EQ(bad.failures.size(), 1u);
+  EXPECT_EQ(bad.failures[0].path, dir.file("g1.eg"));
+  EXPECT_EQ(bad.failures[0].message, expected);
+  EXPECT_EQ(store.catalog(), catalog) << "failed reload must not swap";
+
+  truncate_tail(dir.file("g0.eg"));
+  bad = store.load();
+  ASSERT_EQ(bad.failures.size(), 2u);
+  EXPECT_EQ(bad.failures[0].path, dir.file("g0.eg"));
+  EXPECT_EQ(bad.failures[1].path, dir.file("g1.eg"));
+  EXPECT_EQ(bad.failures[0].message, expected);
+  EXPECT_EQ(bad.failures[1].message, expected);
+  EXPECT_EQ(store.catalog(), catalog);
+
+  core::save_graph(dir.file("g0.eg"), g);
+  std::filesystem::remove(dir.file("g1.eg"));
+  bad = store.load();
+  ASSERT_EQ(bad.failures.size(), 1u);
+  EXPECT_EQ(bad.failures[0].path, dir.file("g1.eg"));
+  EXPECT_NE(bad.failures[0].message.find(dir.file("g1.eg")), std::string::npos)
+      << bad.failures[0].message;
+  EXPECT_EQ(store.catalog(), catalog);
 }
 
 }  // namespace

@@ -33,9 +33,12 @@ fi
 # by indexing per-node arrays. A PortAssignment indexes its port arrays
 # by arc id unchecked, so its suites run under ASan; copies of one Graph
 # share its adjacency block through a reference count, so graph_test's
-# cross-thread copy-on-write case runs under TSan.
-SANITIZED_TARGETS=(bitio_test graph_test ports_labeling_test
-  permutation_code_test algorithms_test landmark_test
+# cross-thread copy-on-write case runs under TSan. The E(G) decoder
+# indexes words of bytes read from disk, so the suites that read .eg
+# files (budget_and_io_test) and decode and encode at tiny n
+# (edge_cases_test) run under ASan.
+SANITIZED_TARGETS=(bitio_test graph_test budget_and_io_test edge_cases_test
+  ports_labeling_test permutation_code_test algorithms_test landmark_test
   schemes_test hierarchical_test lemma_codecs_test theorem_codecs_test
   theorem9_test theorem7_aggregate_test simulator_test parallel_test
   distance_cache_test verifier_test faults_test resilience_test obs_test
