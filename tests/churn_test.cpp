@@ -123,6 +123,42 @@ TEST(ChurnPlan, PreservesConnectivityUnderLinkChurn) {
   }
 }
 
+TEST(ChurnPlan, FingerprintsArePinned) {
+  // Every churn model at two seeds, capped and uncapped: the constants pin
+  // each plan's fail-preference order, repair picks and quiesce indices.
+  const Graph g = connected_member(TopologyFamily::power_law(2), 40, 3);
+  const net::FaultModel models[] = {
+      net::FaultModel::kUniform, net::FaultModel::kTargeted,
+      net::FaultModel::kPartition, net::FaultModel::kNodes};
+  constexpr std::uint64_t kPinned[4][2][2] = {
+      {{17997412641399017064ULL, 12745082222415336113ULL},
+       {8210913830231155561ULL, 5312440463377488559ULL}},
+      {{14231285061025103111ULL, 3111284845028732289ULL},
+       {8823156408417918529ULL, 15552107254043360922ULL}},
+      {{11992975566255531633ULL, 5972433309720283228ULL},
+       {1786981174386993952ULL, 1635875350446213693ULL}},
+      {{13166200020197789712ULL, 13627670305542792618ULL},
+       {7439087825215989539ULL, 16675721203831477477ULL}},
+  };
+  for (std::size_t mi = 0; mi < 4; ++mi) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      for (const std::size_t max_down : {std::size_t{0}, std::size_t{3}}) {
+        net::ChurnOptions opt;
+        opt.seed = seed;
+        opt.model = models[mi];
+        opt.events = 40;
+        opt.mean_gap = 3;
+        opt.quiesce_every = 7;
+        opt.max_down = max_down;
+        EXPECT_EQ(net::make_churn_plan(g, opt).fingerprint(),
+                  kPinned[mi][seed - 1][max_down == 0 ? 0 : 1])
+            << net::to_string(models[mi]) << " seed " << seed
+            << " max_down " << max_down;
+      }
+    }
+  }
+}
+
 TEST(ChurnPlan, EventTimesAreStrictlyIncreasing) {
   const Graph g = connected_member(TopologyFamily::uniform(), 20, 2);
   net::ChurnOptions opt;

@@ -65,6 +65,18 @@ net::FaultPlan plan_for(const Graph& g, const Cell& cell,
   return net::make_fault_plan(g, cell.model, cell.count, opt);
 }
 
+/// Folds one cell's (status, rounds, messages, dropped) into `digest`.
+/// Each test pins the digest of all its cells, so a change to how fault
+/// events reach the engine cannot move any outcome unnoticed.
+template <class Result>
+void fold(std::uint64_t& digest, const Result& r) {
+  for (const std::uint64_t x :
+       {static_cast<std::uint64_t>(r.status), std::uint64_t{r.rounds},
+        std::uint64_t{r.messages}, std::uint64_t{r.dropped}}) {
+    digest = core::mix64(digest ^ x);
+  }
+}
+
 std::string trace(const Cell& cell) {
   return std::string(net::to_string(cell.model)) + " count=" +
          std::to_string(cell.count) + " repair=" +
@@ -76,6 +88,7 @@ std::string trace(const Cell& cell) {
 
 TEST(CongestChaos, CompactConvergesOrReportsTyped) {
   const Graph g = TopologyFamily::uniform().make(kN, 404);
+  std::uint64_t digest = 0;
   for (const Cell& cell : sweep()) {
     SCOPED_TRACE(trace(cell));
     const auto plan = plan_for(g, cell, 1);
@@ -87,6 +100,7 @@ TEST(CongestChaos, CompactConvergesOrReportsTyped) {
     EXPECT_EQ(built.status, again.status);
     EXPECT_EQ(built.node_tables, again.node_tables);
     EXPECT_EQ(built.dropped, again.dropped);
+    fold(digest, built);
     if (built.status != net::ConstructStatus::kOk) continue;
     // Converged: tables must be the centralized ones, stretch exactly 1.
     const schemes::CompactDiam2Scheme scheme(
@@ -95,12 +109,14 @@ TEST(CongestChaos, CompactConvergesOrReportsTyped) {
     EXPECT_TRUE(verdict.ok());
     EXPECT_EQ(verdict.max_stretch, 1.0);
   }
+  EXPECT_EQ(digest, 15159235757714778332ULL);
 }
 
 // --- Full table: mid-flood faults, audited distance vectors ---------------
 
 TEST(CongestChaos, FullTableConvergesOrReportsTyped) {
   const Graph g = connected_member(TopologyFamily::grid(), 1);
+  std::uint64_t digest = 0;
   for (const Cell& cell : sweep()) {
     SCOPED_TRACE(trace(cell));
     const auto plan = plan_for(g, cell, 3);  // strikes mid-flood
@@ -111,6 +127,7 @@ TEST(CongestChaos, FullTableConvergesOrReportsTyped) {
     EXPECT_EQ(built.status, again.status);
     EXPECT_EQ(built.node_tables, again.node_tables);
     EXPECT_EQ(built.rounds, again.rounds);
+    fold(digest, built);
     if (built.status != net::ConstructStatus::kOk) continue;
     const schemes::FullTableScheme scheme(
         g, graph::PortAssignment::sorted(g),
@@ -120,11 +137,13 @@ TEST(CongestChaos, FullTableConvergesOrReportsTyped) {
     EXPECT_TRUE(verdict.ok());
     EXPECT_EQ(verdict.max_stretch, 1.0);
   }
+  EXPECT_EQ(digest, 11312086630283420657ULL);
 }
 
 // --- TZ: faults across election, floods, and announcements ---------------
 
 TEST(CongestChaos, TzConvergesOrReportsTyped) {
+  std::uint64_t digest = 0;
   for (const auto& family :
        {TopologyFamily::power_law(2), TopologyFamily::grid()}) {
     const Graph g = connected_member(family, 406);
@@ -140,6 +159,7 @@ TEST(CongestChaos, TzConvergesOrReportsTyped) {
       EXPECT_EQ(built.status, again.status);
       EXPECT_EQ(built.rounds, again.rounds);
       EXPECT_EQ(built.dropped, again.dropped);
+      fold(digest, built);
       if (built.status != net::ConstructStatus::kOk) {
         EXPECT_EQ(built.scheme, nullptr);
         EXPECT_FALSE(std::string(to_string(built.status)).empty());
@@ -159,6 +179,7 @@ TEST(CongestChaos, TzConvergesOrReportsTyped) {
       EXPECT_EQ(built.exit_ports, nearest.exit_port);
     }
   }
+  EXPECT_EQ(digest, 12928839595046683238ULL);
 }
 
 // --- TZ exit ports: a lost registration is a typed failure ----------------
@@ -186,6 +207,7 @@ TEST(CongestChaos, TzExitPortLostToAFaultIsNotOk) {
       {TopologyFamily::grid(), 8, 32, 3, net::ConstructStatus::kInconsistent,
        23, 3, 2},
   };
+  std::uint64_t digest = 0;
   for (const ExitCell& cell : cells) {
     SCOPED_TRACE(cell.family.name() + " seed=" + std::to_string(cell.seed) +
                  " fail=" + std::to_string(cell.fail_time) +
@@ -201,6 +223,7 @@ TEST(CongestChaos, TzExitPortLostToAFaultIsNotOk) {
     opt.seed = 17;
     const auto built =
         net::distributed_tz_construction(g, opt, {.faults = &plan});
+    fold(digest, built);
     EXPECT_GT(built.dropped, 0u);
     EXPECT_EQ(built.status, cell.status) << built.detail;
     EXPECT_EQ(built.scheme, nullptr);
@@ -213,12 +236,14 @@ TEST(CongestChaos, TzExitPortLostToAFaultIsNotOk) {
     EXPECT_EQ(built.exit_ports[cell.dest], cell.learned);
     EXPECT_EQ(central.exit_port(cell.dest), cell.label);
   }
+  EXPECT_EQ(digest, 2059883853587207505ULL);
 }
 
 // --- Node failures: the harder adversary, same contract -------------------
 
 TEST(CongestChaos, NodeFailuresNeverPassTheAudit) {
   const Graph g = connected_member(TopologyFamily::grid(), 1);
+  std::uint64_t digest = 0;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     SCOPED_TRACE(seed);
     net::FaultOptions opt;
@@ -233,7 +258,10 @@ TEST(CongestChaos, NodeFailuresNeverPassTheAudit) {
     const auto tz = net::distributed_tz_construction(g, tz_opt,
                                                      {.faults = &plan});
     EXPECT_NE(tz.status, net::ConstructStatus::kOk);
+    fold(digest, full);
+    fold(digest, tz);
   }
+  EXPECT_EQ(digest, 4443231851789559114ULL);
 }
 
 }  // namespace
