@@ -1,7 +1,6 @@
 #include "net/churn.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <random>
 #include <stdexcept>
 
@@ -13,48 +12,6 @@
 namespace optrt::net {
 
 namespace {
-
-/// Fail-preference permutation over `edges` for the link models — the
-/// same orders the PR-2 one-shot generators use, re-derived here so a
-/// churn plan's first fails match the corresponding FaultPlan's.
-std::vector<std::size_t> fail_preference(const graph::Graph& g,
-                                         const std::vector<std::pair<NodeId, NodeId>>& edges,
-                                         const ChurnOptions& opt) {
-  std::vector<std::size_t> pref(edges.size());
-  std::iota(pref.begin(), pref.end(), std::size_t{0});
-  graph::Rng rng(core::mix64(opt.seed ^ 0x9a3c5e71u));
-  switch (opt.model) {
-    case FaultModel::kUniform:
-    case FaultModel::kNodes:
-      std::shuffle(pref.begin(), pref.end(), rng);
-      break;
-    case FaultModel::kTargeted:
-      std::stable_sort(pref.begin(), pref.end(),
-                       [&](std::size_t a, std::size_t b) {
-                         const std::size_t da =
-                             g.degree(edges[a].first) + g.degree(edges[a].second);
-                         const std::size_t db =
-                             g.degree(edges[b].first) + g.degree(edges[b].second);
-                         if (da != db) return da > db;
-                         return edges[a] < edges[b];
-                       });
-      break;
-    case FaultModel::kPartition: {
-      const std::size_t n = g.node_count();
-      std::vector<NodeId> order(n);
-      std::iota(order.begin(), order.end(), NodeId{0});
-      std::shuffle(order.begin(), order.end(), rng);
-      std::vector<bool> in_s(n, false);
-      for (std::size_t i = 0; i < n / 2; ++i) in_s[order[i]] = true;
-      std::shuffle(pref.begin(), pref.end(), rng);
-      std::stable_partition(pref.begin(), pref.end(), [&](std::size_t e) {
-        return in_s[edges[e].first] != in_s[edges[e].second];
-      });
-      break;
-    }
-  }
-  return pref;
-}
 
 /// The live graph with edge `skip` additionally removed.
 graph::Graph live_minus(const std::vector<graph::Edge>& edges,
@@ -155,7 +112,13 @@ ChurnPlan make_churn_plan(const graph::Graph& g, const ChurnOptions& opt) {
   ChurnPlan out;
   if (population == 0) return out;
 
-  const std::vector<std::size_t> pref = fail_preference(g, edges, opt);
+  // The link models' fail order, on a stream of its own: a churn plan's
+  // first fails follow the corresponding FaultPlan's order.
+  const std::vector<std::size_t> pref =
+      opt.model == FaultModel::kNodes
+          ? std::vector<std::size_t>{}
+          : fail_order(g, edges, opt.model,
+                       core::mix64(opt.seed ^ 0x9a3c5e71u));
   std::vector<bool> down(population, false);
   std::size_t down_count = 0;
   graph::Rng rng(core::mix64(opt.seed));
@@ -258,7 +221,8 @@ ChurnReport run_churn_session(model::RepairableScheme& rs,
                               const ChurnPlan& plan,
                               const ChurnSessionConfig& cfg) {
   // Copy the pre-churn topology: rs.topology() mutates as events apply,
-  // but the simulator and LiveTopology need the stable base graph.
+  // but the simulator and the session's LiveTopology need the stable base
+  // graph.
   const graph::Graph base = rs.topology();
   const std::size_t n = base.node_count();
   LiveTopology live(base);

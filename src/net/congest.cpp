@@ -42,23 +42,25 @@ const char* to_string(RunStatus status) noexcept {
 }
 
 std::size_t Context::node_count() const noexcept {
-  return eng_->g_->node_count();
+  return eng_->graph().node_count();
 }
 
-std::size_t Context::degree() const noexcept { return eng_->g_->degree(id_); }
+std::size_t Context::degree() const noexcept {
+  return eng_->graph().degree(id_);
+}
 
 NodeId Context::neighbor(PortId p) const {
-  return eng_->g_->neighbor_at(id_, p);
+  return eng_->graph().neighbor_at(id_, p);
 }
 
 bool Context::port_up(PortId p) const {
-  return eng_->link_usable(id_, neighbor(p));
+  return eng_->live_.arc_live(eng_->graph().arc_begin(id_) + p);
 }
 
 void Context::queue(PortId p, const Message& m, std::size_t offset) {
   out_->flights.push_back(Flight{
-      id_, neighbor(p), eng_->far_port_[eng_->g_->arc_begin(id_) + p], m.type,
-      m.bits, static_cast<std::uint32_t>(m.words.size()), offset});
+      id_, neighbor(p), eng_->far_port_[eng_->graph().arc_begin(id_) + p],
+      m.type, m.bits, static_cast<std::uint32_t>(m.words.size()), offset});
 }
 
 void Context::send(PortId p, const Message& m) {
@@ -77,10 +79,7 @@ void Context::send_all(const Message& m) {
 void Context::label_phase(std::string_view label) { out_->label = label; }
 
 Engine::Engine(const graph::Graph& g, EngineOptions options)
-    : g_(&g),
-      options_(options),
-      far_port_(g.arc_count()),
-      node_down_(g.node_count(), 0) {
+    : live_(g), options_(options), far_port_(g.arc_count()) {
   if (options_.max_rounds == 0) {
     options_.max_rounds = 64 * g.node_count() + 256;
   }
@@ -98,52 +97,10 @@ Engine::Engine(const graph::Graph& g, EngineOptions options)
   }
 }
 
-void Engine::schedule(const FaultPlan& plan) {
-  events_.insert(events_.end(), plan.events().begin(), plan.events().end());
-  // Equal-time events keep insertion order (a fail then repair of the same
-  // link at one instant is a no-op) — the Simulator's contract.
-  std::stable_sort(events_.begin(), events_.end(),
-                   [](const FaultEvent& a, const FaultEvent& b) {
-                     return a.time < b.time;
-                   });
-  next_event_ = 0;
-}
-
-bool Engine::link_usable(NodeId u, NodeId v) const {
-  if (node_down_[u] || node_down_[v]) return false;
-  if (failed_links_.empty()) return true;
-  const std::uint64_t n = g_->node_count();
-  const std::uint64_t a = std::min(u, v);
-  const std::uint64_t b = std::max(u, v);
-  return failed_links_.find(a * n + b) == failed_links_.end();
-}
-
-void Engine::apply_faults(std::uint64_t now) {
-  const std::uint64_t n = g_->node_count();
-  while (next_event_ < events_.size() && events_[next_event_].time <= now) {
-    const FaultEvent& e = events_[next_event_++];
-    const std::uint64_t key = std::uint64_t{std::min(e.u, e.v)} * n +
-                              std::uint64_t{std::max(e.u, e.v)};
-    switch (e.kind) {
-      case FaultKind::kLinkFail:
-        failed_links_.insert(key);
-        break;
-      case FaultKind::kLinkRepair:
-        failed_links_.erase(key);
-        break;
-      case FaultKind::kNodeFail:
-        node_down_[e.u] = 1;
-        break;
-      case FaultKind::kNodeRepair:
-        node_down_[e.u] = 0;
-        break;
-    }
-  }
-}
-
 RunStats Engine::run(std::span<ProtocolNode* const> nodes) {
   const obs::TraceSpan run_span("net.congest.run");
-  const std::size_t n = g_->node_count();
+  const graph::Graph& g = graph();
+  const std::size_t n = g.node_count();
   RunStats stats;
   stats.phase_stats.emplace_back();
   core::ThreadPool pool(options_.threads);
@@ -239,7 +196,7 @@ RunStats Engine::run(std::span<ProtocolNode* const> nodes) {
     const obs::TraceSpan round_span("net.congest.round");
     PhaseStats& row = stats.phase_stats.back();
     ++row.rounds;
-    apply_faults(stats.rounds);
+    live_.apply_until(stats.rounds);
 
     // Drop the flights crossing a down link (their sends stay charged),
     // then counting-sort the rest by receiver. The sort is stable, so each
@@ -247,7 +204,7 @@ RunStats Engine::run(std::span<ProtocolNode* const> nodes) {
     std::fill(inbox_begin.begin(), inbox_begin.end(), 0);
     std::size_t kept = 0;
     for (const Flight& f : flights) {
-      if (!link_usable(f.from, f.to)) {
+      if (!live_.arc_live(g.arc_begin(f.to) + f.to_port)) {
         ++stats.dropped;
         ++row.dropped;
         continue;

@@ -16,9 +16,12 @@
 //     with every other message that arrives that round.
 //   · Links are the graph's real edges in sorted port order; the seeded
 //     FaultPlan machinery (net/faults.hpp) replays against the engine's
-//     round clock, so construction can run on a faulty network: fault
-//     events at time t apply before the round-t deliveries, and a message
-//     crossing a down link is silently lost (the send is still charged).
+//     round clock through the engine's net::LiveTopology, the same fold
+//     the Simulator uses, so construction can run on a faulty network:
+//     fault events at time t apply before the round-t deliveries, and a
+//     message crossing a down link is silently lost (the send is still
+//     charged). A flight's link is its receiver's arrival arc, so the
+//     check is one O(1) read.
 //   · When no messages are in flight the engine declares *quiescence* and
 //     pulses every node's on_phase_end — the distributed analogue of the
 //     known-bound phase padding the CONGEST literature uses to separate
@@ -66,7 +69,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -193,16 +195,15 @@ struct EngineOptions {
   std::size_t max_phases = 0;
 };
 
-/// The synchronous scheduler. Construct over a graph (which must outlive
-/// the engine), optionally schedule fault plans, then run() a vector of
-/// per-node state machines.
+/// The synchronous scheduler. Construct over a graph, optionally schedule
+/// fault plans, then run() a vector of per-node state machines.
 class Engine {
  public:
   explicit Engine(const graph::Graph& g, EngineOptions options = {});
 
   /// Adds a plan's events to the replay schedule (times are engine
   /// rounds; events at time t apply before the round-t deliveries).
-  void schedule(const FaultPlan& plan);
+  void schedule(const FaultPlan& plan) { live_.schedule(plan); }
 
   /// Runs nodes[v] as node v until quiescent completion or a budget
   /// limit. `nodes` must have exactly node_count() entries.
@@ -211,17 +212,14 @@ class Engine {
  private:
   friend class Context;
 
-  [[nodiscard]] bool link_usable(NodeId u, NodeId v) const;
-  void apply_faults(std::uint64_t now);
+  [[nodiscard]] const graph::Graph& graph() const noexcept {
+    return live_.base();  // port p of u = neighbor_at(u, p)
+  }
 
-  const graph::Graph* g_;  // port p of u = g_->neighbor_at(u, p)
+  LiveTopology live_;
   EngineOptions options_;
   /// far_port_[arc_begin(u) + p]: the port of u at neighbor_at(u, p).
   std::vector<PortId> far_port_;
-  std::vector<FaultEvent> events_;  // stable-sorted by time
-  std::size_t next_event_ = 0;
-  std::unordered_set<std::uint64_t> failed_links_;  // key min·n + max
-  std::vector<std::uint8_t> node_down_;
 };
 
 }  // namespace optrt::net::congest

@@ -30,16 +30,13 @@ std::optional<ResiliencePolicy> parse_resilience_policy(
   return std::nullopt;
 }
 
-ResilienceEngine::ResilienceEngine(const graph::Graph& g,
-                                   const model::RoutingScheme& scheme,
+ResilienceEngine::ResilienceEngine(const model::RoutingScheme& scheme,
                                    ResilienceConfig config)
-    : g_(&g), scheme_(&scheme), config_(config) {}
+    : scheme_(&scheme), config_(config) {}
 
-ResilienceDecision ResilienceEngine::on_blocked(NodeId at, NodeId destination,
-                                                model::MessageHeader& header,
-                                                std::uint32_t retries,
-                                                bool in_fallback,
-                                                const LinkUpFn& link_up) const {
+ResilienceDecision ResilienceEngine::on_blocked(
+    NodeId at, NodeId destination, model::MessageHeader& header,
+    std::uint32_t retries, bool in_fallback, const LiveTopology& live) const {
   ResilienceDecision decision;  // default: drop
   switch (config_.policy) {
     case ResiliencePolicy::kNone:
@@ -52,7 +49,7 @@ ResilienceDecision ResilienceEngine::on_blocked(NodeId at, NodeId destination,
       return decision;
     }
     case ResiliencePolicy::kDeflect: {
-      const std::optional<NodeId> alt = deflect(at, header.came_from, link_up);
+      const std::optional<NodeId> alt = deflect(at, header.came_from, live);
       if (!alt.has_value()) return decision;
       decision.action = ResilienceDecision::Action::kForward;
       decision.next = *alt;
@@ -66,7 +63,7 @@ ResilienceDecision ResilienceEngine::on_blocked(NodeId at, NodeId destination,
       header.phase = schemes::SequentialSearchScheme::kAtSource;
       header.probe_index = 0;
       const std::optional<NodeId> hop =
-          fallback_hop(at, destination, header, link_up);
+          fallback_hop(at, destination, header, live);
       if (!hop.has_value()) return decision;
       decision.action = ResilienceDecision::Action::kForward;
       decision.next = *hop;
@@ -79,21 +76,22 @@ ResilienceDecision ResilienceEngine::on_blocked(NodeId at, NodeId destination,
 
 std::optional<NodeId> ResilienceEngine::fallback_hop(
     NodeId at, NodeId destination, model::MessageHeader& header,
-    const LinkUpFn& link_up) const {
+    const LiveTopology& live) const {
   // Theorem 5's constant routing function with down ports masked: deliver
   // directly over an up link, otherwise probe the least *reachable*
   // neighbours in order, bouncing unsuccessful probes back over the
   // arrival link. Same header protocol (phase + probe_index) as
   // schemes::SequentialSearchScheme.
   using SS = schemes::SequentialSearchScheme;
-  if (g_->has_edge(at, destination) && link_up(at, destination)) {
+  if (live.link_live(at, destination)) {
     header.phase = SS::kAtSource;
     return destination;
   }
-  const auto nbrs = g_->neighbors(at);
+  const graph::Graph& g = live.base();
+  const auto nbrs = g.neighbors(at);
   const auto launch_from = [&](std::size_t start) -> std::optional<NodeId> {
     for (std::size_t i = start; i < nbrs.size(); ++i) {
-      if (link_up(at, nbrs[i])) {
+      if (live.arc_live(g.arc_begin(at) + i)) {
         header.phase = SS::kProbing;
         header.probe_index = static_cast<std::uint32_t>(i);
         return nbrs[i];
@@ -107,8 +105,7 @@ std::optional<NodeId> ResilienceEngine::fallback_hop(
     case SS::kProbing:
       // A probe arrived and the destination is not deliverable from here:
       // bounce it back — unless the arrival link died under the probe.
-      if (header.came_from != static_cast<NodeId>(-1) &&
-          link_up(at, header.came_from)) {
+      if (live.link_live(at, header.came_from)) {
         header.phase = SS::kReturning;
         return header.came_from;
       }
@@ -120,10 +117,10 @@ std::optional<NodeId> ResilienceEngine::fallback_hop(
   }
 }
 
-std::optional<NodeId> ResilienceEngine::deflect(NodeId at, NodeId came_from,
-                                                const LinkUpFn& link_up) const {
+std::optional<NodeId> ResilienceEngine::deflect(
+    NodeId at, NodeId came_from, const LiveTopology& live) const {
   const std::vector<NodeId> enumerated = scheme_->port_enumeration(at);
-  const auto nbrs = g_->neighbors(at);
+  const auto nbrs = live.base().neighbors(at);
   const auto candidates =
       enumerated.empty()
           ? std::span<const NodeId>(nbrs)
@@ -132,7 +129,7 @@ std::optional<NodeId> ResilienceEngine::deflect(NodeId at, NodeId came_from,
   // ping-pong); accept bouncing back only as the last resort.
   std::optional<NodeId> back;
   for (NodeId c : candidates) {
-    if (!link_up(at, c)) continue;
+    if (!live.link_live(at, c)) continue;
     if (c == came_from) {
       back = c;
       continue;

@@ -15,18 +15,18 @@
 //                       probing with down ports masked — zero extra stored
 //                       bits, header state only.
 //
-// The layer talks to the carrier through a callback seam (LinkUpFn), not a
-// fixed failed-link set, so the same engine works under any evolving
-// FaultPlan the simulator replays.
+// The layer reads the carrier's net::LiveTopology, the one fold of the
+// FaultPlan the simulator replays, so every decision sees the link state
+// at the moment the message is blocked.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string_view>
 
 #include "graph/graph.hpp"
 #include "model/scheme.hpp"
+#include "net/faults.hpp"
 
 namespace optrt::net {
 
@@ -51,11 +51,6 @@ struct ResilienceConfig {
   std::uint64_t backoff_base = 2;
 };
 
-/// The seam between the resilience layer and its carrier: the carrier
-/// supplies the live (time-varying) link state; the layer never sees the
-/// failed-link set itself.
-using LinkUpFn = std::function<bool(NodeId, NodeId)>;
-
 /// What to do with a message whose primary next hop is unusable.
 struct ResilienceDecision {
   enum class Action : std::uint8_t {
@@ -70,13 +65,13 @@ struct ResilienceDecision {
   bool entered_fallback = false;  ///< kForward via sequential-search mode
 };
 
-/// Policy engine for one (graph, scheme) pair. Stateless per message — all
-/// per-message state lives in the carrier's record and MessageHeader, so
-/// one engine serves any number of concurrent messages.
+/// Policy engine for one scheme. Stateless per message — all per-message
+/// state lives in the carrier's record and MessageHeader, so one engine
+/// serves any number of concurrent messages. Every decision reads the
+/// graph and its current link state from the carrier's LiveTopology.
 class ResilienceEngine {
  public:
-  ResilienceEngine(const graph::Graph& g, const model::RoutingScheme& scheme,
-                   ResilienceConfig config);
+  ResilienceEngine(const model::RoutingScheme& scheme, ResilienceConfig config);
 
   /// Decides for a message blocked at `at` (primary hop down or absent).
   /// `retries` is the message's retry count so far; `in_fallback` is true
@@ -85,14 +80,14 @@ class ResilienceEngine {
                                               model::MessageHeader& header,
                                               std::uint32_t retries,
                                               bool in_fallback,
-                                              const LinkUpFn& link_up) const;
+                                              const LiveTopology& live) const;
 
   /// Next hop for a message in sequential-search fallback mode: Theorem 5's
   /// probe walk with down ports masked. Returns nullopt when the probe
   /// space is exhausted (message undeliverable under the policy).
   [[nodiscard]] std::optional<NodeId> fallback_hop(
       NodeId at, NodeId destination, model::MessageHeader& header,
-      const LinkUpFn& link_up) const;
+      const LiveTopology& live) const;
 
   [[nodiscard]] const ResilienceConfig& config() const noexcept {
     return config_;
@@ -103,9 +98,8 @@ class ResilienceEngine {
   /// when exposed, else the sorted neighbour list; prefers ports other
   /// than the arrival link to damp ping-pong loops.
   [[nodiscard]] std::optional<NodeId> deflect(NodeId at, NodeId came_from,
-                                              const LinkUpFn& link_up) const;
+                                              const LiveTopology& live) const;
 
-  const graph::Graph* g_;
   const model::RoutingScheme* scheme_;
   ResilienceConfig config_;
 };

@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "graph/algorithms.hpp"
-#include "graph/encoding.hpp"
 #include "model/verifier.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -17,7 +16,7 @@ namespace optrt::net {
 
 Simulator::Simulator(const graph::Graph& g, const model::RoutingScheme& scheme,
                      SimulatorConfig config)
-    : g_(&g),
+    : live_(g),
       scheme_(&scheme),
       full_info_(dynamic_cast<const model::FullInformationRouting*>(&scheme)),
       config_(config),
@@ -28,7 +27,7 @@ Simulator::Simulator(const graph::Graph& g, const model::RoutingScheme& scheme,
   }
   if (config_.resilience.policy != ResiliencePolicy::kNone) {
     resilience_ =
-        std::make_unique<ResilienceEngine>(g, scheme, config_.resilience);
+        std::make_unique<ResilienceEngine>(scheme, config_.resilience);
   }
 }
 
@@ -47,63 +46,27 @@ std::uint64_t Simulator::send(NodeId source, NodeId destination,
   return record.id;
 }
 
-void Simulator::schedule(const FaultPlan& plan) {
-  fault_schedule_.insert(fault_schedule_.end(), plan.events().begin(),
-                         plan.events().end());
-  fault_schedule_dirty_ = true;
-}
-
-void Simulator::fail_link(NodeId u, NodeId v) {
-  failed_links_.insert(graph::edge_index(g_->node_count(), u, v));
-}
-
-void Simulator::restore_link(NodeId u, NodeId v) {
-  failed_links_.erase(graph::edge_index(g_->node_count(), u, v));
-}
-
-bool Simulator::node_up(NodeId u) const { return !failed_nodes_.contains(u); }
-
-bool Simulator::link_up(NodeId u, NodeId v) const {
-  return node_up(u) && node_up(v) &&
-         !failed_links_.contains(graph::edge_index(g_->node_count(), u, v));
-}
-
-void Simulator::apply_fault(const FaultEvent& e) {
-  switch (e.kind) {
-    case FaultKind::kLinkFail:
-      fail_link(e.u, e.v);
-      break;
-    case FaultKind::kLinkRepair:
-      restore_link(e.u, e.v);
-      break;
-    case FaultKind::kNodeFail:
-      failed_nodes_.insert(e.u);
-      break;
-    case FaultKind::kNodeRepair:
-      failed_nodes_.erase(e.u);
-      break;
-  }
-}
-
-void Simulator::apply_faults_until(std::uint64_t now) {
-  while (fault_pos_ < fault_schedule_.size() &&
-         fault_schedule_[fault_pos_].time <= now) {
-    apply_fault(fault_schedule_[fault_pos_++]);
-  }
-}
-
 std::uint64_t Simulator::link_load(NodeId u, NodeId v) const {
-  const std::size_t arc = g_->arc_index(u, v);
+  const std::size_t arc = live_.base().arc_index(u, v);
   return arc == graph::kNoArc ? 0 : link_load_[arc];
+}
+
+std::size_t Simulator::arc_to(NodeId at, NodeId hop) const {
+  const std::size_t arc = live_.base().arc_index(at, hop);
+  if (arc == graph::kNoArc) {
+    throw std::logic_error(
+        "Simulator: scheme returned a non-neighbour next hop");
+  }
+  return arc;
 }
 
 std::optional<NodeId> Simulator::pick_next_hop(Event& e) {
   const MessageRecord& record = records_[e.record_index];
-  const auto up = [this](NodeId a, NodeId b) { return link_up(a, b); };
   if (record.used_fallback) {
     // The message switched to sequential-search probing; the resilience
     // engine owns its routing from here on.
-    return resilience_->fallback_hop(e.at, record.destination, e.header, up);
+    return resilience_->fallback_hop(e.at, record.destination, e.header,
+                                     live_);
   }
   const NodeId dest_label = scheme_->label_of(record.destination);
   if (full_info_ != nullptr) {
@@ -131,7 +94,7 @@ std::optional<NodeId> Simulator::pick_next_hop(Event& e) {
     }
   }
   const NodeId hop = scheme_->next_hop(e.at, dest_label, e.header);
-  if (!link_up(e.at, hop)) return std::nullopt;
+  if (!live_.arc_live(arc_to(e.at, hop))) return std::nullopt;
   return hop;
 }
 
@@ -148,7 +111,7 @@ void Simulator::rebind(const model::RoutingScheme& scheme) {
   full_info_ = dynamic_cast<const model::FullInformationRouting*>(&scheme);
   if (config_.resilience.policy != ResiliencePolicy::kNone) {
     resilience_ =
-        std::make_unique<ResilienceEngine>(*g_, scheme, config_.resilience);
+        std::make_unique<ResilienceEngine>(scheme, config_.resilience);
   }
   obs::MetricsRegistry::global().counter("sim.rebinds").inc();
 }
@@ -168,26 +131,17 @@ SimulationStats Simulator::run_core(std::uint64_t limit, bool apply_trailing) {
   const obs::Counter c_fallbacks = reg.counter("sim.fallback_messages");
   const obs::Histogram h_delivered_hops =
       reg.histogram("sim.delivered_hops", obs::hop_buckets());
-  const std::size_t faults_before = fault_pos_;
+  std::size_t fault_events = 0;
   std::size_t queue_peak = queue_.size();
-  if (fault_schedule_dirty_) {
-    // Stable: events at equal times keep their schedule() order, so a fail
-    // followed by a repair of the same link is a no-op.
-    std::stable_sort(
-        fault_schedule_.begin() + static_cast<std::ptrdiff_t>(fault_pos_),
-        fault_schedule_.end(),
-        [](const FaultEvent& a, const FaultEvent& b) { return a.time < b.time; });
-    fault_schedule_dirty_ = false;
-  }
   std::shared_ptr<const graph::DistanceMatrix> dist;
   if (config_.measure_stretch) {
-    dist = graph::DistanceCache::global().get(*g_);
+    dist = graph::DistanceCache::global().get(live_.base());
   }
   while (!queue_.empty() && queue_.top().time < limit) {
     queue_peak = std::max(queue_peak, queue_.size());
     Event e = queue_.top();
     queue_.pop();
-    apply_faults_until(e.time);
+    fault_events += live_.apply_until(e.time);
     MessageRecord& record = records_[e.record_index];
     if (e.at == record.destination) {
       record.delivered = true;
@@ -210,10 +164,9 @@ SimulationStats Simulator::run_core(std::uint64_t limit, bool apply_trailing) {
     std::optional<NodeId> hop = pick_next_hop(e);
     bool deflected = false;
     if (!hop.has_value() && resilience_ != nullptr) {
-      const auto up = [this](NodeId a, NodeId b) { return link_up(a, b); };
       const ResilienceDecision decision = resilience_->on_blocked(
           e.at, record.destination, e.header, record.retries,
-          record.used_fallback, up);
+          record.used_fallback, live_);
       switch (decision.action) {
         case ResilienceDecision::Action::kDrop:
           break;
@@ -250,11 +203,7 @@ SimulationStats Simulator::run_core(std::uint64_t limit, bool apply_trailing) {
     ++record.hops;
     c_hops.inc();
     e.header.came_from = e.at;
-    const std::size_t arc = g_->arc_index(e.at, *hop);
-    if (arc == graph::kNoArc) {
-      throw std::logic_error(
-          "Simulator: scheme returned a non-neighbour next hop");
-    }
+    const std::size_t arc = arc_to(e.at, *hop);
     const std::uint64_t load = ++link_load_[arc];
     stats.max_link_load = std::max(stats.max_link_load, load);
     std::uint64_t depart = e.time;
@@ -269,8 +218,9 @@ SimulationStats Simulator::run_core(std::uint64_t limit, bool apply_trailing) {
   // Topology changes beyond the last message still take effect, so the
   // post-run link state matches the full plan. Sliced runs leave future
   // faults pending for the next slice instead.
-  if (apply_trailing && fault_pos_ < fault_schedule_.size()) {
-    apply_faults_until(fault_schedule_.back().time);
+  if (apply_trailing) {
+    fault_events +=
+        live_.apply_until(std::numeric_limits<std::uint64_t>::max());
   }
   stats.sent = stats.delivered + stats.dropped;
   reg.counter("sim.sent").inc(stats.sent);
@@ -278,7 +228,7 @@ SimulationStats Simulator::run_core(std::uint64_t limit, bool apply_trailing) {
   reg.counter(std::string("sim.runs.policy.") +
               to_string(config_.resilience.policy))
       .inc();
-  reg.counter("sim.fault_events").inc(fault_pos_ - faults_before);
+  reg.counter("sim.fault_events").inc(fault_events);
   reg.gauge("sim.queue_peak").set(static_cast<std::int64_t>(queue_peak));
   return stats;
 }

@@ -5,16 +5,16 @@
 // failed links — the exact capability §1 motivates them with; single-path
 // schemes can opt into the recovery policies of net/resilience.hpp.
 //
-// Topology changes arrive as a timed net/faults.hpp FaultPlan replayed by
-// the event loop (faults at time t apply before message hops at time t),
-// so the same seeded plan degrades every scheme identically.
+// Topology changes arrive as a timed net/faults.hpp FaultPlan that the
+// simulator's LiveTopology replays as the event loop advances (faults at
+// time t apply before message hops at time t), so the same seeded plan
+// degrades every scheme identically.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -106,14 +106,21 @@ class Simulator {
 
   /// Appends a fault plan's events to the replay schedule. Events at equal
   /// times apply in plan order (stable), before message hops at that time.
-  void schedule(const FaultPlan& plan);
+  void schedule(const FaultPlan& plan) { live_.schedule(plan); }
 
   /// Marks the undirected link {u, v} down / up immediately.
-  void fail_link(NodeId u, NodeId v);
-  void restore_link(NodeId u, NodeId v);
-  /// True iff {u, v} is usable: the link itself and both endpoints are up.
-  [[nodiscard]] bool link_up(NodeId u, NodeId v) const;
-  [[nodiscard]] bool node_up(NodeId u) const;
+  void fail_link(NodeId u, NodeId v) {
+    live_.apply({0, FaultKind::kLinkFail, u, v});
+  }
+  void restore_link(NodeId u, NodeId v) {
+    live_.apply({0, FaultKind::kLinkRepair, u, v});
+  }
+  /// True iff {u, v} is a usable edge: the link itself and both endpoints
+  /// are up.
+  [[nodiscard]] bool link_up(NodeId u, NodeId v) const {
+    return live_.link_live(u, v);
+  }
+  [[nodiscard]] bool node_up(NodeId u) const { return live_.node_up(u); }
 
   /// Runs until all in-flight messages are delivered or dropped (any
   /// scheduled faults beyond the last message still apply).
@@ -166,16 +173,16 @@ class Simulator {
   /// blocked (resilience policy decides its fate).
   [[nodiscard]] std::optional<NodeId> pick_next_hop(Event& e);
 
+  /// Arc id of at → hop; throws std::logic_error when the scheme named a
+  /// hop that is not a neighbour.
+  [[nodiscard]] std::size_t arc_to(NodeId at, NodeId hop) const;
+
   /// Shared body of run() / run_until(): processes events with
   /// time < `limit`; `apply_trailing` replays leftover scheduled faults
   /// once the queue drains (full run() semantics only).
   SimulationStats run_core(std::uint64_t limit, bool apply_trailing);
 
-  /// Applies every scheduled fault with time ≤ now.
-  void apply_faults_until(std::uint64_t now);
-  void apply_fault(const FaultEvent& e);
-
-  const graph::Graph* g_;
+  LiveTopology live_;  // the graph and its scheduled faults
   const model::RoutingScheme* scheme_;
   const model::FullInformationRouting* full_info_;  // non-null if capable
   SimulatorConfig config_;
@@ -183,14 +190,9 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::vector<MessageRecord> records_;
-  std::vector<FaultEvent> fault_schedule_;  // stable-sorted by time on run
-  std::size_t fault_pos_ = 0;
-  bool fault_schedule_dirty_ = false;
-  std::unordered_set<std::uint64_t> failed_links_;  // edge_index keys
-  std::unordered_set<NodeId> failed_nodes_;
-  // Per-directed-link state lives in flat arrays indexed by g_'s arc id of
-  // u → v — the event loop does one binary search per hop instead of
-  // hashing, and the arrays stay cache-resident across hops.
+  // Per-directed-link state lives in flat arrays indexed by the graph's
+  // arc id of u → v — the event loop does one binary search per hop
+  // instead of hashing, and the arrays stay cache-resident across hops.
   // serialize_links: earliest next departure per directed link.
   std::vector<std::uint64_t> link_free_at_;
   // Messages per directed link, across runs.
