@@ -19,7 +19,6 @@
 #include "bitio/arith.hpp"
 #include "bitio/codes.hpp"
 #include "bitio/entropy.hpp"
-#include "bitio/rank_select.hpp"
 #include "core/experiment.hpp"
 #include "core/parallel.hpp"
 #include "core/stats.hpp"

@@ -6,7 +6,6 @@
 
 #include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
-#include "bitio/rank_select.hpp"
 #include "graph/cover.hpp"
 #include "model/fastpath.hpp"
 #include "schemes/errors.hpp"
@@ -17,14 +16,12 @@ class RoutingCenterFastPath final
     : public model::DirectBatchFastPath<RoutingCenterFastPath> {
  public:
   RoutingCenterFastPath(std::size_t n, graph::Graph g,
-                        bitio::RankSelect in_b,
-                        std::vector<model::PackedSparseArray> center_tables,
-                        std::vector<NodeId> my_center)
+                        std::vector<NodeId> slot,
+                        std::vector<model::PackedSparseArray> center_tables)
       : n_(n),
         g_(std::move(g)),
-        in_b_(std::move(in_b)),
-        center_tables_(std::move(center_tables)),
-        my_center_(std::move(my_center)) {}
+        slot_(std::move(slot)),
+        center_tables_(std::move(center_tables)) {}
 
   [[nodiscard]] std::string name() const override { return "routing-center"; }
   [[nodiscard]] std::size_t node_count() const override { return n_; }
@@ -34,23 +31,21 @@ class RoutingCenterFastPath final
       throw std::invalid_argument("RoutingCenterScheme: routing to self");
     }
     if (g_.has_edge(u, dest_label)) return dest_label;
-    if (in_b_.get(u)) {
-      // Dense table slot of this center = its rank within B.
-      const auto& table = center_tables_[in_b_.rank1(u)];
-      if (table.contains(dest_label)) {
-        return static_cast<NodeId>(table.value(dest_label));
-      }
-      return dest_label;
+    if (slot_[u] < n_) return slot_[u];  // not a center: via its center
+    const auto& table = center_tables_[slot_[u] - n_];
+    if (table.contains(dest_label)) {
+      return static_cast<NodeId>(table.value(dest_label));
     }
-    return my_center_[u];
+    return dest_label;
   }
 
  private:
   std::size_t n_;
   graph::Graph g_;  // model II's free edge test
-  bitio::RankSelect in_b_;
+  /// Per node: its center's label, or n + its table's index in B when the
+  /// node is a center itself.
+  std::vector<NodeId> slot_;
   std::vector<model::PackedSparseArray> center_tables_;
-  std::vector<NodeId> my_center_;  // valid when not in B
 };
 
 namespace {
@@ -123,25 +118,26 @@ void RoutingCenterScheme::compile(const graph::Graph& g) {
   if (function_bits_.size() != n_) {
     throw std::invalid_argument("RoutingCenterScheme: node count mismatch");
   }
-  bitio::BitVector in_b(n_);
+  // A center's slot is n + its table's index in B, which the loop below
+  // assigns in increasing node order, so B must be strictly increasing.
+  std::vector<NodeId> slot(n_, 0);
   for (std::size_t i = 0; i < center_ids_.size(); ++i) {
     const NodeId b = center_ids_[i];
     if (b >= n_) {
       throw std::invalid_argument("RoutingCenterScheme: bad center id");
     }
-    // The compiled form finds a center's table by its rank in B.
     if (i > 0 && b <= center_ids_[i - 1]) {
       throw std::invalid_argument(
           "RoutingCenterScheme: centers not strictly increasing");
     }
-    in_b.set(b, true);
+    slot[b] = static_cast<NodeId>(n_ + i);
   }
+  const auto is_center = [&](NodeId v) { return slot[v] >= n_; };
   const unsigned id_width = id_width_of(n_);
   std::vector<model::PackedSparseArray> tables;
   tables.reserve(center_ids_.size());
-  std::vector<NodeId> my_center(n_, static_cast<NodeId>(-1));
   for (NodeId v = 0; v < n_; ++v) {
-    if (in_b.get(v)) {
+    if (is_center(v)) {
       const auto nbrs = g.neighbors(v);
       tables.push_back(compile_compact_node(
           function_bits_[v], n_, v, CompactNodeOptions{},
@@ -149,11 +145,11 @@ void RoutingCenterScheme::compile(const graph::Graph& g) {
       continue;
     }
     bitio::BitReader r(function_bits_[v]);
-    my_center[v] = static_cast<NodeId>(r.read_bits(id_width));
-    if (my_center[v] >= n_ || !in_b.get(my_center[v])) {
+    const auto center = static_cast<NodeId>(r.read_bits(id_width));
+    if (center >= n_ || !is_center(center)) {
       throw std::invalid_argument("RoutingCenterScheme: bad stored center");
     }
-    if (!g.has_edge(v, my_center[v])) {
+    if (!g.has_edge(v, center)) {
       throw std::invalid_argument(
           "RoutingCenterScheme: stored center is not a neighbour");
     }
@@ -161,10 +157,10 @@ void RoutingCenterScheme::compile(const graph::Graph& g) {
       throw std::invalid_argument(
           "RoutingCenterScheme: trailing bits in a node table");
     }
+    slot[v] = center;
   }
-  fast_ = std::make_shared<RoutingCenterFastPath>(
-      n_, g, bitio::RankSelect(std::move(in_b)),
-      std::move(tables), std::move(my_center));
+  fast_ = std::make_shared<RoutingCenterFastPath>(n_, g, std::move(slot),
+                                                  std::move(tables));
   model::note_fastpath_compiled("routing_center");
 }
 
