@@ -151,9 +151,13 @@ LoadReport ArtifactStore::load() {
   }
 
   if (report.ok()) {
+    // Declared before the lock, so the catalog it takes over is released
+    // after the unlock: when the store held its last reference, destroying
+    // it would otherwise stall every catalog() call.
+    std::shared_ptr<const Catalog> previous;
     std::lock_guard<std::mutex> lock(mu_);
     fresh->epoch = next_epoch_++;
-    catalog_ = std::move(fresh);
+    previous = std::exchange(catalog_, std::move(fresh));
     obs::counter("serve.reloads").inc();
     obs::gauge("serve.catalog_epoch").set(
         static_cast<std::int64_t>(catalog_->epoch));
