@@ -78,4 +78,15 @@ void write_elias_delta(BitWriter& w, std::uint64_t n);
 /// ⌈log2 n⌉ for n >= 1; bits to index one of n alternatives.
 [[nodiscard]] unsigned ceil_log2(std::uint64_t n) noexcept;
 
+/// ⌈log2 max(n, 2)⌉: the fixed width of a node id among n nodes.
+[[nodiscard]] inline unsigned id_width(std::uint64_t n) noexcept {
+  return ceil_log2(n < 2 ? 2 : n);
+}
+
+/// ⌈log2 max(d, 1)⌉: the fixed width of a port at a node of degree d (no
+/// bits at all when d ≤ 1).
+[[nodiscard]] inline unsigned port_width(std::uint64_t degree) noexcept {
+  return ceil_log2(degree);
+}
+
 }  // namespace optrt::bitio

@@ -45,13 +45,13 @@ DistanceMatrix::LinkDelta DistanceMatrix::apply_link_delta(
   LinkDelta delta;
   if (up) {
     // Rows u and v are snapshotted first: they may themselves improve.
-    const std::vector<std::uint32_t> old_du(row(u), row(u) + n_);
-    const std::vector<std::uint32_t> old_dv(row(v), row(v) + n_);
+    const std::vector<std::uint32_t> old_du(patch_row(u), patch_row(u) + n_);
+    const std::vector<std::uint32_t> old_dv(patch_row(v), patch_row(v) + n_);
     for (NodeId s = 0; s < n_; ++s) {
       const std::uint32_t dsu = old_du[s];  // symmetry: d(s, u) = d(u, s)
       const std::uint32_t dsv = old_dv[s];
       bool changed = false;
-      std::uint32_t* ds = row(s);
+      std::uint32_t* ds = patch_row(s);
       for (NodeId t = 0; t < n_; ++t) {
         std::uint32_t best = ds[t];
         if (dsu != kUnreachable && old_dv[t] != kUnreachable) {
@@ -87,8 +87,8 @@ DistanceMatrix::LinkDelta DistanceMatrix::apply_link_delta(
   }
   for (NodeId s : candidates) {
     const auto fresh = bfs_distances(g_new, s);
-    if (every_row || !std::equal(fresh.begin(), fresh.end(), row(s))) {
-      std::copy(fresh.begin(), fresh.end(), row(s));
+    if (every_row || !std::equal(fresh.begin(), fresh.end(), patch_row(s))) {
+      std::copy(fresh.begin(), fresh.end(), patch_row(s));
       delta.changed_rows.push_back(s);
     }
   }

@@ -8,6 +8,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -57,6 +58,10 @@ class DistanceMatrix {
   [[nodiscard]] std::uint32_t at(NodeId u, NodeId v) const noexcept {
     return d_[static_cast<std::size_t>(u) * n_ + v];
   }
+  /// Row s: d(s, ·), which is also d(·, s).
+  [[nodiscard]] std::span<const std::uint32_t> row(NodeId s) const noexcept {
+    return {d_.data() + static_cast<std::size_t>(s) * n_, n_};
+  }
   [[nodiscard]] std::size_t node_count() const noexcept { return n_; }
 
   /// Max finite distance; kUnreachable if the graph is disconnected,
@@ -68,7 +73,7 @@ class DistanceMatrix {
 
  private:
   /// Row s, for in-place patching.
-  [[nodiscard]] std::uint32_t* row(NodeId s) noexcept {
+  [[nodiscard]] std::uint32_t* patch_row(NodeId s) noexcept {
     return d_.data() + static_cast<std::size_t>(s) * n_;
   }
 
@@ -99,8 +104,11 @@ struct GraphFingerprint {
 [[nodiscard]] GraphFingerprint fingerprint(const Graph& g);
 
 /// Process-wide memo of all-pairs BFS keyed by graph fingerprint, so the
-/// verifier, the scheme builders, and the benches compute each graph's
-/// DistanceMatrix once instead of once per caller. Thread-safe: concurrent
+/// verifier, the simulator, the full-table, full-information, k-interval
+/// and Theorem 10 builders, and the benches compute each graph's
+/// DistanceMatrix once instead of once per caller. The landmark, TZ and
+/// hierarchical builders read none: their distances come from bounded
+/// BFS (schemes/landmark_table.hpp). Thread-safe: concurrent
 /// get() calls for the same graph compute the matrix exactly once (others
 /// block until it is ready); matrices for distinct graphs are computed
 /// concurrently without serializing on the cache lock. Entries are evicted

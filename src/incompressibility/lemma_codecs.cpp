@@ -19,7 +19,7 @@ namespace {
 
 using bitio::BitReader;
 using bitio::BitWriter;
-using bitio::ceil_log2;
+using bitio::id_width;
 
 /// Bit accounting for one completed encode: bits_in is the standard-encoding
 /// size n(n−1)/2, bits_out the description actually produced, so
@@ -35,10 +35,6 @@ Description record_encode(const char* lemma, Description d) {
 
 void record_decode(const char* lemma) {
   obs::counter(std::string("codec.") + lemma + ".decodes").inc();
-}
-
-unsigned id_width(std::size_t n) {
-  return ceil_log2(std::max<std::size_t>(n, 2));
 }
 
 /// The incidence row of u: one bit per node v != u in increasing order.

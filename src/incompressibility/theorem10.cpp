@@ -1,6 +1,5 @@
 #include "incompressibility/theorem10.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "bitio/bit_stream.hpp"
@@ -10,14 +9,6 @@
 #include "schemes/full_information.hpp"
 
 namespace optrt::incompress {
-
-namespace {
-
-unsigned id_width(std::size_t n) {
-  return bitio::ceil_log2(std::max<std::size_t>(n, 2));
-}
-
-}  // namespace
 
 Theorem10Result theorem10_encode(const graph::Graph& g, NodeId u) {
   const std::size_t n = g.node_count();
@@ -35,7 +26,7 @@ Theorem10Result theorem10_encode(const graph::Graph& g, NodeId u) {
   result.function_bits = fn.size();
 
   bitio::BitWriter w;
-  w.write_bits(u, id_width(n));
+  w.write_bits(u, bitio::id_width(n));
   for (NodeId v = 0; v < n; ++v) {
     if (v != u) w.write_bit(g.has_edge(u, v));
   }
@@ -61,7 +52,7 @@ Theorem10Result theorem10_encode(const graph::Graph& g, NodeId u) {
 
 graph::Graph theorem10_decode(const bitio::BitVector& bits, std::size_t n) {
   bitio::BitReader r(bits);
-  const auto u = static_cast<NodeId>(r.read_bits(id_width(n)));
+  const auto u = static_cast<NodeId>(r.read_bits(bitio::id_width(n)));
   std::vector<bool> is_neighbor(n, false);
   std::vector<NodeId> neighbors;
   for (NodeId v = 0; v < n; ++v) {

@@ -1,7 +1,5 @@
 #include "incompressibility/theorem6.hpp"
 
-#include <algorithm>
-
 #include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
 #include "graph/encoding.hpp"
@@ -12,10 +10,7 @@ namespace {
 
 using bitio::BitReader;
 using bitio::BitWriter;
-
-unsigned id_width(std::size_t n) {
-  return bitio::ceil_log2(std::max<std::size_t>(n, 2));
-}
+using bitio::id_width;
 
 }  // namespace
 

@@ -16,6 +16,7 @@
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "schemes/errors.hpp"
+#include "schemes/landmark_table.hpp"
 
 namespace optrt::net {
 
@@ -145,7 +146,7 @@ ConstructionResult distributed_compact_construction(
     const graph::Graph& g, const schemes::CompactNodeOptions& options,
     const ProtocolOptions& protocol) {
   const std::size_t n = g.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const unsigned id_width = bitio::id_width(n);
 
   std::vector<std::unique_ptr<CompactNode>> nodes;
   nodes.reserve(n);
@@ -370,7 +371,7 @@ class FullTableNode final : public congest::ProtocolNode {
 FullTableConstructionResult distributed_full_table_construction(
     const graph::Graph& g, const ProtocolOptions& protocol) {
   const std::size_t n = g.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const unsigned id_width = bitio::id_width(n);
   const unsigned cnt_width = bitio::ceil_log2_plus1(n);
 
   std::vector<std::unique_ptr<FullTableNode>> nodes;
@@ -409,8 +410,7 @@ FullTableConstructionResult distributed_full_table_construction(
 
   result.node_tables.resize(n);
   for (NodeId u = 0; u < n; ++u) {
-    const unsigned width =
-        bitio::ceil_log2(std::max<std::size_t>(g.degree(u), 1));
+    const unsigned width = bitio::port_width(g.degree(u));
     bitio::BitWriter w;
     for (NodeId v = 0; v < n; ++v) {
       const bool self_or_unreachable =
@@ -1088,7 +1088,7 @@ TzConstructionResult distributed_tz_construction(
 
   TzShared shared;
   shared.n = n;
-  shared.id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  shared.id_width = bitio::id_width(n);
   shared.cnt_width = bitio::ceil_log2_plus1(n);
   shared.cap = schemes::TzScheme::cluster_cap(n);
   shared.max_attempts = std::max<std::size_t>(options.max_resamples, 1);
@@ -1159,26 +1159,19 @@ TzConstructionResult distributed_tz_construction(
     return result;
   }
 
-  // Assemble each node's serialized table from its learned state — the
-  // same layout TzScheme writes centrally.
+  // Encode each node's table from its learned state through the encoder
+  // TzScheme's central build uses.
   std::vector<bitio::BitVector> node_bits(n);
   for (NodeId w = 0; w < n; ++w) {
-    const unsigned port_width =
-        bitio::ceil_log2(std::max<std::size_t>(g.degree(w), 1));
-    bitio::BitWriter out;
+    std::vector<PortId> ports;
     for (const auto& e : nodes[w]->lm_) {  // the landmark set, in order
-      out.write_bits(e.landmark == w ? 0 : e.least_port, port_width);
+      ports.push_back(e.landmark == w ? 0 : e.least_port);
     }
-    std::vector<std::pair<NodeId, PortId>> cluster;
+    std::vector<schemes::TableEntry> cluster;
     for (const auto& [v, e] : nodes[w]->ann_) {
-      if (e.in_cluster) cluster.emplace_back(v, e.port);
+      if (e.in_cluster) cluster.push_back({v, e.port});
     }
-    out.write_bits(cluster.size(), bitio::ceil_log2_plus1(n));
-    for (const auto& [v, port] : cluster) {
-      out.write_bits(v, shared.id_width);
-      out.write_bits(port, port_width);
-    }
-    node_bits[w] = out.take();
+    node_bits[w] = schemes::build_landmark_node_bits(g, w, ports, cluster);
   }
   try {
     result.scheme = std::make_unique<schemes::TzScheme>(

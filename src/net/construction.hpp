@@ -137,10 +137,12 @@ struct ConstructionResult {
     const ProtocolOptions& protocol = {});
 
 struct TzConstructionResult {
-  /// The stitched scheme (null unless status == kOk): per-node bits
-  /// assembled in-network, validated by the TzScheme deserialization
-  /// constructor. Bit-identical to a centralized schemes::TzScheme build
-  /// with the same options on a fault-free network.
+  /// The stitched scheme (null unless status == kOk): each node's learned
+  /// landmark ports and cluster entries, written by the same node-table
+  /// encoder the centralized build uses (schemes::build_landmark_node_bits)
+  /// and validated by the TzScheme deserialization constructor.
+  /// Bit-identical to a centralized schemes::TzScheme build with the same
+  /// options on a fault-free network.
   std::unique_ptr<schemes::TzScheme> scheme;
   std::size_t landmark_count = 0;
   ConstructStatus status = ConstructStatus::kOk;

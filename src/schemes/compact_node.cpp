@@ -182,7 +182,7 @@ model::PackedSparseArray compile_compact_node(
     centers.push_back(hop);
   }
   return model::PackedSparseArray(std::move(mask), centers,
-                                  ceil_log2(std::max<std::size_t>(n, 2)));
+                                  bitio::id_width(n));
 }
 
 }  // namespace optrt::schemes

@@ -25,8 +25,7 @@ bitio::BitVector full_table_node_bits(const graph::Graph& g,
                                       const graph::Labeling& labeling,
                                       NodeId u) {
   const std::size_t n = g.node_count();
-  const unsigned width =
-      bitio::ceil_log2(std::max<std::size_t>(g.degree(u), 1));
+  const unsigned width = bitio::port_width(g.degree(u));
   bitio::BitWriter w;
   // One entry per destination *label* so lookups index by label directly.
   for (NodeId label = 0; label < n; ++label) {
@@ -53,7 +52,7 @@ FullTableScheme::FullTableScheme(const graph::Graph& g,
   width_.resize(n_);
   table_bits_.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
-    width_[u] = bitio::ceil_log2(std::max<std::size_t>(g.degree(u), 1));
+    width_[u] = bitio::port_width(g.degree(u));
     table_bits_[u] =
         full_table_node_bits(g, *dist_cached, ports_, labeling_, u);
   }
@@ -74,7 +73,7 @@ FullTableScheme::FullTableScheme(const graph::Graph& g,
   }
   width_.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
-    width_[u] = bitio::ceil_log2(std::max<std::size_t>(g.degree(u), 1));
+    width_[u] = bitio::port_width(g.degree(u));
     if (table_bits_[u].size() != n_ * width_[u]) {
       throw std::invalid_argument("FullTableScheme: table length mismatch");
     }

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <compare>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <stdexcept>
 
 #include "bitio/bit_stream.hpp"
@@ -23,14 +22,6 @@ namespace {
 // Header phases.
 constexpr std::uint32_t kNoWaypoint = 0;
 constexpr std::uint32_t kWaypointSet = 1;
-
-unsigned id_width_of(std::size_t n) {
-  return bitio::ceil_log2(std::max<std::size_t>(n, 2));
-}
-
-unsigned port_width_of(std::size_t degree) {
-  return bitio::ceil_log2(std::max<std::size_t>(degree, 1));
-}
 
 /// p_i(v) for every level (p₀ = identity): the first pivot in stored
 /// order at v's least distance, from one multi-source BFS per level.
@@ -66,8 +57,8 @@ std::optional<graph::PortId> read_entry_port(const bitio::BitVector& bits,
                                              std::size_t n,
                                              std::size_t degree,
                                              NodeId target) {
-  const unsigned id_width = id_width_of(n);
-  const unsigned port_width = port_width_of(degree);
+  const unsigned id_width = bitio::id_width(n);
+  const unsigned port_width = bitio::port_width(degree);
   bitio::BitReader r(bits);
   const auto count = static_cast<std::size_t>(bitio::read_prime(r));
   const auto port =
@@ -165,8 +156,6 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
   if (!graph::is_connected(g)) {
     throw SchemeInapplicable("hierarchical: graph disconnected");
   }
-  const auto dist_cached = graph::DistanceCache::global().get(g);
-  const graph::DistanceMatrix& dist = *dist_cached;
   const double k = static_cast<double>(levels_);
 
   // Nested pivot sets: A_i = first ⌈n^{(k−i)/k}⌉ nodes of one shuffled
@@ -188,67 +177,77 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
   }
   const auto pivot_of = nearest_pivots(g, pivot_sets_);
 
-  // Entry assembly: target → (port, installed?). Vicinity/top entries win
-  // over installed duplicates.
-  const auto ports = graph::PortAssignment::sorted(g);
-  std::vector<std::map<NodeId, std::pair<graph::PortId, bool>>> entries(n_);
-  auto hop_port = [&](NodeId from, NodeId to) {
-    return ports.port_of(
-        from, graph::shortest_path_successors(g, dist, from, to).front());
+  // Per node: (target, installed, port) entries, each port the rank of the
+  // least shortest-path successor. Direct (T)/(V) entries sort first, so
+  // they win over installed (H) duplicates.
+  struct Entry {
+    NodeId target;
+    bool installed;
+    graph::PortId port;
+    auto operator<=>(const Entry&) const = default;
   };
-  auto add_direct = [&](NodeId at, NodeId target) {
-    if (at == target) return;
-    entries[at][target] = {hop_port(at, target), false};
-  };
-  auto add_installed = [&](NodeId at, NodeId target) {
-    if (at == target) return;
-    entries[at].emplace(target,
-                        std::make_pair(hop_port(at, target), true));
-  };
+  std::vector<std::vector<Entry>> entries(n_);
 
-  // (T) every node resolves every top pivot.
-  for (NodeId w = 0; w < n_; ++w) {
-    for (NodeId t : pivot_sets_[levels_ - 1]) add_direct(w, t);
+  // (T) every node resolves every top pivot: one BFS per top pivot.
+  for (NodeId t : pivot_sets_[levels_ - 1]) {
+    const std::vector<std::uint32_t> row = graph::bfs_distances(g, t);
+    for (NodeId w = 0; w < n_; ++w) {
+      if (w != t) entries[w].push_back({t, false, least_port(g, row, w)});
+    }
   }
-  // (V) vicinity C(w) = {v : d(w, v) ≤ d(v, p₁(v))}.
+  // (V) vicinity C(w) = {v : d(w, v) ≤ d(v, p₁(v))}, i.e. the cluster
+  // under r = d(·, A₁) + 1.
+  std::vector<std::uint32_t> radius =
+      nearest_landmarks(g, pivot_sets_[1]).distance;
+  for (std::uint32_t& r : radius) ++r;
+  ClusterBfs cluster_bfs(g, std::move(radius));
   for (NodeId w = 0; w < n_; ++w) {
-    for (NodeId v = 0; v < n_; ++v) {
-      if (v != w && dist.at(w, v) <= dist.at(v, pivot_of[1][v])) {
-        add_direct(w, v);
-      }
+    for (const TableEntry& e : cluster_bfs(w)) {
+      entries[w].push_back({e.id, false, e.port});
     }
   }
   // (H) installed handoff paths: for i ≥ 2, one shortest path from every
   // level-i pivot t to each child pivot x = p_{i−1}(v) of its members.
-  std::set<std::pair<NodeId, NodeId>> installed_pairs;
+  // Legs are grouped by x, so one BFS row from x at a time serves them.
+  std::vector<std::pair<NodeId, NodeId>> legs;  // (x, t)
   for (std::size_t i = 2; i < levels_; ++i) {
     for (NodeId v = 0; v < n_; ++v) {
-      const NodeId t = pivot_of[i][v];
-      const NodeId x = pivot_of[i - 1][v];
-      if (t == x) continue;
-      if (!installed_pairs.emplace(t, x).second) continue;
-      // Walk the canonical (least-successor) shortest path t → x,
-      // installing an entry for x at every interior node.
-      NodeId at = t;
-      while (at != x) {
-        add_installed(at, x);
-        at = graph::shortest_path_successors(g, dist, at, x).front();
+      if (pivot_of[i][v] != pivot_of[i - 1][v]) {
+        legs.emplace_back(pivot_of[i - 1][v], pivot_of[i][v]);
       }
+    }
+  }
+  std::sort(legs.begin(), legs.end());
+  legs.erase(std::unique(legs.begin(), legs.end()), legs.end());
+  std::vector<std::uint32_t> row;
+  for (std::size_t j = 0; j < legs.size(); ++j) {
+    const auto [x, t] = legs[j];
+    if (j == 0 || legs[j - 1].first != x) row = graph::bfs_distances(g, x);
+    // Walk the canonical (least-successor) shortest path t → x, installing
+    // an entry for x at every node before x.
+    for (NodeId at = t; at != x;) {
+      const graph::PortId port = least_port(g, row, at);
+      entries[at].push_back({x, true, port});
+      at = g.neighbor_at(at, port);
     }
   }
 
   // Serialize: a prime-coded entry count, then (target, port, installed)
   // in increasing target order.
-  const unsigned id_width = id_width_of(n_);
+  const unsigned id_width = bitio::id_width(n_);
   std::vector<bitio::BitVector> bits(n_);
   for (NodeId w = 0; w < n_; ++w) {
-    const unsigned port_width = port_width_of(g.degree(w));
+    std::vector<Entry>& table = entries[w];
+    std::sort(table.begin(), table.end());
+    table.erase(std::ranges::unique(table, {}, &Entry::target).begin(),
+                table.end());
+    const unsigned port_width = bitio::port_width(g.degree(w));
     bitio::BitWriter out;
-    bitio::write_prime(out, entries[w].size());
-    for (const auto& [target, entry] : entries[w]) {
-      out.write_bits(target, id_width);
-      out.write_bits(entry.first, port_width);
-      out.write_bit(entry.second);
+    bitio::write_prime(out, table.size());
+    for (const Entry& e : table) {
+      out.write_bits(e.target, id_width);
+      out.write_bits(e.port, port_width);
+      out.write_bit(e.installed);
     }
     bits[w] = out.take();
   }
@@ -270,13 +269,13 @@ void HierarchicalScheme::compile(const graph::Graph& g,
     throw std::invalid_argument("HierarchicalScheme: bad serialized state");
   }
   auto pivot_of = nearest_pivots(g, pivot_sets_);
-  const unsigned id_width = id_width_of(n_);
+  const unsigned id_width = bitio::id_width(n_);
   function_bits_ = std::move(node_bits);
   std::vector<model::PackedSparseArray> tables;
   tables.reserve(n_);
   std::vector<std::uint32_t> ports;
   for (NodeId w = 0; w < n_; ++w) {
-    const unsigned port_width = port_width_of(g.degree(w));
+    const unsigned port_width = bitio::port_width(g.degree(w));
     const std::size_t degree = std::max<std::size_t>(g.degree(w), 1);
     const std::size_t entry_bits = id_width + port_width + 1;
     bitio::BitReader r(function_bits_[w]);
@@ -375,7 +374,7 @@ std::vector<NodeId> HierarchicalScheme::port_enumeration(NodeId u) const {
 model::SpaceReport HierarchicalScheme::space() const {
   // Charged labels: (v, p₁(v), …, p_{k−1}(v)) at ⌈log n⌉ bits each.
   return model::SpaceReport::of(function_bits_,
-                                n_ * levels_ * id_width_of(n_));
+                                n_ * levels_ * bitio::id_width(n_));
 }
 
 }  // namespace optrt::schemes

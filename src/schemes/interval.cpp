@@ -68,7 +68,7 @@ IntervalRoutingScheme::IntervalRoutingScheme(const graph::Graph& g, NodeId root)
 
   // Serialize per node: parent id, child count, then (child id, lo, hi)
   // label triples.
-  const unsigned width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
+  const unsigned width = bitio::id_width(n_);
   function_bits_.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
     bitio::BitWriter w;
@@ -88,7 +88,7 @@ NodeId IntervalRoutingScheme::next_hop(NodeId u, NodeId dest_label,
   if (dest_label == labeling_.label_of(u)) {
     throw std::invalid_argument("IntervalRoutingScheme: routing to self");
   }
-  const unsigned width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
+  const unsigned width = bitio::id_width(n_);
   bitio::BitReader r(function_bits_[u]);
   const auto parent = static_cast<NodeId>(r.read_bits(width));
   const auto count =

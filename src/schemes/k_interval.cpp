@@ -23,7 +23,7 @@ KIntervalScheme::KIntervalScheme(const graph::Graph& g)
   }
   const auto dist_cached = graph::DistanceCache::global().get(g);
   const graph::DistanceMatrix& dist = *dist_cached;
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
+  const unsigned id_width = bitio::id_width(n_);
 
   function_bits_.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {
@@ -87,7 +87,7 @@ NodeId KIntervalScheme::next_hop(NodeId u, NodeId dest_label,
   if (dest_label == u) {
     throw std::invalid_argument("KIntervalScheme: routing to self");
   }
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
+  const unsigned id_width = bitio::id_width(n_);
   bitio::BitReader r(function_bits_[u]);
   for (std::size_t p = 0; p < ports_.degree(u); ++p) {
     const auto count = static_cast<std::size_t>(bitio::read_prime(r));

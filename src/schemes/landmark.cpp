@@ -59,20 +59,10 @@ LandmarkScheme::LandmarkScheme(const graph::Graph& g, Options options)
                     all.begin() + static_cast<std::ptrdiff_t>(count));
   std::sort(landmarks_.begin(), landmarks_.end());
 
-  // Vicinity C(w) = {v : d(w, v) ≤ d(v, l(v))}, i.e. d(w, v) < d(v, l(v)) + 1.
-  const auto dist_cached = graph::DistanceCache::global().get(g);
-  const graph::DistanceMatrix& dist = *dist_cached;
-  std::vector<std::uint32_t> list_below(n_, graph::kUnreachable);
-  for (NodeId v = 0; v < n_; ++v) {
-    for (NodeId l : landmarks_) {
-      list_below[v] = std::min(list_below[v], dist.at(v, l) + 1);
-    }
-  }
-  std::vector<bitio::BitVector> bits(n_);
-  for (NodeId w = 0; w < n_; ++w) {
-    bits[w] = build_landmark_node_bits(g, dist, landmarks_, list_below, w);
-  }
-  compile(g, std::move(bits));
+  // Vicinity C(w) = {v : d(w, v) ≤ d(v, l(v))}, i.e. d(w, v) < d(v, A) + 1.
+  std::vector<std::uint32_t> radius = nearest_landmarks(g, landmarks_).distance;
+  for (std::uint32_t& r : radius) ++r;
+  compile(g, build_landmark_tables(g, landmarks_, radius));
 }
 
 LandmarkScheme::LandmarkScheme(const graph::Graph& g,
@@ -135,8 +125,7 @@ std::size_t LandmarkScheme::vicinity_size(NodeId w) const {
 
 model::SpaceReport LandmarkScheme::space() const {
   // Model γ: the (v, l(v)) labels are charged — 2·⌈log n⌉ bits per node.
-  return model::SpaceReport::of(
-      function_bits_, n_ * 2 * bitio::ceil_log2(std::max<std::size_t>(n_, 2)));
+  return model::SpaceReport::of(function_bits_, n_ * 2 * bitio::id_width(n_));
 }
 
 }  // namespace optrt::schemes

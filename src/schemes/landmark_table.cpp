@@ -8,18 +8,6 @@
 
 namespace optrt::schemes {
 
-namespace {
-
-unsigned port_width(std::size_t degree) {
-  return bitio::ceil_log2(std::max<std::size_t>(degree, 1));
-}
-
-unsigned id_width(std::size_t n) {
-  return bitio::ceil_log2(std::max<std::size_t>(n, 2));
-}
-
-}  // namespace
-
 NearestLandmarks nearest_landmarks(
     const graph::Graph& g, const std::vector<graph::NodeId>& landmarks) {
   const std::size_t n = g.node_count();
@@ -58,37 +46,93 @@ NearestLandmarks nearest_landmarks(
   return out;
 }
 
-bitio::BitVector build_landmark_node_bits(
-    const graph::Graph& g, const graph::DistanceMatrix& dist,
-    const std::vector<graph::NodeId>& landmarks,
-    const std::vector<std::uint32_t>& list_below, graph::NodeId w) {
-  const std::size_t n = g.node_count();
-  const unsigned pw = port_width(g.degree(w));
+graph::PortId least_port(const graph::Graph& g,
+                         std::span<const std::uint32_t> row, graph::NodeId w) {
+  // Ports are sorted, so the port of the least successor is its rank.
   const auto nbrs = g.neighbors(w);
-  // Ports are sorted, so the port of the least shortest-path successor is
-  // its rank in w's neighbour list.
-  const auto port_toward = [&](graph::NodeId target) {
-    const std::uint32_t next = dist.at(w, target) - 1;
-    const auto succ =
-        std::find_if(nbrs.begin(), nbrs.end(), [&](graph::NodeId x) {
-          return dist.at(x, target) == next;
-        });
-    return static_cast<std::uint64_t>(succ - nbrs.begin());
-  };
+  const std::uint32_t next = row[w] - 1;
+  return static_cast<graph::PortId>(
+      std::find_if(nbrs.begin(), nbrs.end(),
+                   [&](graph::NodeId x) { return row[x] == next; }) -
+      nbrs.begin());
+}
+
+ClusterBfs::ClusterBfs(const graph::Graph& g, std::vector<std::uint32_t> r)
+    : g_(g),
+      r_(std::move(r)),
+      stamp_(g.node_count(), 0),
+      dist_(g.node_count()) {
+  for (const std::uint32_t x : r_) max_r_ = std::max(max_r_, x);
+}
+
+const std::vector<TableEntry>& ClusterBfs::operator()(graph::NodeId w) {
+  ++epoch_;
+  stamp_[w] = epoch_;
+  dist_[w] = 0;
+  members_.clear();
+  // The queue is w, then the members in the order they are found. As in
+  // nearest_landmarks it stays sorted by first hop level by level, so the
+  // first member to reach x carries the least first hop over all of x's
+  // BFS parents, and by closure every such parent is a member.
+  for (std::size_t head = 0; head <= members_.size(); ++head) {
+    const graph::NodeId u = head == 0 ? w : members_[head - 1].id;
+    const std::uint32_t d = dist_[u] + 1;
+    if (d >= max_r_) break;  // no member lies this far out
+    const auto nbrs = g_.neighbors(u);
+    for (graph::PortId p = 0; p < nbrs.size(); ++p) {
+      const graph::NodeId x = nbrs[p];
+      if (stamp_[x] == epoch_) continue;
+      stamp_[x] = epoch_;
+      // A member is first reached at its exact distance; a node reached
+      // too far out for its radius is no member and is never expanded.
+      if (d >= r_[x]) continue;
+      dist_[x] = d;
+      members_.push_back({x, head == 0 ? p : members_[head - 1].port});
+    }
+  }
+  return members_;
+}
+
+bitio::BitVector build_landmark_node_bits(
+    const graph::Graph& g, graph::NodeId w,
+    std::span<const graph::PortId> landmark_ports,
+    std::span<const TableEntry> listed) {
+  const std::size_t n = g.node_count();
+  const unsigned pw = bitio::port_width(g.degree(w));
   bitio::BitWriter out;
-  for (graph::NodeId l : landmarks) {
-    out.write_bits(l == w ? 0 : port_toward(l), pw);
-  }
-  std::vector<graph::NodeId> listed;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (v != w && dist.at(w, v) < list_below[v]) listed.push_back(v);
-  }
+  for (const graph::PortId port : landmark_ports) out.write_bits(port, pw);
   out.write_bits(listed.size(), bitio::ceil_log2_plus1(n));
-  for (graph::NodeId v : listed) {
-    out.write_bits(v, id_width(n));
-    out.write_bits(port_toward(v), pw);
+  for (const TableEntry& e : listed) {
+    out.write_bits(e.id, bitio::id_width(n));
+    out.write_bits(e.port, pw);
   }
   return out.take();
+}
+
+std::vector<bitio::BitVector> build_landmark_tables(
+    const graph::Graph& g, const std::vector<graph::NodeId>& landmarks,
+    const std::vector<std::uint32_t>& r) {
+  const std::size_t n = g.node_count();
+  const std::size_t k = landmarks.size();
+  // ports[w·k + i]: w's port toward landmark i (0 at the landmark itself).
+  std::vector<graph::PortId> ports(n * k, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::vector<std::uint32_t> row =
+        graph::bfs_distances(g, landmarks[i]);
+    for (graph::NodeId w = 0; w < n; ++w) {
+      if (w != landmarks[i]) ports[w * k + i] = least_port(g, row, w);
+    }
+  }
+  ClusterBfs cluster_bfs(g, r);
+  std::vector<TableEntry> listed;
+  std::vector<bitio::BitVector> bits(n);
+  for (graph::NodeId w = 0; w < n; ++w) {
+    listed = cluster_bfs(w);
+    std::ranges::sort(listed, {}, &TableEntry::id);
+    bits[w] = build_landmark_node_bits(
+        g, w, std::span(ports).subspan(w * k, k), listed);
+  }
+  return bits;
 }
 
 LandmarkTables compile_landmark_tables(
@@ -115,7 +159,7 @@ LandmarkTables compile_landmark_tables(
   std::vector<std::uint32_t> ports;
   for (graph::NodeId w = 0; w < n; ++w) {
     const std::size_t degree = std::max<std::size_t>(g.degree(w), 1);
-    const unsigned pw = port_width(g.degree(w));
+    const unsigned pw = bitio::port_width(g.degree(w));
     bitio::BitReader r(bits[w]);
     ports.resize(landmarks.size());
     for (auto& p : ports) {
@@ -132,7 +176,7 @@ LandmarkTables compile_landmark_tables(
     bitio::BitVector mask(n);
     std::uint64_t previous = 0;
     for (std::size_t i = 0; i < size; ++i) {
-      const std::uint64_t id = r.read_bits(id_width(n));
+      const std::uint64_t id = r.read_bits(bitio::id_width(n));
       ports[i] = static_cast<std::uint32_t>(r.read_bits(pw));
       // The compiled table is rank-indexed by id: ids must be in range and
       // strictly increasing, ports below the degree.
@@ -154,8 +198,8 @@ LandmarkTables compile_landmark_tables(
 graph::PortId read_landmark_port(const bitio::BitVector& bits,
                                  std::size_t degree, std::size_t index) {
   bitio::BitReader r(bits);
-  r.seek(index * port_width(degree));
-  return static_cast<graph::PortId>(r.read_bits(port_width(degree)));
+  r.seek(index * bitio::port_width(degree));
+  return static_cast<graph::PortId>(r.read_bits(bitio::port_width(degree)));
 }
 
 std::optional<graph::PortId> read_listed_port(const bitio::BitVector& bits,
@@ -163,8 +207,8 @@ std::optional<graph::PortId> read_listed_port(const bitio::BitVector& bits,
                                               std::size_t degree,
                                               std::size_t landmark_count,
                                               graph::NodeId v) {
-  const unsigned pw = port_width(degree);
-  const unsigned iw = id_width(n);
+  const unsigned pw = bitio::port_width(degree);
+  const unsigned iw = bitio::id_width(n);
   bitio::BitReader r(bits);
   r.seek(landmark_count * pw);
   const auto count =

@@ -1,9 +1,22 @@
-// The node table layout LandmarkScheme and TzScheme share, its one
-// validating decode into the compiled form both fast paths read, and the
-// one nearest-landmark search both decoders derive their labels from.
+// The cluster layer behind LandmarkScheme, TzScheme and HierarchicalScheme,
+// the node table layout the first two share, its one validating decode into
+// the compiled form both fast paths read, and the one nearest-landmark
+// search both decoders derive their labels from.
 //
-// Node w stores, at port width ⌈log₂ d(w)⌉ (ports in sorted neighbour
-// order):
+// All three schemes store ports toward a pivot set plus one cluster per
+// node, C(w) = {v : d(w, v) < r(v)}:
+//   · TZ: r(v) = d(v, A);
+//   · landmark: r(v) = d(v, A) + 1;
+//   · hierarchical: r(v) = d(v, A₁) + 1.
+// Each r meets the closure precondition r(v) ≤ r(u) + d(u, v). Then every
+// node u on a shortest w–v path to a member v is itself a member:
+// d(w, u) = d(w, v) − d(u, v) < r(v) − d(u, v) ≤ r(u). So a BFS from w that
+// expands only members (ClusterBfs) finds each member at its exact distance
+// with its least first hop, and a port toward one pivot is read off one
+// distance row (least_port). No builder needs an all-pairs matrix.
+//
+// Node w of LandmarkScheme and TzScheme stores, at port width ⌈log₂ d(w)⌉
+// (ports in sorted neighbour order):
 //   · one port per landmark, in landmark-index order (a landmark's own
 //     entry is unused and stored as 0), then
 //   · a ⌈log₂(n+1)⌉-bit entry count and that many (id, port) pairs, ids at
@@ -13,6 +26,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,15 +86,61 @@ struct NearestLandmarks {
 [[nodiscard]] NearestLandmarks nearest_landmarks(
     const graph::Graph& g, const std::vector<graph::NodeId>& landmarks);
 
-/// Encodes node w's table: shortest-path ports toward every landmark,
-/// then every v ≠ w with d(w, v) < list_below[v]. Each port is the rank
-/// of the least shortest-path successor in g.neighbors(w). The one
-/// builder behind LandmarkScheme, TzScheme and TZ churn repair, so a
-/// repaired table is byte-identical to a fresh one. `g` must be connected.
+/// One node-table entry: a destination and the port toward it (the rank of
+/// the least shortest-path successor in the node's sorted neighbours).
+struct TableEntry {
+  graph::NodeId id;
+  graph::PortId port;
+
+  friend bool operator==(const TableEntry&, const TableEntry&) = default;
+};
+
+/// w's port toward one target t, read off the row d(·, t): the rank of w's
+/// least neighbour one step closer to t. The row may come from a BFS from t
+/// or from row t of a DistanceMatrix. Precondition: 0 < row[w] < ∞.
+[[nodiscard]] graph::PortId least_port(const graph::Graph& g,
+                                       std::span<const std::uint32_t> row,
+                                       graph::NodeId w);
+
+/// The bounded BFS over clusters C(w) = {v : d(w, v) < r(v)}. Exact when r
+/// meets the closure precondition above (r(v) = graph::kUnreachable admits
+/// every node reachable from w). A member u is expanded only while another
+/// member could lie one step further out, d(w, u) + 1 < max r, and the
+/// visit stamps persist between calls, so a call costs what it visits.
+class ClusterBfs {
+ public:
+  /// `g` must outlive this object; `r` holds one radius per node.
+  ClusterBfs(const graph::Graph& g, std::vector<std::uint32_t> r);
+
+  /// C(w) minus w in BFS order, each member with the rank of w's least
+  /// first hop toward it. Valid until the next call.
+  const std::vector<TableEntry>& operator()(graph::NodeId w);
+
+ private:
+  const graph::Graph& g_;
+  std::vector<std::uint32_t> r_;
+  std::uint32_t max_r_ = 0;
+  std::uint64_t epoch_ = 0;           // one per call: stamps never wrap
+  std::vector<std::uint64_t> stamp_;  // the call that last reached v
+  std::vector<std::uint32_t> dist_;   // d(w, v) for the members
+  std::vector<TableEntry> members_;
+};
+
+/// Encodes node w's table: `landmark_ports` in landmark-index order, then
+/// `listed`, which must be in strictly increasing id order. The one encoder
+/// behind LandmarkScheme, TzScheme, TZ churn repair and the CONGEST TZ
+/// construction, so tables from all four are byte-identical.
 [[nodiscard]] bitio::BitVector build_landmark_node_bits(
-    const graph::Graph& g, const graph::DistanceMatrix& dist,
-    const std::vector<graph::NodeId>& landmarks,
-    const std::vector<std::uint32_t>& list_below, graph::NodeId w);
+    const graph::Graph& g, graph::NodeId w,
+    std::span<const graph::PortId> landmark_ports,
+    std::span<const TableEntry> listed);
+
+/// Every node's table: ports toward each landmark from one BFS per
+/// landmark, and the cluster C(w) under radii `r` from ClusterBfs. `g` must
+/// be connected and `r` must meet the closure precondition.
+[[nodiscard]] std::vector<bitio::BitVector> build_landmark_tables(
+    const graph::Graph& g, const std::vector<graph::NodeId>& landmarks,
+    const std::vector<std::uint32_t>& r);
 
 /// Decodes every node's bits — checking stored ports below the degree, at
 /// most n entries, ids below n and strictly increasing, and exact

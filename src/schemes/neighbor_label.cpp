@@ -12,7 +12,7 @@ namespace optrt::schemes {
 
 NeighborLabelScheme::NeighborLabelScheme(const graph::Graph& g)
     : n_(g.node_count()),
-      id_width_(bitio::ceil_log2(std::max<std::size_t>(n_, 2))),
+      id_width_(bitio::id_width(n_)),
       g_(g) {
   labels_.label_of_node.resize(n_);
   for (NodeId u = 0; u < n_; ++u) {

@@ -1,7 +1,6 @@
 #include "schemes/repair.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -214,19 +213,29 @@ RepairableTz::RepairableTz(const graph::Graph& base, TzOptions options,
   if (!dist_.connected()) {
     throw SchemeInapplicable("RepairableTz: base graph disconnected");
   }
-  landmarks_ = tz_sample_landmarks(live_, dist_, options_);
+  landmarks_ = tz_sample_landmarks(live_, options_);
   rebuild_all();
 }
 
 void RepairableTz::rebuild_all() {
-  const std::size_t n = live_.node_count();
   dva_ = nearest_landmarks(live_, landmarks_).distance;
-  tables_.resize(n);
-  for (NodeId w = 0; w < n; ++w) {
-    tables_[w] = build_landmark_node_bits(live_, dist_, landmarks_, dva_, w);
-  }
-  stats_.tables_touched += n;
+  tables_ = build_landmark_tables(live_, landmarks_, dva_);
+  stats_.tables_touched += live_.node_count();
   materialize();
+}
+
+bitio::BitVector RepairableTz::patched_node_bits(NodeId w) const {
+  std::vector<graph::PortId> ports;
+  for (const NodeId l : landmarks_) {
+    ports.push_back(l == w ? 0 : least_port(live_, dist_.row(l), w));
+  }
+  std::vector<TableEntry> cluster;
+  for (NodeId v = 0; v < live_.node_count(); ++v) {
+    if (v != w && dist_.at(w, v) < dva_[v]) {
+      cluster.push_back({v, least_port(live_, dist_.row(v), w)});
+    }
+  }
+  return build_landmark_node_bits(live_, w, ports, cluster);
 }
 
 void RepairableTz::materialize() {
@@ -241,12 +250,12 @@ model::RepairOutcome RepairableTz::apply_event(
   const std::vector<NodeId> changed_rows = refresh_distances(dist_, event);
   // Fresh TZ construction throws on disconnected graphs; mirror it.
   if (!dist_.connected()) return inapplicable();
-  // Replay the seeded election against the maintained matrix — the same
-  // draws a fresh build on this topology would make. A changed electorate
-  // (or recovery from a stale period, or force_rebuild) rebuilds every
-  // table, but with no all-pairs BFS beyond the refresh: the matrix is
-  // exact. Materializing runs the decoder's one multi-source landmark BFS.
-  std::vector<NodeId> elected = tz_sample_landmarks(live_, dist_, options_);
+  // Replay the seeded election — the same draws a fresh build on this
+  // topology makes. A changed electorate (or recovery from a stale period,
+  // or force_rebuild) rebuilds every table from the cluster layer, as a
+  // fresh build does. Materializing runs the decoder's one multi-source
+  // landmark BFS.
+  std::vector<NodeId> elected = tz_sample_landmarks(live_, options_);
   if (!available_ || config_.force_rebuild || elected != landmarks_) {
     landmarks_ = std::move(elected);
     rebuild_all();
@@ -280,9 +289,7 @@ model::RepairOutcome RepairableTz::apply_event(
     rebuild_all();
     return rebuilt();
   }
-  for (NodeId w : dirty) {
-    tables_[w] = build_landmark_node_bits(live_, dist_, landmarks_, dva_, w);
-  }
+  for (NodeId w : dirty) tables_[w] = patched_node_bits(w);
   materialize();
   return patched(dirty.size());
 }
@@ -309,17 +316,31 @@ std::unique_ptr<model::RepairableScheme> make_repairable(
 
 namespace {
 
-RepairMatch compare_bits(const std::string& kind, std::size_t n,
-                         const std::function<const bitio::BitVector&(NodeId)>&
-                             repaired,
-                         const std::function<const bitio::BitVector&(NodeId)>&
-                             fresh) {
-  for (NodeId u = 0; u < n; ++u) {
-    if (!(repaired(u) == fresh(u))) {
-      RepairMatch m;
-      m.detail = kind + ": table of node " + std::to_string(u) +
-                 " diverges from the fresh build";
-      return m;
+/// One kind's oracle: SchemeInapplicable parity (the fresh build is
+/// impossible iff the repairable is stale), then bit-identical node tables.
+/// `build` emplaces the fresh build into `fresh`.
+template <class Scheme, class Build>
+RepairMatch match_fresh_tables(const model::RepairableScheme& rs,
+                               std::optional<Scheme>& fresh, Build build) {
+  const std::string kind = rs.kind_name();
+  try {
+    build(fresh);
+  } catch (const SchemeInapplicable&) {
+    if (rs.available()) {
+      return {false, kind + ": fresh build inapplicable but repairable "
+                            "claims availability"};
+    }
+    return {true, ""};
+  }
+  if (!rs.available()) {
+    return {false, kind + ": fresh build succeeded but repairable is stale"};
+  }
+  const auto* repaired = dynamic_cast<const Scheme*>(&rs.scheme());
+  if (repaired == nullptr) return {false, kind + ": wrong scheme type"};
+  for (NodeId u = 0; u < rs.topology().node_count(); ++u) {
+    if (!(repaired->function_bits(u) == fresh->function_bits(u))) {
+      return {false, kind + ": table of node " + std::to_string(u) +
+                         " diverges from the fresh build"};
     }
   }
   return {true, ""};
@@ -333,75 +354,33 @@ RepairMatch repaired_matches_fresh(const model::RepairableScheme& rs,
   const std::string kind = rs.kind_name();
   obs::counter("churn.oracle_checks").inc();
   if (kind == "full-table") {
-    const auto* repaired =
-        dynamic_cast<const FullTableScheme*>(&rs.scheme());
-    if (repaired == nullptr) return {false, "full-table: wrong scheme type"};
-    const FullTableScheme fresh = FullTableScheme::standard(g);
-    return compare_bits(
-        kind, g.node_count(),
-        [&](NodeId u) -> const bitio::BitVector& {
-          return repaired->function_bits(u);
-        },
-        [&](NodeId u) -> const bitio::BitVector& {
-          return fresh.function_bits(u);
-        });
+    std::optional<FullTableScheme> fresh;
+    return match_fresh_tables(rs, fresh, [&](auto& f) {
+      f.emplace(FullTableScheme::standard(g));
+    });
   }
   if (kind == "compact-diam2") {
-    const auto* repaired =
-        dynamic_cast<const CompactDiam2Scheme*>(&rs.scheme());
-    if (repaired == nullptr) {
-      return {false, "compact-diam2: wrong scheme type"};
-    }
     std::optional<CompactDiam2Scheme> fresh;
-    try {
-      fresh.emplace(g, CompactDiam2Scheme::Options{});
-    } catch (const SchemeInapplicable&) {
-      // Parity: the fresh build is impossible iff the repairable says so.
-      if (rs.available()) {
-        return {false,
-                "compact-diam2: fresh build inapplicable but repairable "
-                "claims availability"};
-      }
-      return {true, ""};
-    }
-    if (!rs.available()) {
-      return {false,
-              "compact-diam2: fresh build succeeded but repairable is stale"};
-    }
-    return compare_bits(
-        kind, g.node_count(),
-        [&](NodeId u) -> const bitio::BitVector& {
-          return repaired->function_bits(u);
-        },
-        [&](NodeId u) -> const bitio::BitVector& {
-          return fresh->function_bits(u);
-        });
+    return match_fresh_tables(rs, fresh, [&](auto& f) {
+      f.emplace(g, CompactDiam2Scheme::Options{});
+    });
   }
   if (kind == "tz") {
     const auto* tz = dynamic_cast<const RepairableTz*>(&rs);
     if (tz == nullptr) return {false, "tz: wrong repairable type"};
     std::optional<TzScheme> fresh;
-    try {
-      TzOptions opt = tz->options();
-      fresh.emplace(g, opt);
-    } catch (const SchemeInapplicable&) {
-      if (rs.available()) {
-        return {false,
-                "tz: fresh build inapplicable but repairable claims "
-                "availability"};
-      }
-      return {true, ""};
+    const RepairMatch tables = match_fresh_tables(
+        rs, fresh, [&](auto& f) { f.emplace(g, tz->options()); });
+    if (!tables.match || !fresh) return tables;
+    const auto& repaired = static_cast<const TzScheme&>(rs.scheme());
+    if (repaired.landmarks() != fresh->landmarks()) {
+      return {false, "tz: landmark set diverges from the fresh build"};
     }
-    if (!rs.available()) {
-      return {false, "tz: fresh build succeeded but repairable is stale"};
-    }
-    const std::uint64_t a =
-        model::route_fingerprint(g, rs.scheme(), 0, threads);
-    const std::uint64_t b = model::route_fingerprint(g, *fresh, 0, threads);
-    if (a != b) {
+    if (model::route_fingerprint(g, repaired, 0, threads) !=
+        model::route_fingerprint(g, *fresh, 0, threads)) {
       return {false, "tz: route fingerprints diverge from the fresh build"};
     }
-    return {true, ""};
+    return tables;
   }
   return {false, "unknown repairable kind: " + kind};
 }

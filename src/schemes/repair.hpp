@@ -7,12 +7,14 @@
 // derives the *dirty set* — the nodes whose serialized tables the event
 // can change — rebuilds only those tables through the same per-node
 // builders a fresh construction calls (full_table_node_bits,
-// build_compact_node, build_landmark_node_bits), and re-materializes its
-// scheme through the validating deserialization constructors. That is why
-// the differential oracle can demand bit-identity: patched tables come
-// from the identical code path a fresh centralized build takes, just for
-// fewer nodes. RepairConfig::force_rebuild only forces the full-rebuild
-// path, after a fresh all-pairs BFS.
+// build_compact_node, and for TZ least_port plus build_landmark_node_bits,
+// fed from matrix rows where a fresh build feeds BFS rows), and
+// re-materializes its scheme through the validating deserialization
+// constructors. That is why the differential oracle can demand
+// bit-identity: patched tables come from the same encoder and port rule a
+// fresh centralized build uses, just for fewer nodes. RepairConfig::
+// force_rebuild only forces the full-rebuild path, after a fresh
+// all-pairs BFS.
 #pragma once
 
 #include <memory>
@@ -127,16 +129,17 @@ class RepairableCompactDiam2 final : public RepairableBase {
   std::unique_ptr<CompactDiam2Scheme> scheme_;
 };
 
-/// Thorup-Zwick repair: replays the seeded landmark election against the
-/// patched distance matrix (zero BFS). If the elected set changed — or the
-/// graph disconnected and reconnected — every table is rebuilt from the
-/// maintained matrix; otherwise dirty = {u, v} ∪ changed rows ∪ their
-/// live neighbourhoods ∪ every w whose strict-cluster membership of some
-/// v with changed d(v, A) flips. Rebuilt tables come from
-/// build_landmark_node_bits, so with equal landmarks and equal distances
-/// they are byte-identical to a fresh build. On a disconnected live graph
-/// the scheme is inapplicable (fresh TzScheme construction throws), and
-/// the last tables stay stale.
+/// Thorup-Zwick repair: replays the seeded landmark election (its cluster
+/// sizes come from the cluster layer, as in a fresh build). If the elected
+/// set changed — or the graph disconnected and reconnected — every table
+/// is rebuilt from the cluster layer; otherwise dirty = {u, v} ∪ changed
+/// rows ∪ their live neighbourhoods ∪ every w whose strict-cluster
+/// membership of some v with changed d(v, A) flips, and each dirty table
+/// is re-read from the maintained matrix's rows through least_port. Both
+/// paths end in build_landmark_node_bits, so with equal landmarks and
+/// equal distances tables are byte-identical to a fresh build. On a
+/// disconnected live graph the scheme is inapplicable (fresh TzScheme
+/// construction throws), and the last tables stay stale.
 class RepairableTz final : public RepairableBase {
  public:
   explicit RepairableTz(const graph::Graph& base, TzOptions options = {},
@@ -151,9 +154,12 @@ class RepairableTz final : public RepairableBase {
   [[nodiscard]] const TzOptions& options() const noexcept { return options_; }
 
  private:
-  /// Rebuilds d(·, A) and every table under landmarks_, then
-  /// re-materializes scheme_.
+  /// Rebuilds d(·, A) and every table under landmarks_ from the cluster
+  /// layer, as a fresh build does, then re-materializes scheme_.
   void rebuild_all();
+  /// Node w's table from the maintained matrix: each port through
+  /// least_port on one matrix row, written by the shared encoder.
+  [[nodiscard]] bitio::BitVector patched_node_bits(graph::NodeId w) const;
   void materialize();
 
   TzOptions options_;
@@ -172,10 +178,12 @@ class RepairableTz final : public RepairableBase {
 
 /// The churn differential oracle: compares the incrementally repaired
 /// scheme against a fresh centralized build on rs.topology().
-/// Bit-identical function bits for full-table and compact-diam2 (plus
-/// SchemeInapplicable parity for compact), identical full-pair-space
-/// route fingerprints for TZ. `threads` feeds route_fingerprint; every
-/// field of the outcome is thread-count independent.
+/// Bit-identical function bits for all three kinds, plus SchemeInapplicable
+/// parity for compact-diam2 and TZ; TZ must also elect the fresh build's
+/// landmark set and give identical full-pair-space route fingerprints, so
+/// patched tables (matrix-fed ports) are held to the fresh build's
+/// BFS-fed ones. `threads` feeds route_fingerprint; every field of the
+/// outcome is thread-count independent.
 struct RepairMatch {
   bool match = false;
   std::string detail;  ///< first divergence, empty when match

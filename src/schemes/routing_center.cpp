@@ -50,10 +50,6 @@ class RoutingCenterFastPath final
 
 namespace {
 
-unsigned id_width_of(std::size_t n) {
-  return bitio::ceil_log2(std::max<std::size_t>(n, 2));
-}
-
 /// The sorted center set B = {hub} ∪ (least-neighbour cover of the hub).
 std::vector<NodeId> hub_centers(const graph::Graph& g, NodeId hub) {
   const graph::NeighborCover hub_cover = graph::least_neighbor_cover(g, hub);
@@ -90,7 +86,7 @@ std::vector<bitio::BitVector> build_center_bits(
                                " not adjacent to any center");
     }
     bitio::BitWriter w;
-    w.write_bits(*it, id_width_of(n));
+    w.write_bits(*it, bitio::id_width(n));
     bits[v] = w.take();
   }
   return bits;
@@ -133,7 +129,7 @@ void RoutingCenterScheme::compile(const graph::Graph& g) {
     slot[b] = static_cast<NodeId>(n_ + i);
   }
   const auto is_center = [&](NodeId v) { return slot[v] >= n_; };
-  const unsigned id_width = id_width_of(n_);
+  const unsigned id_width = bitio::id_width(n_);
   std::vector<model::PackedSparseArray> tables;
   tables.reserve(center_ids_.size());
   for (NodeId v = 0; v < n_; ++v) {
@@ -183,7 +179,7 @@ NodeId RoutingCenterScheme::reference_next_hop(const graph::Graph& g, NodeId u,
         .next_of[dest_label];
   }
   bitio::BitReader r(function_bits_[u]);
-  return static_cast<NodeId>(r.read_bits(id_width_of(n_)));
+  return static_cast<NodeId>(r.read_bits(bitio::id_width(n_)));
 }
 
 std::shared_ptr<const model::FastPath> RoutingCenterScheme::compile_fast()

@@ -281,7 +281,7 @@ CompactDiam2Scheme deserialize_compact_diam2(const bitio::BitVector& artifact,
 
 bitio::BitVector serialize(const FullTableScheme& scheme) {
   const std::size_t n = scheme.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const unsigned id_width = bitio::id_width(n);
   BitWriter w;
   // Environment: labelling permutation, then port → neighbour maps.
   for (graph::NodeId u = 0; u < n; ++u) {
@@ -310,7 +310,7 @@ FullTableScheme decode_full_table(const bitio::BitVector& payload,
                                   const graph::Graph& g) {
   BitReader r(payload);
   const std::size_t n = g.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const unsigned id_width = bitio::id_width(n);
   std::vector<graph::NodeId> labels(n);
   for (auto& l : labels) {
     l = static_cast<graph::NodeId>(r.read_bits(id_width));
@@ -398,7 +398,7 @@ HubScheme deserialize_hub(const bitio::BitVector& artifact,
 
 bitio::BitVector serialize(const RoutingCenterScheme& scheme) {
   const std::size_t n = scheme.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const unsigned id_width = bitio::id_width(n);
   BitWriter w;
   bitio::write_prime(w, scheme.centers().size());
   for (graph::NodeId b : scheme.centers()) w.write_bits(b, id_width);
@@ -414,7 +414,7 @@ RoutingCenterScheme decode_routing_center(const bitio::BitVector& payload,
                                           const graph::Graph& g) {
   BitReader r(payload);
   const std::size_t n = g.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const unsigned id_width = bitio::id_width(n);
   const std::size_t count =
       read_count(r, id_width, "center set larger than the payload");
   check(count <= n, DecodeErrorKind::kSemanticInvalid,
@@ -452,7 +452,7 @@ template <typename Scheme>
 bitio::BitVector serialize_landmark_payload(SchemeKind kind,
                                             const Scheme& scheme) {
   const std::size_t n = scheme.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const unsigned id_width = bitio::id_width(n);
   BitWriter w;
   bitio::write_prime(w, scheme.landmarks().size());
   for (graph::NodeId l : scheme.landmarks()) w.write_bits(l, id_width);
@@ -467,7 +467,7 @@ Scheme decode_landmark_payload(const bitio::BitVector& payload,
                                const graph::Graph& g) {
   BitReader r(payload);
   const std::size_t n = g.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const unsigned id_width = bitio::id_width(n);
   const std::size_t count =
       read_count(r, id_width, "landmark set larger than the payload");
   check(count <= n, DecodeErrorKind::kSemanticInvalid,
@@ -501,7 +501,7 @@ LandmarkScheme deserialize_landmark(const bitio::BitVector& artifact,
 
 bitio::BitVector serialize(const HierarchicalScheme& scheme) {
   const std::size_t n = scheme.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const unsigned id_width = bitio::id_width(n);
   BitWriter w;
   bitio::write_prime(w, scheme.levels());
   for (std::size_t i = 1; i < scheme.levels(); ++i) {
@@ -520,7 +520,7 @@ HierarchicalScheme decode_hierarchical(const bitio::BitVector& payload,
                                        const graph::Graph& g) {
   BitReader r(payload);
   const std::size_t n = g.node_count();
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n, 2));
+  const unsigned id_width = bitio::id_width(n);
   const std::uint64_t levels = bitio::read_prime(r);
   check(levels >= 2, DecodeErrorKind::kSemanticInvalid,
         "hierarchy needs at least 2 levels");

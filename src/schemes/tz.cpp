@@ -22,7 +22,6 @@ std::size_t TzScheme::cluster_cap(std::size_t n) {
 }
 
 std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
-                                        const graph::DistanceMatrix& dist,
                                         const TzOptions& options) {
   // Sample A with per-node probability √(ln n / n), tilted by normalized
   // degree (p_v ∝ deg(v), E|A| unchanged): the stretch-3 argument only
@@ -64,15 +63,10 @@ std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
       ++resamples;
       continue;
     }
-    const std::vector<std::uint32_t> dva =
-        nearest_landmarks(g, sample).distance;
+    ClusterBfs cluster_bfs(g, nearest_landmarks(g, sample).distance);
     std::size_t max_cluster = 0;
     for (NodeId w = 0; w < n; ++w) {
-      std::size_t size = 0;
-      for (NodeId v = 0; v < n; ++v) {
-        if (v != w && dist.at(w, v) < dva[v]) ++size;
-      }
-      max_cluster = std::max(max_cluster, size);
+      max_cluster = std::max(max_cluster, cluster_bfs(w).size());
     }
     if (max_cluster < best_max) {
       best = std::move(sample);
@@ -121,19 +115,10 @@ TzScheme::TzScheme(const graph::Graph& g, Options options)
   if (!graph::is_connected(g)) {
     throw SchemeInapplicable("tz: graph disconnected");
   }
-  std::vector<bitio::BitVector> bits(n_);
-  NearestLandmarks nearest;
-  {
-    // A private matrix, released before the tables compile: the shared
-    // DistanceCache would pin its 4n² bytes for as long as it lives.
-    const graph::DistanceMatrix dist(g);
-    landmarks_ = tz_sample_landmarks(g, dist, options);
-    nearest = nearest_landmarks(g, landmarks_);
-    for (NodeId w = 0; w < n_; ++w) {
-      bits[w] =
-          build_landmark_node_bits(g, dist, landmarks_, nearest.distance, w);
-    }
-  }
+  landmarks_ = tz_sample_landmarks(g, options);
+  NearestLandmarks nearest = nearest_landmarks(g, landmarks_);
+  std::vector<bitio::BitVector> bits =
+      build_landmark_tables(g, landmarks_, nearest.distance);
   compile(g, std::move(bits), std::move(nearest));
 }
 
@@ -235,12 +220,11 @@ std::size_t TzScheme::bunch_size(NodeId v) const {
 model::SpaceReport TzScheme::space() const {
   // Model γ: the (v, l(v), exit port) labels are charged — 2·⌈log n⌉ bits
   // plus the exit port at l(v)'s width, per node.
-  const unsigned id_width = bitio::ceil_log2(std::max<std::size_t>(n_, 2));
   const LandmarkTables& t = fast_->tables();
   std::size_t label_bits = 0;
   for (NodeId v = 0; v < n_; ++v) {
-    label_bits += 2 * id_width + bitio::ceil_log2(std::max<std::size_t>(
-                                     t.graph.degree(t.landmark_of[v]), 1));
+    label_bits += 2 * bitio::id_width(n_) +
+                  bitio::port_width(t.graph.degree(t.landmark_of[v]));
   }
   return model::SpaceReport::of(function_bits_, label_bits);
 }

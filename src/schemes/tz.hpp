@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "bitio/bit_vector.hpp"
-#include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/ports.hpp"
@@ -44,13 +43,14 @@ struct TzOptions {
 };
 
 /// The landmark election, factored out of the constructor so incremental
-/// repair (schemes/repair.hpp) can replay it against maintained distances:
-/// a pure function of (degrees, dist, options) with a draw sequence pinned
-/// by tz_test — identical inputs yield the identical sorted landmark set
-/// the TzScheme constructor would sample.
+/// repair (schemes/repair.hpp) can replay it on every event: a pure
+/// function of (g, options) with a draw sequence pinned by tz_test —
+/// identical inputs yield the identical sorted landmark set the TzScheme
+/// constructor would sample. Each sample's cluster sizes come from one
+/// ClusterBfs under r = d(·, A) (schemes/landmark_table.hpp); no all-pairs
+/// matrix is read.
 [[nodiscard]] std::vector<NodeId> tz_sample_landmarks(
-    const graph::Graph& g, const graph::DistanceMatrix& dist,
-    const TzOptions& options);
+    const graph::Graph& g, const TzOptions& options);
 
 class TzFastPath;
 struct NearestLandmarks;
@@ -59,9 +59,11 @@ class TzScheme final : public model::RoutingScheme {
  public:
   using Options = TzOptions;
 
-  /// Builds the tables from a private all-pairs matrix that is released
-  /// before this returns (nothing is left in DistanceCache::global()).
-  /// Throws SchemeInapplicable on disconnected graphs.
+  /// Builds the tables from the cluster layer (schemes/landmark_table.hpp):
+  /// one BFS per landmark for the landmark ports and one ClusterBfs under
+  /// r = d(·, A) per node. No all-pairs matrix is built or read from
+  /// DistanceCache::global(). Throws SchemeInapplicable on disconnected
+  /// graphs.
   explicit TzScheme(const graph::Graph& g, Options options = {});
 
   /// Reconstructs from serialized state: the sorted landmark set plus

@@ -148,17 +148,19 @@ TEST(Hierarchical, RejectsBadInputs) {
   EXPECT_THROW(HierarchicalScheme(graph::chain(8), opt), SchemeInapplicable);
 }
 
-TEST(Hierarchical, DecodeLeavesNoMatrixInTheSharedCache) {
-  // The decoder finds each level's nearest pivots by multi-source BFS: a
-  // served hierarchical artifact pins no n² state.
+TEST(Hierarchical, BuildAndDecodeLeaveNoMatrixInTheSharedCache) {
+  // The build takes its distances from the cluster layer (one BFS per top
+  // and per child pivot, ClusterBfs for vicinities) and the decoder finds
+  // each level's nearest pivots by multi-source BFS: neither computes nor
+  // pins n² state.
+  auto& cache = graph::DistanceCache::global();
+  cache.clear();
   const Graph g = graph::TopologyFamily::power_law(2).make(72, 13);
   HierarchicalOptions opt;
   opt.levels = 3;
   const HierarchicalScheme built(g, opt);
-  const bitio::BitVector artifact = serialize(built);
-  auto& cache = graph::DistanceCache::global();
-  cache.clear();
-  const HierarchicalScheme loaded = deserialize_hierarchical(artifact, g);
+  const HierarchicalScheme loaded =
+      deserialize_hierarchical(serialize(built), g);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.hits() + cache.misses(), 0u);
   for (std::size_t level = 0; level < built.levels(); ++level) {

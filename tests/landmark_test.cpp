@@ -1,7 +1,8 @@
 // Landmark (stretch-3, §1.2 related-work baseline) scheme tests: delivery
 // and the stretch-<3 guarantee on arbitrary connected graphs, vicinity
-// semantics, the size regimes against Theorem 1, and the nearest-landmark
-// BFS both landmark decoders share against a distance-matrix oracle.
+// semantics, the size regimes against Theorem 1, and the shared cluster
+// layer — the nearest-landmark BFS, ClusterBfs and least_port — against a
+// distance-matrix oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "schemes/errors.hpp"
 #include "schemes/landmark.hpp"
 #include "schemes/landmark_table.hpp"
+#include "schemes/serialization.hpp"
 
 namespace optrt::schemes {
 namespace {
@@ -184,6 +186,81 @@ TEST(LandmarkTable, NearestLandmarksMatchADistanceMatrixOracle) {
       ASSERT_EQ(nearest.exit_port[v], exit) << round << " " << v;
     }
   }
+}
+
+TEST(LandmarkTable, ClusterBfsAndLeastPortMatchADistanceMatrixOracle) {
+  // Radii r = d(·, S) + c, with seeded random S and c ∈ {0, 1, 2}, meet the
+  // closure precondition r(v) ≤ r(u) + d(u, v). Nodes S never reaches get
+  // r = ∞ and admit their whole component.
+  Rng rng(2025);
+  Graph two(12);  // two components: a 7-ring and a 5-path
+  for (graph::NodeId v = 0; v < 7; ++v) two.add_edge(v, (v + 1) % 7);
+  for (graph::NodeId v = 7; v + 1 < 12; ++v) two.add_edge(v, v + 1);
+  const std::vector<Graph> graphs = {
+      graph::ring(23),
+      graph::grid(5, 6),
+      graph::star(17),
+      graph::TopologyFamily::power_law(2).make(96, 3),
+      core::certified_random_graph(48, rng),
+      two};
+  for (std::size_t which = 0; which < graphs.size(); ++which) {
+    const Graph& g = graphs[which];
+    const std::size_t n = g.node_count();
+    const graph::DistanceMatrix dist(g);
+    // The rank of the least shortest-path successor of w toward v.
+    const auto oracle_port = [&](graph::NodeId w, graph::NodeId v) {
+      const graph::NodeId succ =
+          graph::shortest_path_successors(g, dist, w, v).front();
+      const auto nbrs = g.neighbors(w);
+      return static_cast<graph::PortId>(
+          std::find(nbrs.begin(), nbrs.end(), succ) - nbrs.begin());
+    };
+    for (graph::NodeId t = 0; t < n; ++t) {
+      const std::vector<std::uint32_t> bfs_row = graph::bfs_distances(g, t);
+      for (graph::NodeId w = 0; w < n; ++w) {
+        const std::uint32_t d = dist.at(w, t);
+        if (d == 0 || d == graph::kUnreachable) continue;
+        ASSERT_EQ(least_port(g, dist.row(t), w), oracle_port(w, t))
+            << which << " " << w << " " << t;
+        ASSERT_EQ(least_port(g, bfs_row, w), oracle_port(w, t))
+            << which << " " << w << " " << t;
+      }
+    }
+    for (std::uint32_t c = 0; c < 3; ++c) {
+      for (int trial = 0; trial < 3; ++trial) {
+        std::vector<graph::NodeId> sources(1 + rng() % 4);
+        for (auto& s : sources) s = static_cast<graph::NodeId>(rng() % n);
+        std::vector<std::uint32_t> r = nearest_landmarks(g, sources).distance;
+        for (auto& x : r) x = x == graph::kUnreachable ? x : x + c;
+        // One search object for every w: its visit stamps carry over.
+        ClusterBfs cluster_bfs(g, r);
+        for (graph::NodeId w = 0; w < n; ++w) {
+          std::vector<TableEntry> got = cluster_bfs(w);
+          std::ranges::sort(got, {}, &TableEntry::id);
+          std::vector<TableEntry> want;
+          for (graph::NodeId v = 0; v < n; ++v) {
+            if (v != w && dist.at(w, v) < r[v]) {
+              want.push_back({v, oracle_port(w, v)});
+            }
+          }
+          ASSERT_EQ(got, want) << which << " c=" << c << " w=" << w;
+        }
+      }
+    }
+  }
+}
+
+TEST(Landmark, BuildAndDecodeLeaveNoMatrixInTheSharedCache) {
+  // The build takes its distances from the cluster layer and the decoder
+  // from one landmark BFS: neither computes nor pins n² state.
+  auto& cache = graph::DistanceCache::global();
+  cache.clear();
+  const Graph g = graph::TopologyFamily::power_law(2).make(72, 13);
+  const LandmarkScheme built(g);
+  const LandmarkScheme loaded = deserialize_landmark(serialize(built), g);
+  EXPECT_EQ(loaded.landmarks(), built.landmarks());
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.hits() + cache.misses(), 0u);
 }
 
 TEST(Landmark, ThrowsOnDisconnected) {

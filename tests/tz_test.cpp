@@ -180,8 +180,8 @@ TEST(Tz, NearestLandmarkIsNearestWithLeastIdTie) {
 }
 
 TEST(Tz, BuildAndDecodeLeaveNoMatrixInTheSharedCache) {
-  // The build's all-pairs matrix is private and the decoder reads none:
-  // a served TZ artifact pins no n² state.
+  // The build takes its distances from the cluster layer and the decoder
+  // from one landmark BFS: neither computes nor pins n² state.
   auto& cache = graph::DistanceCache::global();
   cache.clear();
   const Graph g = TopologyFamily::power_law(2).make(72, 13);
