@@ -8,11 +8,24 @@
 // convention as schemes::to_bytes — so the checksum of an artifact's bits
 // equals the checksum of its on-disk payload bytes.
 //
-// Both overloads fold 16 bytes per step through slicing-by-16 tables
-// (sixteen 256-entry tables, two little-endian 64-bit lanes per step) and
-// finish byte-wise; the BitVector overload feeds its length prefix and
-// whole words in directly as lanes, since they already are the
-// little-endian byte image.
+// Two kernels compute the same values:
+//  - a PCLMULQDQ kernel (Gopal et al., "Fast CRC Computation for Generic
+//    Polynomials Using PCLMULQDQ", Intel 2009): four 128-bit lanes fold
+//    64 bytes per step by carry-less multiplication with the
+//    reflected-polynomial constants zlib and Linux use, then a Barrett
+//    reduction ends at 32 bits. It is compiled with a function-level
+//    target attribute (no -march flag) and chosen once, at the first call,
+//    when the CPU reports PCLMULQDQ and SSE4.1;
+//  - slicing-by-16 (sixteen 256-entry tables, two little-endian 64-bit
+//    lanes per 16-byte step, then byte-wise), the portable kernel.
+// The PCLMULQDQ kernel takes the whole 16-byte blocks of inputs of 64
+// bytes or more; slicing-by-16 takes the tail after the last block, every
+// shorter input, CPUs without PCLMULQDQ and builds for other than x86-64.
+// The BitVector overload feeds its 8-byte length prefix in as one lane,
+// then on little-endian hosts checksums the words' memory — already the
+// packed byte image — through the same dispatch, so ORT2 frame checks run
+// the same kernel as ORTP frames; big-endian hosts feed the words in as
+// lanes.
 #pragma once
 
 #include <cstddef>
@@ -32,5 +45,16 @@ namespace optrt::bitio {
 /// any, zero-padded high) — the bytes schemes::to_bytes writes. Including
 /// the length makes e.g. "0" and "00" hash differently.
 [[nodiscard]] std::uint32_t crc32(const BitVector& bits) noexcept;
+
+namespace detail {
+
+/// crc32 through slicing-by-16 alone, whatever the CPU: the fallback
+/// kernel, exposed so tests hold it to the dispatched one on hosts that
+/// never fall back.
+[[nodiscard]] std::uint32_t crc32_portable(const std::uint8_t* data,
+                                           std::size_t len,
+                                           std::uint32_t seed = 0) noexcept;
+
+}  // namespace detail
 
 }  // namespace optrt::bitio

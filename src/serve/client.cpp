@@ -2,11 +2,13 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <arpa/inet.h>
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -32,10 +34,28 @@ void read_exact_blocking(int fd, std::uint8_t* buf, std::size_t n) {
   }
 }
 
-void write_all_blocking(int fd, const std::uint8_t* buf, std::size_t n) {
+/// Sends a frame's header and payload with one sendmsg of two iovecs,
+/// resuming after a partial write.
+void send_frame(int fd, std::span<const std::uint8_t> head,
+                std::span<const std::uint8_t> payload) {
+  const std::size_t total = head.size() + payload.size();
   std::size_t done = 0;
-  while (done < n) {
-    const ssize_t r = ::send(fd, buf + done, n - done, MSG_NOSIGNAL);
+  while (done < total) {
+    struct iovec iov[2];
+    std::size_t count = 0;
+    if (done < head.size()) {
+      iov[count++] = {const_cast<std::uint8_t*>(head.data()) + done,
+                      head.size() - done};
+    }
+    const std::size_t sent_payload = done > head.size() ? done - head.size() : 0;
+    if (sent_payload < payload.size()) {
+      iov[count++] = {const_cast<std::uint8_t*>(payload.data()) + sent_payload,
+                      payload.size() - sent_payload};
+    }
+    struct msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (r < 0) {
       if (errno == EINTR) continue;
       throw std::runtime_error(std::string("send failed: ") +
@@ -103,16 +123,21 @@ Client Client::connect_tcp(const std::string& host, int port) {
 }
 
 Frame Client::call(const Frame& request) {
-  const std::vector<std::uint8_t> out = encode_frame(request);
-  write_all_blocking(fd_, out.data(), out.size());
+  std::array<std::uint8_t, kWireHeaderBytes> head;
+  write_header(head.data(), request.opcode, request.artifact_id,
+               request.pair_count, request.payload);
+  send_frame(fd_, head, request.payload);
 
-  std::vector<std::uint8_t> in(kWireHeaderBytes);
-  read_exact_blocking(fd_, in.data(), kWireHeaderBytes);
-  Frame header;
-  const std::size_t payload_len = parse_header(in, header);
-  in.resize(kWireHeaderBytes + payload_len);
-  read_exact_blocking(fd_, in.data() + kWireHeaderBytes, payload_len);
-  return parse_frame(in);
+  read_exact_blocking(fd_, head.data(), head.size());
+  const FrameHeader header = parse_header(head);
+  Frame response;
+  response.opcode = header.opcode;
+  response.artifact_id = header.artifact_id;
+  response.pair_count = header.pair_count;
+  response.payload.resize(header.payload_len);
+  read_exact_blocking(fd_, response.payload.data(), header.payload_len);
+  (void)check_payload(header, response.payload);
+  return response;
 }
 
 Frame Client::checked_call(const Frame& request) {

@@ -30,9 +30,11 @@ class Client {
   /// Connects to a TCP listener. Throws std::runtime_error.
   [[nodiscard]] static Client connect_tcp(const std::string& host, int port);
 
-  /// Sends one request frame and reads one response frame. Throws
-  /// std::runtime_error on transport failure, ProtocolError when the
-  /// response bytes do not parse.
+  /// Sends one request frame and reads one response frame. The header is
+  /// written on the stack and goes out with the caller's payload in one
+  /// sendmsg; the reply payload is read straight into the returned Frame
+  /// and checksummed there. Throws std::runtime_error on transport
+  /// failure, ProtocolError when the response bytes do not parse.
   [[nodiscard]] Frame call(const Frame& request);
 
   /// Typed helpers: send the request, decode the success response, and

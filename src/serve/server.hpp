@@ -17,6 +17,16 @@
 // serving thread amortizes dispatch exactly like the bench_lookup hot
 // loop does.
 //
+// One pass per request: a connection reads the header into its own
+// buffer and parses it once, reads the payload behind it and checksums
+// it there, then decodes, range-checks and labels the pairs straight
+// into its RoutePair buffer, routes into its hop buffer, and writes the
+// reply payload and then its header and CRC into its response buffer.
+// The buffers and the counter handles live as long as the connection, so
+// a steady request stream allocates nothing. Every opcode and every
+// error takes this one path; handle_request runs it too, with buffers of
+// its own.
+//
 // Shutdown and robustness: every blocking socket operation polls with a
 // short timeout and rechecks the stop flag, so stop() (or a daemon
 // signal) wins within one poll interval — a half-sent frame from a
@@ -86,10 +96,10 @@ class Server {
   /// takes ownership of the descriptor.
   void adopt_connection(int fd);
 
-  /// Answers one request frame: the pure dispatch core of the daemon,
-  /// shared by every connection thread. Never throws — every failure
-  /// (parse, unknown artifact, bad pair, internal) becomes an encoded
-  /// error-response frame.
+  /// Answers one request frame through the same one-pass path a
+  /// connection runs, with buffers that live for this call only. Never
+  /// throws — every failure (parse, unknown artifact, bad pair, internal)
+  /// becomes an encoded error-response frame.
   [[nodiscard]] std::vector<std::uint8_t> handle_request(
       std::span<const std::uint8_t> frame_bytes);
 
@@ -99,10 +109,21 @@ class Server {
   std::function<void()> poll_hook;
 
  private:
+  struct Connection;
+
   void accept_loop();
   void worker_loop();
   void serve_connection(int fd);
-  [[nodiscard]] Frame dispatch(const Frame& request);
+  /// The one request path: checks the payload of `frame` (whose header
+  /// was parsed into `header`) in place, answers it and leaves the
+  /// response frame, or a typed error frame, in the connection's `out`.
+  void respond(Connection& c, const FrameHeader& header,
+               std::span<const std::uint8_t> frame);
+  /// Dispatches a checked request by opcode, writing the reply payload and
+  /// then its header into `out`. Throws ProtocolError on a request-level
+  /// failure.
+  void answer(Connection& c, const FrameHeader& request,
+              std::span<const std::uint8_t> payload);
 
   ArtifactStore& store_;
   ServerConfig config_;
@@ -121,8 +142,10 @@ class Server {
 /// shell test pins between optrtd and verify-artifact.
 [[nodiscard]] std::string format_load_failure(const LoadFailure& failure);
 
-/// Bucket bounds for the serve.request_ns latency histogram (powers of
-/// four from 256 ns to ~4 s).
+/// Bucket bounds for the serve.request_ns latency histogram: log-linear,
+/// 32 equal-width buckets per octave from 256 ns to 2^32 ns (~4.3 s), so
+/// each bucket spans at most 1/32 (3.125 %) of its lower bound and a p99
+/// and a p999 a few percent apart read differently.
 [[nodiscard]] std::vector<std::uint64_t> latency_buckets();
 
 }  // namespace optrt::serve

@@ -142,6 +142,11 @@ LoadReport ArtifactStore::load() {
       served->compiled =
           schemes::compile_fast_from_artifact(load_artifact_mmap(ort), *g);
       served->kind = served->compiled.kind;
+      const model::RoutingScheme& scheme = *served->compiled.scheme;
+      served->labels.resize(scheme.node_count());
+      for (std::size_t v = 0; v < served->labels.size(); ++v) {
+        served->labels[v] = scheme.label_of(static_cast<graph::NodeId>(v));
+      }
     } catch (const std::exception& e) {
       report.failures.push_back({ort, e.what()});
       continue;

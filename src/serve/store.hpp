@@ -40,6 +40,9 @@ struct ServedArtifact {
   std::string name;  ///< file stem, e.g. "g0" for g0.ort + g0.eg
   schemes::SchemeKind kind = schemes::SchemeKind::kFullTable;
   schemes::FastScheme compiled;
+  /// label_of(v) for every node v, tabulated once per load: a request
+  /// labels each pair with one load instead of a virtual call.
+  std::vector<graph::NodeId> labels;
 
   [[nodiscard]] std::size_t node_count() const {
     return compiled.scheme->node_count();

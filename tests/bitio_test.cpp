@@ -255,15 +255,19 @@ TEST(BitVectorDifferential, ReadBitsAtEveryOffset) {
 }
 
 TEST(BitVectorDifferential, BytesAndCrcMatchTheBytePacking) {
-  // Past 520 bits every tail shape follows one 16-byte CRC step or more.
+  // Up to 4,096 bits (512 bytes) every tail shape follows every count of
+  // 16-byte blocks, below and above the 64 bytes the PCLMULQDQ kernel
+  // needs, so the BitVector overload's block and tail paths both run.
   std::mt19937_64 rng(42);
-  for (std::size_t n = 0; n <= 520; ++n) {
+  for (std::size_t n = 0; n <= 4096; ++n) {
     const Bits model = random_bits(rng, n);
     const BitVector v = from_model(model);
     const std::vector<std::uint8_t> bytes = model_bytes(model);
     ASSERT_EQ(schemes::to_bytes(v), bytes) << n;
     ASSERT_EQ(schemes::from_bytes(bytes), v) << n;
     ASSERT_EQ(crc32(v), crc32(bytes.data(), bytes.size())) << n;
+    ASSERT_EQ(crc32(v), detail::crc32_portable(bytes.data(), bytes.size()))
+        << n;
   }
 }
 
@@ -281,9 +285,27 @@ std::uint32_t bitwise_crc32(const std::uint8_t* data, std::size_t len,
   return ~crc;
 }
 
+/// Checks one case three ways: the dispatched kernel, the portable one and
+/// the bit-at-a-time reference, over an exact-size heap copy of the bytes
+/// so that a read past the end is an ASan report.
+::testing::AssertionResult kernels_agree(const std::uint8_t* data,
+                                         std::size_t len, std::uint32_t seed) {
+  const std::vector<std::uint8_t> exact(data, data + len);
+  const std::uint32_t want = bitwise_crc32(exact.data(), len, seed);
+  const std::uint32_t dispatched = crc32(exact.data(), len, seed);
+  const std::uint32_t portable = detail::crc32_portable(exact.data(), len, seed);
+  if (dispatched == want && portable == want) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "length " << len << " seed " << seed << ": reference " << want
+         << ", dispatched " << dispatched << ", portable " << portable;
+}
+
 TEST(Crc32, MatchesABitAtATimeReference) {
   const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(crc32(check, sizeof check), 0xCBF43926u);
+  EXPECT_EQ(detail::crc32_portable(check, sizeof check), 0xCBF43926u);
   EXPECT_EQ(bitwise_crc32(check, sizeof check, 0), 0xCBF43926u);
 
   std::mt19937_64 rng(1996);
@@ -292,9 +314,8 @@ TEST(Crc32, MatchesABitAtATimeReference) {
   // Every length against every start alignment of the 16-byte steps.
   for (std::size_t start = 0; start < 16; ++start) {
     for (std::size_t len = 0; len <= 300; ++len) {
-      const std::uint8_t* data = buffer.data() + start;
-      ASSERT_EQ(crc32(data, len), bitwise_crc32(data, len, 0))
-          << "start " << start << " length " << len;
+      ASSERT_TRUE(kernels_agree(buffer.data() + start, len, 0))
+          << "start " << start;
     }
   }
   // A split buffer continues from the first part's value at every split.
@@ -303,7 +324,28 @@ TEST(Crc32, MatchesABitAtATimeReference) {
   for (std::size_t split = 0; split <= 300; ++split) {
     ASSERT_EQ(crc32(data + split, 300 - split, crc32(data, split)), whole)
         << "split " << split;
+    ASSERT_EQ(detail::crc32_portable(data + split, 300 - split,
+                                     detail::crc32_portable(data, split)),
+              whole)
+        << "split " << split;
   }
+
+  // Seeded random cases up to 64 KiB: lengths log-uniform, so every
+  // block count and tail shape of the PCLMULQDQ path comes up, each at a
+  // random start and continuing from a random seed.
+  std::vector<std::uint8_t> big((64u << 10) + 16);
+  for (auto& b : big) b = static_cast<std::uint8_t>(rng());
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t octave = rng() % 17;
+    const std::size_t len = rng() % ((std::size_t{1} << octave) + 1);
+    const std::size_t start = rng() % 16;
+    const auto seed = static_cast<std::uint32_t>(rng());
+    ASSERT_TRUE(kernels_agree(big.data() + start, len, seed))
+        << "trial " << trial << " start " << start;
+  }
+  // The serving path's frame sizes: a 4,096-pair request, its reply.
+  ASSERT_TRUE(kernels_agree(big.data(), 32768, 0));
+  ASSERT_TRUE(kernels_agree(big.data() + 3, 16384, 0));
 }
 
 TEST(BitStream, PastEndReadLeavesThePositionUnchanged) {

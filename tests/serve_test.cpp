@@ -230,8 +230,7 @@ TEST(ServeProtocol, WireCrcIsZlibCompatible) {
 TEST(ServeProtocol, HeaderRejectionsAreTyped) {
   const auto code_of = [](std::vector<std::uint8_t> bytes) {
     try {
-      serve::Frame f;
-      (void)serve::parse_header(bytes, f);
+      (void)serve::parse_header(bytes);
       return serve::WireError{};
     } catch (const serve::ProtocolError& e) {
       return e.code();
@@ -578,6 +577,127 @@ TEST(ServeServer, ReloadStormMidStreamNeverServesATornCatalog) {
   EXPECT_GT(batches, 0u);
   EXPECT_EQ(matched_a + matched_b, batches) << "every batch answered whole";
   EXPECT_EQ(store.catalog()->epoch, kSwaps + 1);
+}
+
+// ---- One connection, buffers reused as requests shrink and grow ---------
+
+/// Reads one whole response frame off a blocking socket.
+std::vector<std::uint8_t> read_frame(int fd) {
+  const auto read_into = [fd](std::uint8_t* at, std::size_t n) {
+    for (std::size_t done = 0; done < n;) {
+      const ssize_t r = ::recv(fd, at + done, n - done, 0);
+      if (r <= 0) throw std::runtime_error("connection ended mid-frame");
+      done += static_cast<std::size_t>(r);
+    }
+  };
+  std::vector<std::uint8_t> frame(serve::kWireHeaderBytes);
+  read_into(frame.data(), frame.size());
+  const serve::FrameHeader header = serve::parse_header(frame);
+  frame.resize(serve::kWireHeaderBytes + header.payload_len);
+  read_into(frame.data() + serve::kWireHeaderBytes, header.payload_len);
+  return frame;
+}
+
+TEST(ServeServer, OneConnectionMixedTrafficMatchesHandleRequest) {
+  const Graph g = certified(48, 1996);
+  const auto n = static_cast<NodeId>(g.node_count());
+  TempDir dir;
+  const std::vector<Fixture> fixtures = all_kinds(dir, g);
+  serve::ArtifactStore store(dir.str());
+  ASSERT_TRUE(store.load().ok());
+  Harness harness(store);
+
+  Rng rng(4096);
+  std::vector<serve::QueryPair> big(4096);
+  for (serve::QueryPair& pair : big) {
+    pair.src = static_cast<NodeId>(rng() % n);
+    pair.dst = static_cast<NodeId>((pair.src + 1 + rng() % (n - 1)) % n);
+  }
+  const std::vector<serve::QueryPair> one{{3, 17}};
+  const std::vector<serve::QueryPair> bad{{0, 1}, {5, 5}};
+  std::vector<std::uint8_t> flipped =
+      serve::encode_frame(serve::make_next_hop_request(7, big));
+  flipped[serve::kWireHeaderBytes + 1000] ^= 0x10;
+
+  // In order, on one connection: the largest request, the smallest, two
+  // request-level errors, every other opcode, then the largest again.
+  const std::vector<std::pair<std::string, std::vector<std::uint8_t>>> stream{
+      {"next_hop 4096", serve::encode_frame(serve::make_next_hop_request(7, big))},
+      {"next_hop 1", serve::encode_frame(serve::make_next_hop_request(4, one))},
+      {"bad pair", serve::encode_frame(serve::make_next_hop_request(7, bad))},
+      {"flipped payload bit", flipped},
+      {"route", serve::encode_frame(serve::make_route_request(5, big))},
+      {"list", serve::encode_frame(serve::make_list_request())},
+      {"ping", serve::encode_frame(serve::make_ping_request())},
+      {"next_hop 4096 again",
+       serve::encode_frame(serve::make_next_hop_request(7, big))},
+  };
+
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  harness.server().adopt_connection(sv[0]);
+  const serve::Client owner(sv[1]);  // closes the descriptor at scope exit
+  for (const auto& [what, request] : stream) {
+    for (std::size_t done = 0; done < request.size();) {
+      const ssize_t w = ::send(sv[1], request.data() + done,
+                               request.size() - done, MSG_NOSIGNAL);
+      ASSERT_GT(w, 0) << what;
+      done += static_cast<std::size_t>(w);
+    }
+    const std::vector<std::uint8_t> served = read_frame(sv[1]);
+    EXPECT_EQ(served, harness.server().handle_request(request)) << what;
+  }
+
+  // The replies themselves: hops equal the oracle's, errors are typed.
+  const auto reply = [&](std::size_t i) {
+    return serve::parse_frame(harness.server().handle_request(stream[i].second));
+  };
+  const std::vector<NodeId> hops = serve::decode_next_hops(reply(0));
+  ASSERT_EQ(hops.size(), big.size());
+  const model::RoutingScheme& tz = *fixtures[7].scheme;
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    model::MessageHeader header;
+    ASSERT_EQ(hops[i], tz.next_hop(big[i].src, tz.label_of(big[i].dst), header));
+  }
+  EXPECT_EQ(serve::decode_error(reply(2)).code, serve::WireError::kBadPair);
+  EXPECT_EQ(serve::decode_error(reply(3)).code,
+            serve::WireError::kChecksumMismatch);
+  EXPECT_EQ(serve::decode_routes(reply(4)).size(), big.size());
+  EXPECT_EQ(serve::decode_artifact_list(reply(5)).size(), fixtures.size());
+}
+
+TEST(ServeServer, OversizedRouteReplyIsAResourceLimitError) {
+  // 65,536 pairs across a 128-node chain need 32 MiB of paths, more than
+  // any client accepts: the server answers with a typed error instead of
+  // growing its response buffer past kMaxPayloadBytes.
+  const Graph g = graph::chain(128);
+  TempDir dir;
+  core::save_graph(dir.file("g0.eg"), g);
+  schemes::save_artifact(
+      dir.file("g0.ort"),
+      schemes::serialize(schemes::FullTableScheme::standard(g)));
+  serve::ArtifactStore store(dir.str());
+  ASSERT_TRUE(store.load().ok());
+  serve::Server server(store, {});
+  const std::vector<serve::QueryPair> pairs(serve::kMaxPairsPerRequest,
+                                            serve::QueryPair{0, 127});
+  const serve::Frame reply = serve::parse_frame(server.handle_request(
+      serve::encode_frame(serve::make_route_request(0, pairs))));
+  ASSERT_TRUE(reply.is_error());
+  EXPECT_EQ(serve::decode_error(reply).code, serve::WireError::kResourceLimit);
+}
+
+TEST(ServeServer, LatencyBucketsAreLogLinear) {
+  const std::vector<std::uint64_t> bounds = serve::latency_buckets();
+  ASSERT_FALSE(bounds.empty());
+  EXPECT_EQ(bounds.front(), 256u);
+  EXPECT_GE(bounds.back(), std::uint64_t{1} << 32);
+  for (std::size_t i = 1; i < bounds.size(); ++i) {
+    ASSERT_GT(bounds[i], bounds[i - 1]) << i;
+    // Within 1/32 of the lower bound: a p99 and a p999 a few percent
+    // apart land in different buckets.
+    ASSERT_LE((bounds[i] - bounds[i - 1]) * 32, bounds[i - 1]) << i;
+  }
 }
 
 // ---- Pinned serve.* counter deltas ---------------------------------------
