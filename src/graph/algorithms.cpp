@@ -1,20 +1,25 @@
 #include "graph/algorithms.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
-#include <queue>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace optrt::graph {
 
-std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {
-  std::vector<std::uint32_t> dist(g.node_count(), kUnreachable);
-  // Each node is queued at most once, so the FIFO never grows: the loop
-  // stores only ids and distances, and the graph's slice pointers stay in
-  // registers.
-  std::vector<NodeId> queue(g.node_count());
+namespace {
+
+// BFS from `source` into dist[0, n); returns the source's eccentricity, or
+// kUnreachable when some node is not reached. Each node is queued at most
+// once, so the FIFO never grows: the loop stores only ids and distances,
+// and the graph's slice pointers stay in registers.
+std::uint32_t bfs_row(const Graph& g, NodeId source, std::uint32_t* dist,
+                      std::vector<NodeId>& queue) {
+  const std::size_t n = g.node_count();
+  std::fill(dist, dist + n, kUnreachable);
+  queue.resize(n);
   std::size_t head = 0;
   std::size_t tail = 0;
   dist[source] = 0;
@@ -28,15 +33,90 @@ std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {
       }
     }
   }
+  return tail == n ? dist[queue[tail - 1]] : kUnreachable;
+}
+
+// Rows for up to 64 sources of a connected graph in one bit-parallel BFS:
+// bit i of a node's masks stands for sources[i]. Each level pulls the
+// frontier bits of every neighbour into each node that has not seen every
+// source; a node's new bits are its distance-`level` sources. Connectivity
+// means every entry of every row is written, so none is filled first.
+void bfs_rows_bit_parallel(const Graph& g, std::span<const NodeId> sources,
+                           std::uint32_t* out) {
+  const std::size_t n = g.node_count();
+  const std::size_t k = sources.size();
+  const std::uint64_t all =
+      k == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+  std::vector<std::uint64_t> seen(n, 0);
+  std::vector<std::uint64_t> frontier(n, 0);
+  std::vector<std::uint64_t> next(n, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    seen[sources[i]] |= std::uint64_t{1} << i;
+    frontier[sources[i]] |= std::uint64_t{1} << i;
+    out[i * n + sources[i]] = 0;
+  }
+  std::size_t unseen = k * n - k;
+  for (std::uint32_t level = 1; unseen > 0; ++level) {
+    for (NodeId x = 0; x < n; ++x) {
+      std::uint64_t fresh = 0;
+      if (seen[x] != all) {
+        for (NodeId y : g.neighbors(x)) fresh |= frontier[y];
+        fresh &= ~seen[x];
+        seen[x] |= fresh;
+        unseen -= static_cast<std::size_t>(std::popcount(fresh));
+        for (std::uint64_t bits = fresh; bits != 0; bits &= bits - 1) {
+          out[static_cast<std::size_t>(std::countr_zero(bits)) * n + x] =
+              level;
+        }
+      }
+      next[x] = fresh;
+    }
+    frontier.swap(next);
+  }
+}
+
+}  // namespace
+
+std::vector<std::uint32_t> bfs_distances(const Graph& g, NodeId source) {
+  std::vector<std::uint32_t> dist(g.node_count());
+  std::vector<NodeId> queue;
+  (void)bfs_row(g, source, dist.data(), queue);
   return dist;
 }
 
-DistanceMatrix::DistanceMatrix(const Graph& g) : n_(g.node_count()) {
-  d_.reserve(n_ * n_);
-  for (NodeId u = 0; u < n_; ++u) {
-    auto row = bfs_distances(g, u);
-    d_.insert(d_.end(), row.begin(), row.end());
+std::size_t bfs_rows(const Graph& g, std::span<const NodeId> sources,
+                     std::span<std::uint32_t> out) {
+  constexpr std::size_t kPass = 64;
+  if (sources.empty()) return 0;
+  const std::size_t n = g.node_count();
+  std::vector<NodeId> queue;
+  // On a connected graph every eccentricity is at most twice the first
+  // source's, which bounds the levels of every bit-parallel pass.
+  const std::uint32_t ecc = bfs_row(g, sources[0], out.data(), queue);
+  const std::size_t max_levels = ecc == kUnreachable
+                                     ? std::numeric_limits<std::size_t>::max()
+                                     : 2 * static_cast<std::size_t>(ecc);
+  std::size_t bit_parallel_rows = 0;
+  for (std::size_t p = 1; p < sources.size(); p += kPass) {
+    const auto pass = sources.subspan(p, std::min(kPass, sources.size() - p));
+    std::uint32_t* rows = out.data() + p * n;
+    if (max_levels < pass.size()) {
+      bfs_rows_bit_parallel(g, pass, rows);
+      bit_parallel_rows += pass.size();
+      continue;
+    }
+    for (std::size_t i = 0; i < pass.size(); ++i) {
+      (void)bfs_row(g, pass[i], rows + i * n, queue);
+    }
   }
+  return bit_parallel_rows;
+}
+
+DistanceMatrix::DistanceMatrix(const Graph& g)
+    : n_(g.node_count()), d_(n_ * n_) {
+  std::vector<NodeId> sources(n_);
+  std::iota(sources.begin(), sources.end(), NodeId{0});
+  (void)bfs_rows(g, sources, d_);
 }
 
 DistanceMatrix::LinkDelta DistanceMatrix::apply_link_delta(
@@ -79,17 +159,21 @@ DistanceMatrix::LinkDelta DistanceMatrix::apply_link_delta(
     if (dsu == kUnreachable || dsv == kUnreachable) continue;
     if (dsu + 1 == dsv || dsv + 1 == dsu) candidates.push_back(s);
   }
-  const bool every_row = static_cast<double>(candidates.size()) >
-                         bfs_fallback_fraction * static_cast<double>(n_);
-  if (every_row) {
-    candidates.resize(n_);
-    std::iota(candidates.begin(), candidates.end(), NodeId{0});
+  if (static_cast<double>(candidates.size()) >
+      bfs_fallback_fraction * static_cast<double>(n_)) {
+    delta.changed_rows.resize(n_);
+    std::iota(delta.changed_rows.begin(), delta.changed_rows.end(), NodeId{0});
+    delta.rows_bfs = n_;
+    (void)bfs_rows(g_new, delta.changed_rows, d_);
+    return delta;
   }
-  for (NodeId s : candidates) {
-    const auto fresh = bfs_distances(g_new, s);
-    if (every_row || !std::equal(fresh.begin(), fresh.end(), patch_row(s))) {
-      std::copy(fresh.begin(), fresh.end(), patch_row(s));
-      delta.changed_rows.push_back(s);
+  std::vector<std::uint32_t> fresh(candidates.size() * n_);
+  (void)bfs_rows(g_new, candidates, fresh);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    const std::uint32_t* row = fresh.data() + i * n_;
+    if (!std::equal(row, row + n_, patch_row(candidates[i]))) {
+      std::copy(row, row + n_, patch_row(candidates[i]));
+      delta.changed_rows.push_back(candidates[i]);
     }
   }
   delta.rows_bfs = candidates.size();

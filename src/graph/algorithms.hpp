@@ -24,6 +24,21 @@ inline constexpr std::uint32_t kUnreachable =
 [[nodiscard]] std::vector<std::uint32_t> bfs_distances(const Graph& g,
                                                        NodeId source);
 
+/// BFS rows from many sources: out[i·n, (i+1)·n) receives
+/// bfs_distances(g, sources[i]), n = g.node_count(). The first source's
+/// row comes from BFS. When it shows a connected graph of eccentricity e,
+/// no source's eccentricity exceeds 2e, and the remaining sources run in
+/// passes of up to 64; a pass of more than 2e sources runs as one
+/// bit-parallel BFS (Then et al., "The More the Merrier: Efficient
+/// Multi-Source Graph Traversal", PVLDB 8(4), 2014) — a 64-bit seen and
+/// frontier mask per node, the neighbour slices swept once per level, at
+/// most 2e sweeps where per-row BFS would take one per source. Every other
+/// pass, and every pass on a disconnected graph, runs per-row BFS.
+/// Returns how many rows came from bit-parallel passes.
+/// Precondition: out.size() == sources.size() · n.
+std::size_t bfs_rows(const Graph& g, std::span<const NodeId> sources,
+                     std::span<std::uint32_t> out);
+
 /// All-pairs shortest-path distances, as a flat n×n row-major matrix.
 /// The one all-pairs type: DistanceCache shares immutable instances, and
 /// churn repair keeps a private one current through apply_link_delta.

@@ -99,6 +99,13 @@ class RoutingScheme {
   [[nodiscard]] virtual NodeId next_hop(NodeId u, NodeId dest_label,
                                         MessageHeader& header) const = 0;
 
+  /// True iff next_hop reads the MessageHeader, so a node's answer can
+  /// depend on the route so far (hierarchical waypoints, sequential
+  /// search probes). The verifier walks such schemes pair by pair; for
+  /// every other scheme it asks each node once per destination and
+  /// follows those first hops (model/verifier.hpp).
+  [[nodiscard]] virtual bool reads_header() const { return false; }
+
   /// The first hop for a fresh MessageHeader, re-decoded from u's function
   /// bits through a BitReader on every call: the independent oracle the
   /// compiled forms are held to. `g` supplies only the model's free

@@ -1,7 +1,7 @@
 // Scheme verifier: drives every (source, destination) pair through a
-// scheme's local routing functions hop by hop, checks delivery, and
-// measures the achieved stretch against true shortest-path distances —
-// the definitions of "route" and "stretch factor" from §1 made executable.
+// scheme's local routing functions, checks delivery, and measures the
+// achieved stretch against true shortest-path distances — the definitions
+// of "route" and "stretch factor" from §1 made executable.
 #pragma once
 
 #include <cstdint>
@@ -39,12 +39,19 @@ struct VerificationResult {
 /// A route longer than `hop_budget` edges counts as failed
 /// (0 = default_hop_budget(n)).
 ///
-/// The pair space is sharded by source node across `threads` workers
-/// (0 = core::default_threads()) and per-source partial results are merged
-/// in source order, so every field of the result — including the
-/// floating-point max/mean stretch — is bit-identical for any thread
-/// count, and identical to verify_scheme_serial. Distances come from
-/// graph::DistanceCache::global().
+/// Unless the scheme reads_header(), routes are resolved by destination:
+/// for each v, every node x that reaches v is asked next_hop(x,
+/// label_of(v)) once, and each source's route length, invalid hop or loop
+/// follows from those first hops by memo, with the hop budget applied in
+/// the order a hop-by-hop walk meets it. Destinations run in blocks of 64
+/// in parallel on `threads` workers (0 = core::default_threads()); each
+/// block is folded into per-source accumulators in ascending destination
+/// order and the sources merged in source order. Schemes that read the
+/// header are walked source by source, sharded the same way. Either way
+/// every field of the result — including the floating-point max/mean
+/// stretch — is bit-identical for any thread count, and identical to
+/// verify_scheme_serial. Distances come from one
+/// graph::DistanceCache::global() entry, read one row per destination.
 [[nodiscard]] VerificationResult verify_scheme(const graph::Graph& g,
                                                const RoutingScheme& scheme,
                                                std::size_t hop_budget = 0,
@@ -63,7 +70,7 @@ struct StretchVerificationResult {
 };
 
 /// Stretch-aware verification: routes every ordered pair exactly like
-/// verify_scheme (same sharding, same bit-identical merge at any thread
+/// verify_scheme (same blocks, same bit-identical merge at any thread
 /// count) and additionally counts pairs whose achieved stretch exceeds
 /// `max_stretch`. ok() demands delivery, no invalid hops, *and* every pair
 /// within the bound; worst-case and average stretch are in `base`.
@@ -71,9 +78,11 @@ struct StretchVerificationResult {
     const graph::Graph& g, const RoutingScheme& scheme, double max_stretch,
     std::size_t hop_budget = 0, std::size_t threads = 0);
 
-/// Single-threaded reference implementation of verify_scheme, kept as the
-/// differential-testing baseline (tests/verifier_test.cpp compares the
-/// sharded path against it field by field).
+/// Single-threaded reference implementation of verify_scheme: walks every
+/// pair hop by hop from its source, carrying the header, whatever the
+/// scheme declares. Kept as the differential-testing baseline
+/// (tests/verifier_test.cpp compares verify_scheme and
+/// verify_scheme_stretch against it field by field).
 [[nodiscard]] VerificationResult verify_scheme_serial(
     const graph::Graph& g, const RoutingScheme& scheme,
     std::size_t hop_budget = 0);
@@ -84,8 +93,12 @@ struct StretchVerificationResult {
 /// with equal fingerprints route every pair through the identical node
 /// sequence — the equivalence the churn differential oracle uses for TZ,
 /// whose repaired tables are route-equal rather than byte-comparable in
-/// general. Sharded by source with an in-order merge: bit-identical at
-/// any `threads` (0 = core::default_threads()).
+/// general. Unless the scheme reads_header(), each block of 64
+/// destinations tabulates every node's first hop toward each of them, and
+/// each source's hash folds its routes through that table in ascending
+/// destination order; schemes that read the header are walked source by
+/// source. Merged in source order: bit-identical at any `threads`
+/// (0 = core::default_threads()), and equal between the two paths.
 [[nodiscard]] std::uint64_t route_fingerprint(const graph::Graph& g,
                                               const RoutingScheme& scheme,
                                               std::size_t hop_budget = 0,

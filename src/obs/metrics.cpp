@@ -144,10 +144,12 @@ MetricsRegistry::Shard& MetricsRegistry::local_shard() const {
 std::atomic<std::uint64_t>& MetricsRegistry::slot(Shard& shard,
                                                   std::uint32_t index) const {
   // Only the owner thread reads/extends its shard's size, so the unlocked
-  // size check races with nobody; growth itself locks out mergers.
+  // size check races with nobody; growth itself locks out mergers. A
+  // shard grows only as far as the slot written, so a thread that writes
+  // one counter never pays for histograms registered after it.
   if (index >= shard.slots.size()) {
     std::lock_guard<std::mutex> lock(mu_);
-    while (shard.slots.size() < next_slot_) shard.slots.emplace_back();
+    while (shard.slots.size() <= index) shard.slots.emplace_back();
   }
   return shard.slots[index];
 }

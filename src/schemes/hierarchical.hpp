@@ -70,6 +70,7 @@ class HierarchicalScheme final : public model::RoutingScheme {
   /// target in the header.
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
+  [[nodiscard]] bool reads_header() const override { return true; }
   [[nodiscard]] NodeId reference_next_hop(const graph::Graph& g, NodeId u,
                                           NodeId dest_label) const override;
   [[nodiscard]] model::SpaceReport space() const override;

@@ -34,6 +34,7 @@ class SequentialSearchScheme final : public model::RoutingScheme {
   }
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label,
                                 model::MessageHeader& header) const override;
+  [[nodiscard]] bool reads_header() const override { return true; }
   [[nodiscard]] model::SpaceReport space() const override;
   [[nodiscard]] std::vector<NodeId> port_enumeration(NodeId u) const override;
   /// Compiled form of the first (at-source) decision: adjacency bit test,

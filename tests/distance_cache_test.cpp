@@ -5,12 +5,14 @@
 // runs, held entry for entry against a fresh all-pairs BFS.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "core/parallel.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
@@ -44,12 +46,18 @@ TEST(DistanceMatrix, LinkDeltasMatchAFreshBfs) {
   // the last 60 add a missing one with probability 2/3 (joining them
   // again). One matrix runs the default fallback fraction, a second runs
   // fraction 0, where every delete must recompute and list every row.
+  // The rows each case spends are pinned: the candidate rule decides
+  // them, whichever BFS kernel recomputes the rows.
   Rng gnp_rng(4), ba_rng(5);
   std::vector<std::pair<std::string, Graph>> cases;
   cases.emplace_back("grid(8,8)", grid(8, 8));
   cases.emplace_back("ring(40)", ring(40));
   cases.emplace_back("gnp(48,0.08)", random_gnp(48, 0.08, gnp_rng));
   cases.emplace_back("ba:2(96)", barabasi_albert(96, 2, ba_rng));
+  // {Σ rows_bfs, Σ rows_patched} per case.
+  const std::pair<std::uint64_t, std::uint64_t> pinned_rows[] = {
+      {3601, 1689}, {1013, 575}, {2050, 918}, {4707, 1425}};
+  std::size_t case_index = 0;
   for (auto& [name, g] : cases) {
     SCOPED_TRACE(name);
     const std::size_t n = g.node_count();
@@ -59,6 +67,7 @@ TEST(DistanceMatrix, LinkDeltasMatchAFreshBfs) {
     DistanceMatrix dist_all_rows(g);
     Rng rng(17);
     std::size_t adds = 0, removes = 0, splits = 0;
+    std::uint64_t rows_bfs = 0, rows_patched = 0;
     for (int step = 0; step < 120; ++step) {
       const bool up =
           g.edge_count() == 0 || (rng() % 3 == 0) == (step < 60);
@@ -84,6 +93,8 @@ TEST(DistanceMatrix, LinkDeltasMatchAFreshBfs) {
       const DistanceMatrix fresh(g);
       const DistanceMatrix::LinkDelta delta =
           dist.apply_link_delta(g, a, b, up);
+      rows_bfs += delta.rows_bfs;
+      rows_patched += delta.rows_patched;
       expect_same_matrix(dist, fresh);
       std::vector<NodeId> changed;
       bool split = false;
@@ -118,6 +129,88 @@ TEST(DistanceMatrix, LinkDeltasMatchAFreshBfs) {
     EXPECT_GT(adds, 0u);
     EXPECT_GT(removes, 0u);
     EXPECT_GT(splits, 0u);  // some removes disconnect a pair
+    EXPECT_EQ(rows_bfs, pinned_rows[case_index].first);
+    EXPECT_EQ(rows_patched, pinned_rows[case_index].second);
+    ++case_index;
+  }
+}
+
+/// Each row bfs_rows writes for `sources` equals bfs_distances; returns
+/// how many of them came from bit-parallel passes.
+std::size_t expect_rows_match_bfs(const Graph& g,
+                                  const std::vector<NodeId>& sources) {
+  const std::size_t n = g.node_count();
+  std::vector<std::uint32_t> out(sources.size() * n, 7);
+  const std::size_t bit_parallel = bfs_rows(g, sources, out);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const auto want = bfs_distances(g, sources[i]);
+    for (NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(out[i * n + v], want[v])
+          << "source " << sources[i] << " (row " << i << "), node " << v;
+    }
+  }
+  return bit_parallel;
+}
+
+TEST(DistanceRows, EveryRowMatchesBfs) {
+  // Contiguous lists (all of 0..n−1, and through DistanceMatrix) and
+  // scattered ones (a seeded draw with repeats, in no order) on graphs on
+  // both sides of the bit-parallel choice: G(n, 1/2), star, ba:2 and
+  // small grids run bit-parallel passes; chains, rings and two components
+  // run per-row BFS.
+  for (std::size_t n : {0u, 1u, 2u, 63u, 64u, 65u, 130u}) {
+    std::vector<std::pair<std::string, Graph>> cases;
+    cases.emplace_back("chain", chain(n));
+    if (n >= 1) cases.emplace_back("star", star(n));
+    if (n >= 3) cases.emplace_back("ring", ring(n));
+    if (n >= 3) {
+      Rng ba_rng(n);
+      cases.emplace_back("ba:2", barabasi_albert(n, 2, ba_rng));
+    }
+    std::size_t rows = 1;
+    while ((rows + 1) * (rows + 1) <= n) ++rows;
+    while (rows > 1 && n % rows != 0) --rows;
+    if (n > 0) cases.emplace_back("grid", grid(rows, n / rows));
+    Rng gnp_rng(n + 1);
+    Graph gnp = random_uniform(n, gnp_rng);
+    if (n >= 63) gnp = core::certified_random_graph(n, gnp_rng);
+    cases.emplace_back("G(n,1/2)", gnp);
+    Graph split(n);  // a ring on the first half, a star on the rest
+    for (NodeId u = 0; u + 1 < n / 2; ++u) split.add_edge(u, u + 1);
+    if (n / 2 >= 3) split.add_edge(0, static_cast<NodeId>(n / 2 - 1));
+    for (NodeId u = static_cast<NodeId>(n / 2 + 1); u < n; ++u) {
+      split.add_edge(static_cast<NodeId>(n / 2), u);
+    }
+    cases.emplace_back("two components", split);
+
+    for (const auto& [name, g] : cases) {
+      SCOPED_TRACE(name + " n=" + std::to_string(n));
+      std::vector<NodeId> all(n);
+      std::iota(all.begin(), all.end(), NodeId{0});
+      const std::size_t contiguous = expect_rows_match_bfs(g, all);
+      expect_matches_bfs(g, DistanceMatrix(g));
+      std::vector<NodeId> scattered;
+      Rng pick(n * 31 + name.size());
+      for (std::size_t i = 0; n > 0 && i < n + 7; ++i) {
+        scattered.push_back(static_cast<NodeId>(pick() % n));
+      }
+      const std::size_t drawn = expect_rows_match_bfs(g, scattered);
+      // Which side each family lands on, where a full pass of 64 decides.
+      if (n >= 64) {
+        const bool bit_parallel = name == "G(n,1/2)" || name == "star" ||
+                                  name == "ba:2";
+        const bool scalar = name == "chain" || name == "ring" ||
+                            name == "two components";
+        if (bit_parallel) {
+          EXPECT_GT(contiguous, 0u);
+          EXPECT_GT(drawn, 0u);
+        }
+        if (scalar) {
+          EXPECT_EQ(contiguous, 0u);
+          EXPECT_EQ(drawn, 0u);
+        }
+      }
+    }
   }
 }
 

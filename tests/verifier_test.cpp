@@ -3,6 +3,7 @@
 // verifier to the serial reference on every scheme in src/schemes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -218,7 +219,8 @@ std::vector<SchemeFactory> all_scheme_factories() {
 
 TEST(VerifierDifferential, ShardedMatchesSerialOnEveryScheme) {
   std::size_t schemes_checked = 0;
-  for (std::size_t n : {8u, 16u, 32u}) {
+  // n = 130 routes three destination blocks of 64, the last one partial.
+  for (std::size_t n : {8u, 16u, 32u, 130u}) {
     // A certified G(n, 1/2) draw where possible (so the compact paper
     // constructions apply) with a plain uniform fallback at small n.
     graph::Rng rng(n);
@@ -265,6 +267,87 @@ TEST(VerifierDifferential, ShardedMatchesSerialOnMisbehavingSchemes) {
                                "misbehaving mode");
     }
   }
+}
+
+/// Routes on ring(n), n odd, by destination class: v ≡ 0 (mod 3) goes
+/// clockwise and arrives in (v − u) mod n hops; v ≡ 1 steps along the
+/// shorter arc and, two hops out, names v itself, an invalid hop d(u, v) − 2
+/// edges in; v ≡ 2 steps along the shorter arc and, two hops out, steps
+/// back out again, looping between distances 2 and 3. Classes 1 and 2
+/// step onto v from one hop out.
+class ScriptedRingScheme final : public RoutingScheme {
+ public:
+  explicit ScriptedRingScheme(std::size_t n) : n_(static_cast<NodeId>(n)) {}
+
+  [[nodiscard]] std::string name() const override { return "scripted-ring"; }
+  [[nodiscard]] Model routing_model() const override { return kIIalpha; }
+  [[nodiscard]] std::size_t node_count() const override { return n_; }
+  [[nodiscard]] NodeId next_hop(NodeId u, NodeId v,
+                                MessageHeader&) const override {
+    const NodeId cw = (u + 1) % n_;
+    const NodeId ccw = (u + n_ - 1) % n_;
+    if (v % 3 == 0) return cw;
+    const NodeId ahead = (v + n_ - u) % n_;  // clockwise distance
+    const bool clockwise = ahead <= n_ / 2;
+    const NodeId d = clockwise ? ahead : n_ - ahead;
+    if (d == 1) return v;
+    if (d == 2) {
+      if (v % 3 == 1) return v;      // not a neighbour
+      return clockwise ? ccw : cw;   // back out to distance 3
+    }
+    return clockwise ? cw : ccw;
+  }
+  [[nodiscard]] SpaceReport space() const override {
+    SpaceReport r;
+    r.function_bits.assign(n_, 0);
+    return r;
+  }
+
+ private:
+  NodeId n_;
+};
+
+TEST(VerifierDifferential, HopBudgetSweepMatchesSerial) {
+  // Budgets 1..n: the longest route is n − 1 clockwise hops. Every budget
+  // has routes that arrive in exactly that many hops, and up to 31 routes
+  // whose invalid hop comes exactly that many edges in, where the walk
+  // spends its budget first. n = 67 spans two destination blocks.
+  constexpr std::size_t n = 67;
+  const Graph g = graph::ring(n);
+  const ScriptedRingScheme scheme(n);
+  const double bound = 1.5;
+  std::size_t saw_invalid = 0, saw_failed = 0;
+  for (std::size_t budget = 1; budget <= n; ++budget) {
+    const std::string context = "budget=" + std::to_string(budget);
+    const auto serial = verify_scheme_serial(g, scheme, budget);
+    saw_invalid += serial.invalid_hops;
+    saw_failed += serial.pairs_failed - serial.invalid_hops;
+    // Pairs over the bound, walked one at a time.
+    std::size_t over = 0;
+    for (NodeId u = 0; u < n; ++u) {
+      for (NodeId v = 0; v < n; ++v) {
+        if (u == v) continue;
+        const std::size_t edges = route_once(g, scheme, u, v, budget);
+        const std::size_t d = std::min<std::size_t>((v + n - u) % n,
+                                                    (u + n - v) % n);
+        if (edges != 0 && static_cast<double>(edges) / d > bound) ++over;
+      }
+    }
+    for (std::size_t threads : {1u, 2u, 8u}) {
+      const std::string at = context + " threads=" + std::to_string(threads);
+      expect_identical_results(verify_scheme(g, scheme, budget, threads),
+                               serial, at);
+      const auto stretch =
+          verify_scheme_stretch(g, scheme, bound, budget, threads);
+      expect_identical_results(stretch.base, serial, at + " (stretch)");
+      EXPECT_EQ(stretch.pairs_over_stretch, over) << at;
+    }
+  }
+  EXPECT_GT(saw_invalid, 0u);
+  EXPECT_GT(saw_failed, 0u);
+  // One past the longest route, only the scripted failures remain.
+  const auto full = verify_scheme(g, scheme, n);
+  EXPECT_EQ(full.max_route_edges, n - 1);
 }
 
 TEST(Verifier, HeaderBitsInFlightAccounting) {
