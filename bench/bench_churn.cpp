@@ -6,7 +6,9 @@
 // answered in deterministic work units (tables rebuilt + distance rows
 // refreshed), never wall-clock, so every row is bit-identical across
 // reruns and --threads values. Traffic stretch during convergence is
-// measured too (mean_stretch in each row's simulator block).
+// measured too (mean_stretch in each row's simulator block). TZ and
+// compact-diam2 repair by fresh build in both modes, so full-table's rows
+// are the ones that compare the two.
 //
 // Emits BENCH_churn.json (schema optrt.bench_churn.v1):
 //

@@ -120,8 +120,7 @@ DistanceMatrix::DistanceMatrix(const Graph& g)
 }
 
 DistanceMatrix::LinkDelta DistanceMatrix::apply_link_delta(
-    const Graph& g_new, NodeId u, NodeId v, bool up,
-    double bfs_fallback_fraction) {
+    const Graph& g_new, NodeId u, NodeId v, bool up) {
   LinkDelta delta;
   if (up) {
     // Rows u and v are snapshotted first: they may themselves improve.
@@ -158,14 +157,6 @@ DistanceMatrix::LinkDelta DistanceMatrix::apply_link_delta(
     const std::uint32_t dsv = at(s, v);
     if (dsu == kUnreachable || dsv == kUnreachable) continue;
     if (dsu + 1 == dsv || dsv + 1 == dsu) candidates.push_back(s);
-  }
-  if (static_cast<double>(candidates.size()) >
-      bfs_fallback_fraction * static_cast<double>(n_)) {
-    delta.changed_rows.resize(n_);
-    std::iota(delta.changed_rows.begin(), delta.changed_rows.end(), NodeId{0});
-    delta.rows_bfs = n_;
-    (void)bfs_rows(g_new, delta.changed_rows, d_);
-    return delta;
   }
   std::vector<std::uint32_t> fresh(candidates.size() * n_);
   (void)bfs_rows(g_new, candidates, fresh);

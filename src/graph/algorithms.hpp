@@ -41,7 +41,8 @@ std::size_t bfs_rows(const Graph& g, std::span<const NodeId> sources,
 
 /// All-pairs shortest-path distances, as a flat n×n row-major matrix.
 /// The one all-pairs type: DistanceCache shares immutable instances, and
-/// churn repair keeps a private one current through apply_link_delta.
+/// full-table churn repair keeps a private one current through
+/// apply_link_delta.
 class DistanceMatrix {
  public:
   explicit DistanceMatrix(const Graph& g);
@@ -62,13 +63,10 @@ class DistanceMatrix {
   ///   delete — only sources s with |d(s,u) − d(s,v)| == 1 can lose a
   ///     shortest path (the edge lies on s's shortest-path DAG iff its
   ///     endpoints sit on consecutive BFS levels); exactly those rows are
-  ///     re-run through BFS on `g_new`. The candidate set is closed under
-  ///     "my row changed", so the matrix stays symmetric and exact.
-  /// When a delete's candidates exceed `bfs_fallback_fraction` of n, every
-  /// row is recomputed instead (still exact; every row is then listed as
-  /// changed, conservatively).
-  LinkDelta apply_link_delta(const Graph& g_new, NodeId u, NodeId v, bool up,
-                             double bfs_fallback_fraction = 1.0);
+  ///     re-run through BFS on `g_new`, and those that differ are listed.
+  ///     The candidate set is closed under "my row changed", so the matrix
+  ///     stays symmetric and exact.
+  LinkDelta apply_link_delta(const Graph& g_new, NodeId u, NodeId v, bool up);
 
   [[nodiscard]] std::uint32_t at(NodeId u, NodeId v) const noexcept {
     return d_[static_cast<std::size_t>(u) * n_ + v];

@@ -1,14 +1,14 @@
-// Incremental scheme repair under topology churn (ROADMAP item 5a).
+// Scheme repair under topology churn.
 //
 // A RepairableScheme wraps a routing scheme together with the machinery to
 // keep its tables correct while the underlying graph changes one link at a
-// time: apply_event() patches only the tables whose routes the event can
-// invalidate (tracked through maintained all-pairs distances / landmark
-// balls), falling back to a full rebuild when the dirty set exceeds a
-// threshold. The contract the churn differential oracle enforces: after
-// every applied event, scheme() must equal a fresh centralized build on
-// topology() — bit-identical tables for the deterministic schemes,
-// identical full-pair-space route fingerprints for TZ.
+// time. Each kind has one repair path: full-table patches exactly the
+// tables whose entries the event can change, from all-pairs distances it
+// keeps current; TZ and compact-diam2 rebuild from scratch on every event.
+// The contract the churn differential oracle enforces: after every
+// applied event, scheme() must equal a fresh centralized build on
+// topology() — bit-identical tables, and for TZ also the same landmarks
+// and identical full-pair-space route fingerprints.
 //
 // This header is deliberately net-free (model must not depend on net): a
 // TopologyEvent is a single undirected link-liveness delta, and the
@@ -41,7 +41,7 @@ struct TopologyEvent {
 enum class RepairOutcome : std::uint8_t {
   kNoOp,          ///< the event cannot affect any table (empty dirty set)
   kPatched,       ///< only the dirty tables were rebuilt
-  kRebuilt,       ///< dirty set over threshold (or forced): full rebuild
+  kRebuilt,       ///< every table was rebuilt
   kInapplicable,  ///< the scheme cannot exist on the new topology; tables
                   ///< are stale until a later event makes it buildable
 };
@@ -67,7 +67,8 @@ struct RepairStats {
 
 struct RepairConfig {
   /// Always rebuild from scratch — the baseline mode bench_churn measures
-  /// incremental repair against.
+  /// full-table's incremental repair against. The kinds that always
+  /// rebuild ignore it.
   bool force_rebuild = false;
 };
 

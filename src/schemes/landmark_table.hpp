@@ -95,9 +95,9 @@ struct TableEntry {
   friend bool operator==(const TableEntry&, const TableEntry&) = default;
 };
 
-/// w's port toward one target t, read off the row d(·, t): the rank of w's
-/// least neighbour one step closer to t. The row may come from a BFS from t
-/// or from row t of a DistanceMatrix. Precondition: 0 < row[w] < ∞.
+/// w's port toward one target t, read off the row d(·, t) of a BFS from t:
+/// the rank of w's least neighbour one step closer to t. Precondition:
+/// 0 < row[w] < ∞.
 [[nodiscard]] graph::PortId least_port(const graph::Graph& g,
                                        std::span<const std::uint32_t> row,
                                        graph::NodeId w);
@@ -128,8 +128,8 @@ class ClusterBfs {
 
 /// Encodes node w's table: `landmark_ports` in landmark-index order, then
 /// `listed`, which must be in strictly increasing id order. The one encoder
-/// behind LandmarkScheme, TzScheme, TZ churn repair and the CONGEST TZ
-/// construction, so tables from all four are byte-identical.
+/// behind LandmarkScheme, TzScheme and the CONGEST TZ construction, so
+/// tables from all three are byte-identical.
 [[nodiscard]] bitio::BitVector build_landmark_node_bits(
     const graph::Graph& g, graph::NodeId w,
     std::span<const graph::PortId> landmark_ports,

@@ -67,12 +67,12 @@ class TzScheme final : public model::RoutingScheme {
   explicit TzScheme(const graph::Graph& g, Options options = {});
 
   /// Reconstructs from serialized state: the sorted landmark set plus
-  /// per-node bits. The deserialization path (schemes/serialization.hpp),
-  /// churn repair and the CONGEST construction all land here. Nearest
-  /// landmarks (least id on ties) and the per-destination exit ports come
-  /// from one multi-source BFS over the landmarks; no all-pairs matrix is
-  /// read. Throws std::invalid_argument on a malformed landmark set or
-  /// table, and when some node is unreachable from every landmark.
+  /// per-node bits. The deserialization path (schemes/serialization.hpp)
+  /// and the CONGEST construction land here. Nearest landmarks (least id
+  /// on ties) and the per-destination exit ports come from one
+  /// multi-source BFS over the landmarks; no all-pairs matrix is read.
+  /// Throws std::invalid_argument on a malformed landmark set or table,
+  /// and when some node is unreachable from every landmark.
   TzScheme(const graph::Graph& g, std::vector<NodeId> landmarks,
            std::vector<bitio::BitVector> node_bits);
 

@@ -140,8 +140,7 @@ std::size_t expect_labels_match_the_oracle(const Graph& g,
 }
 
 /// Two links down, then both back up: on a ring the second failure
-/// disconnects it, so the stream walks the patched, inapplicable and
-/// rebuilt paths of RepairableTz.
+/// disconnects it, so RepairableTz goes stale and rebuilds again.
 std::vector<model::TopologyEvent> churn_events(const Graph& g) {
   const NodeId a = 0;
   const NodeId b = static_cast<NodeId>(g.node_count() / 2);
@@ -164,7 +163,7 @@ TEST(Tz, NearestLandmarkIsNearestWithLeastIdTie) {
     const TzScheme built(g);
     EXPECT_GT(expect_labels_match_the_oracle(g, built), 0u);
     expect_labels_match_the_oracle(g, deserialize_tz(serialize(built), g));
-    // Churn repair materializes through the decoding constructor.
+    // Churn repair builds afresh on each live topology.
     RepairableTz repairable(g);
     std::size_t materialized = 0;
     for (const model::TopologyEvent& event : churn_events(g)) {

@@ -101,16 +101,20 @@ for stage in "${STAGES[@]}"; do
         "bench_failures --threads 1"
       exit 1
     }
-    # The construction sweep promises the same bytes at any thread count;
-    # the CONGEST engine's range-ordered outbox merge is what keeps it.
-    for threads in 1 8; do
-      echo "=== [$stage] bench_construction --threads $threads ==="
-      ./build/bench/bench_construction --threads "$threads" \
-        -o "build/BENCH_construction.t$threads.json"
-      cmp "build/BENCH_construction.t$threads.json" BENCH_construction.json || {
-        echo "BENCH_construction.json differs at --threads $threads"
-        exit 1
-      }
+    # The construction and churn sweeps promise the same bytes at any
+    # thread count: the CONGEST engine's range-ordered outbox merge keeps
+    # the first, and each churn cell runs on its own seeds and counts work,
+    # not time.
+    for bench in construction churn; do
+      for threads in 1 8; do
+        echo "=== [$stage] bench_$bench --threads $threads ==="
+        ./build/bench/bench_$bench --threads "$threads" \
+          -o "build/BENCH_$bench.t$threads.json"
+        cmp "build/BENCH_$bench.t$threads.json" "BENCH_$bench.json" || {
+          echo "BENCH_$bench.json differs at --threads $threads"
+          exit 1
+        }
+      done
     done
     # Smoke-run the end-to-end benchmark (its own CMake project, Release):
     # every workload's gates on n = 64 graphs, including the catalog gate
