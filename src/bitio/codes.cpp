@@ -1,6 +1,8 @@
 #include "bitio/codes.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 namespace optrt::bitio {
 
@@ -73,9 +75,22 @@ void write_unary(BitWriter& w, std::uint64_t n) {
 }
 
 std::uint64_t read_unary(BitReader& r) {
+  // The code's ones are the trailing ones of the next <= 64 bits, a word
+  // at a time; the reader then moves just past the terminating zero.
   std::uint64_t n = 0;
-  while (r.read_bit()) ++n;
-  return n;
+  for (;;) {
+    const std::size_t at = r.position();
+    const auto chunk =
+        static_cast<unsigned>(std::min<std::size_t>(r.remaining(), 64));
+    if (chunk == 0) throw std::out_of_range("BitReader: past end");
+    const auto ones =
+        static_cast<unsigned>(std::countr_one(r.read_bits(chunk)));
+    if (ones < chunk) {
+      r.seek(at + ones + 1);
+      return n + ones;
+    }
+    n += chunk;
+  }
 }
 
 void write_elias_gamma(BitWriter& w, std::uint64_t n) {

@@ -52,6 +52,8 @@ void write_prime(BitWriter& w, std::uint64_t n);
 // --- Unary code: n encoded as 1^n 0 (Theorem 1 first table) ----------------
 
 void write_unary(BitWriter& w, std::uint64_t n);
+/// Reads up to 64 bits per step. Throws std::out_of_range("BitReader: past
+/// end") when the bits end before the terminating zero, as read_bit does.
 [[nodiscard]] std::uint64_t read_unary(BitReader& r);
 [[nodiscard]] inline std::size_t unary_length(std::uint64_t n) noexcept {
   return static_cast<std::size_t>(n) + 1;

@@ -29,9 +29,8 @@ Theorem6Result theorem6_encode(const graph::Graph& g, NodeId u,
   node_opt.include_adjacency = false;  // model II: row is shipped separately
 
   const schemes::CompactNodeBits fn = schemes::build_compact_node(g, u, node_opt);
-  const auto nbrs = g.neighbors(u);
   const schemes::DecodedCompactNode decoded = schemes::decode_compact_node(
-      fn.bits, n, u, node_opt, std::vector<NodeId>(nbrs.begin(), nbrs.end()));
+      fn.bits, n, u, node_opt, g.neighbors(u));
 
   Theorem6Result result;
   result.function_bits = fn.bits.size();

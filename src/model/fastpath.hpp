@@ -10,6 +10,19 @@
 // validating decode that reads an artifact, and answer next_hop from it;
 // the bits stay the only other thing they store.
 //
+// Branch-free selection: a compiled form's next_hop branches only on errors
+// (routing to self, a corrupt table) and on per-table constants (a width, a
+// level count), or on a per-source fact that is nearly always one way (u is
+// the hub). It never branches on a per-pair membership or adjacency bit:
+// on the paper's G(n,1/2) whether a destination is a neighbour, or listed
+// in a table, is a fair coin for each pair, and a branch on it mispredicts
+// about every other pair of a uniform batch. Instead the form computes both
+// candidate answers and picks one with select(); PackedSparseArray's
+// value_or() is the sparse-table read that does so. TZ is the exception:
+// its clusters on Internet-like graphs are small, so its membership branch
+// predicts well and runs as fast on uniform pairs as on pairs grouped by
+// adjacency (bench_lookup's fast_grouped_ns_per_lookup column).
+//
 // Contract: a FastPath answers exactly the *first hop* question —
 // next_hop(u, dest) must equal what RoutingScheme::next_hop(u, dest, h)
 // returns for a fresh MessageHeader h, and what the bit-decoding
@@ -98,10 +111,19 @@ class DirectBatchFastPath : public FastPath {
 /// (lookup.compiled and lookup.compiled.<tag>).
 void note_fastpath_compiled(const std::string& tag);
 
+/// `a` when `bit` is set, `b` otherwise, computed with arithmetic rather
+/// than a branch: b ^ ((a ^ b) & -bit).
+template <typename T>
+[[nodiscard]] constexpr T select(bool bit, T a, T b) noexcept {
+  return static_cast<T>(b ^ ((a ^ b) & (T{0} - static_cast<T>(bit))));
+}
+
 /// Reads `width` bits starting at absolute bit `pos` from a packed word
 /// array, LSB-first (BitVector layout). Precondition: width <= 57 and the
 /// read stays inside words padded with at least one trailing slack word —
-/// PackedValueArray guarantees both.
+/// PackedValueArray guarantees both. The straddle test stays a branch: a
+/// branch-free straddle read measured no faster on landmark tables and
+/// slower on TZ's, whose straddles follow the table width.
 [[nodiscard]] inline std::uint64_t read_packed(
     const std::uint64_t* words, std::size_t pos, unsigned width) noexcept {
   if (width == 0) return 0;
@@ -172,6 +194,22 @@ class PackedSparseArray {
         words_[pair] & ((std::uint64_t{1} << (pos & 63)) - 1);
     const std::size_t rank = words_[pair + 1] + std::popcount(below);
     return read_packed(words_.data() + values_at_, rank * width_, width_);
+  }
+  /// Value at `pos` for a member, `fallback` otherwise, without a branch
+  /// on membership: the mask word, the rank and the packed value are read
+  /// unconditionally. A non-member past the last member has rank
+  /// member_count(), so its read lands in the slack word. Precondition:
+  /// pos < size().
+  [[nodiscard]] std::uint64_t value_or(std::size_t pos,
+                                       std::uint64_t fallback) const noexcept {
+    const std::size_t pair = 2 * (pos >> 6);
+    const unsigned bit = static_cast<unsigned>(pos & 63);
+    const std::uint64_t word = words_[pair];
+    const std::uint64_t below = word & ((std::uint64_t{1} << bit) - 1);
+    const std::size_t rank = words_[pair + 1] + std::popcount(below);
+    const std::uint64_t stored =
+        read_packed(words_.data() + values_at_, rank * width_, width_);
+    return select(((word >> bit) & 1u) != 0, stored, fallback);
   }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t member_count() const noexcept { return members_; }

@@ -22,11 +22,9 @@ class CompactDiam2FastPath final
     if (dest_label == u) {
       throw std::invalid_argument("CompactDiam2Scheme: routing to self");
     }
-    const auto& table = tables_[u];
-    if (table.contains(dest_label)) {
-      return static_cast<NodeId>(table.value(dest_label));
-    }
-    return dest_label;  // direct destination (a neighbour of u)
+    // A destination outside the table is a neighbour of u: it answers
+    // itself.
+    return static_cast<NodeId>(tables_[u].value_or(dest_label, dest_label));
   }
 
  private:
@@ -63,11 +61,10 @@ CompactDiam2Scheme::CompactDiam2Scheme(const graph::Graph& g, Options options,
   compile(g);
 }
 
-std::vector<NodeId> CompactDiam2Scheme::free_neighbors(const graph::Graph& g,
-                                                       NodeId u) const {
+std::span<const NodeId> CompactDiam2Scheme::free_neighbors(
+    const graph::Graph& g, NodeId u) const {
   if (!options_.neighbors_known) return {};
-  const auto nbrs = g.neighbors(u);
-  return {nbrs.begin(), nbrs.end()};
+  return g.neighbors(u);
 }
 
 void CompactDiam2Scheme::compile(const graph::Graph& g) {
@@ -95,9 +92,8 @@ NodeId CompactDiam2Scheme::next_hop(NodeId u, NodeId dest_label,
 
 NodeId CompactDiam2Scheme::reference_next_hop(const graph::Graph& g, NodeId u,
                                               NodeId dest_label) const {
-  const NodeId hop = decode_compact_node(bits_[u].bits, n_, u, options_.node,
-                                         free_neighbors(g, u))
-                         .next_of[dest_label];
+  const NodeId hop = compact_node_next_hop(bits_[u].bits, n_, u, options_.node,
+                                           free_neighbors(g, u), dest_label);
   if (hop == DecodedCompactNode::kInvalid) {
     throw std::invalid_argument("CompactDiam2Scheme: routing to self");
   }

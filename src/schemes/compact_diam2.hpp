@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -68,8 +69,8 @@ class CompactDiam2Scheme final : public model::RoutingScheme {
  private:
   /// Free neighbour knowledge of `u`: its sorted neighbours under II,
   /// nothing under IB (the table carries its own interconnection vector).
-  [[nodiscard]] std::vector<NodeId> free_neighbors(const graph::Graph& g,
-                                                   NodeId u) const;
+  [[nodiscard]] std::span<const NodeId> free_neighbors(const graph::Graph& g,
+                                                       NodeId u) const;
   /// The validating decode of bits_ into fast_, shared by both
   /// constructors.
   void compile(const graph::Graph& g);

@@ -1,6 +1,7 @@
 #include "schemes/hierarchical.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <compare>
 #include <numeric>
@@ -81,11 +82,18 @@ class HierarchicalFastPath final
   };
 
   HierarchicalFastPath(std::vector<model::PackedSparseArray> tables,
-                       std::vector<std::vector<NodeId>> pivot_of,
+                       const std::vector<std::vector<NodeId>>& pivot_of,
                        graph::Graph g)
       : tables_(std::move(tables)),
-        pivot_of_(std::move(pivot_of)),
-        g_(std::move(g)) {}
+        levels_(pivot_of.size()),
+        labels_(tables_.size() * levels_),
+        g_(std::move(g)) {
+    for (std::size_t i = 0; i < levels_; ++i) {
+      for (std::size_t v = 0; v < tables_.size(); ++v) {
+        labels_[v * levels_ + i] = pivot_of[i][v];
+      }
+    }
+  }
 
   [[nodiscard]] std::string name() const override { return "hierarchical"; }
   [[nodiscard]] std::size_t node_count() const override {
@@ -96,32 +104,29 @@ class HierarchicalFastPath final
     return decide(u, dest_label).hop;
   }
 
-  // The fresh-header decision ladder: destination first, then its pivots
-  // bottom-up, with the handoff throw when u is the pivot but the
-  // installed leg is missing.
+  // The fresh-header decision: head for the first of v, p₁(v), …,
+  // p_{k−1}(v) that u lists. Whether u lists each one is a per-pair coin,
+  // so the membership bits of all of them are taken at once and
+  // countr_zero picks the first. A target equal to u is a hit too; the
+  // ladder handles that handoff and a destination nothing resolves.
   [[nodiscard]] Decision decide(NodeId u, NodeId v) const {
     if (v == u) {
       throw std::invalid_argument("HierarchicalScheme: routing to self");
     }
     const auto& table = tables_[u];
-    const auto head_for = [&](NodeId target) {
-      return Decision{hop(u, target), target};
-    };
-    if (table.contains(v)) return head_for(v);
-    for (std::size_t i = 1; i < pivot_of_.size(); ++i) {
-      const NodeId t = pivot_of_[i][v];  // from the destination's label
-      if (t == u) {
-        // u is v's level-i pivot: hand off to the level-(i−1) pivot via
-        // the installed path (it starts here).
-        const NodeId x = pivot_of_[i - 1][v];
-        if (x == u || !table.contains(x)) {
-          throw std::logic_error("HierarchicalScheme: missing handoff entry");
-        }
-        return head_for(x);
-      }
-      if (table.contains(t)) return head_for(t);
+    const NodeId* label = labels_.data() + std::size_t{v} * levels_;
+    const std::size_t levels = std::min<std::size_t>(levels_, 64);
+    std::uint64_t hits = 0;
+    for (std::size_t i = 0; i < levels; ++i) {
+      const NodeId t = label[i];  // p₀(v) = v
+      const auto listed = static_cast<std::uint64_t>(table.contains(t));
+      hits |= (listed | static_cast<std::uint64_t>(t == u)) << i;
     }
-    throw std::logic_error("HierarchicalScheme: unresolvable destination");
+    if (hits != 0) {
+      const NodeId t = label[std::countr_zero(hits)];
+      if (t != u) return {hop(u, t), t};
+    }
+    return ladder(u, v);
   }
 
   /// The next hop of an active leg toward `target`, if u resolves it.
@@ -133,18 +138,45 @@ class HierarchicalFastPath final
   }
 
   [[nodiscard]] NodeId pivot_of(std::size_t level, NodeId v) const {
-    return pivot_of_[level][v];
+    return labels_[std::size_t{v} * levels_ + level];
   }
   [[nodiscard]] const graph::Graph& graph() const { return g_; }
 
  private:
+  // The decision ladder: destination first, then its pivots bottom-up,
+  // with the handoff throw when u is the pivot but the installed leg is
+  // missing.
+  [[nodiscard]] Decision ladder(NodeId u, NodeId v) const {
+    const auto& table = tables_[u];
+    const auto head_for = [&](NodeId target) {
+      return Decision{hop(u, target), target};
+    };
+    if (table.contains(v)) return head_for(v);
+    for (std::size_t i = 1; i < levels_; ++i) {
+      const NodeId t = pivot_of(i, v);  // from the destination's label
+      if (t == u) {
+        // u is v's level-i pivot: hand off to the level-(i−1) pivot via
+        // the installed path (it starts here).
+        const NodeId x = pivot_of(i - 1, v);
+        if (x == u || !table.contains(x)) {
+          throw std::logic_error("HierarchicalScheme: missing handoff entry");
+        }
+        return head_for(x);
+      }
+      if (table.contains(t)) return head_for(t);
+    }
+    throw std::logic_error("HierarchicalScheme: unresolvable destination");
+  }
+
   [[nodiscard]] NodeId hop(NodeId u, NodeId target) const {
     return g_.neighbor_at(
         u, static_cast<graph::PortId>(tables_[u].value(target)));
   }
 
   std::vector<model::PackedSparseArray> tables_;
-  std::vector<std::vector<NodeId>> pivot_of_;  // [level][v]
+  std::size_t levels_;
+  /// v's charged label (v, p₁(v), …, p_{k−1}(v)) at [v·k, v·k + k).
+  std::vector<NodeId> labels_;
   graph::Graph g_;  // sorted = port order for this scheme
 };
 
@@ -268,7 +300,7 @@ void HierarchicalScheme::compile(const graph::Graph& g,
   if (levels_ < 2 || node_bits.size() != n_) {
     throw std::invalid_argument("HierarchicalScheme: bad serialized state");
   }
-  auto pivot_of = nearest_pivots(g, pivot_sets_);
+  const auto pivot_of = nearest_pivots(g, pivot_sets_);
   const unsigned id_width = bitio::id_width(n_);
   function_bits_ = std::move(node_bits);
   std::vector<model::PackedSparseArray> tables;
@@ -307,8 +339,8 @@ void HierarchicalScheme::compile(const graph::Graph& g,
     }
     tables.emplace_back(std::move(mask), ports, port_width);
   }
-  fast_ = std::make_shared<HierarchicalFastPath>(
-      std::move(tables), std::move(pivot_of), g);
+  fast_ = std::make_shared<HierarchicalFastPath>(std::move(tables), pivot_of,
+                                                 g);
   model::note_fastpath_compiled("hierarchical");
 }
 

@@ -30,12 +30,13 @@ class HubFastPath final : public model::DirectBatchFastPath<HubFastPath> {
     if (dest_label == u) {
       throw std::invalid_argument("HubScheme: routing to self");
     }
-    if (g_.has_edge(u, dest_label)) return dest_label;
-    if (u == hub_) {
-      return static_cast<NodeId>(hub_table_.value(dest_label));
-    }
-    if (g_.has_edge(u, hub_)) return hub_;
-    return toward_hub_[u];
+    // The hop for a destination that is not a neighbour; only the hub
+    // itself, one source in n, reads its table for it.
+    const NodeId far =
+        u == hub_ ? static_cast<NodeId>(
+                        hub_table_.value_or(dest_label, dest_label))
+                  : toward_hub_[u];
+    return model::select(g_.has_edge(u, dest_label), dest_label, far);
   }
 
  private:
@@ -43,7 +44,9 @@ class HubFastPath final : public model::DirectBatchFastPath<HubFastPath> {
   NodeId hub_;
   graph::Graph g_;  // model II's free edge test
   model::PackedSparseArray hub_table_;
-  std::vector<NodeId> toward_hub_;  // distance-2 nodes only
+  /// Per node but the hub: its hop toward the hub, which is the hub itself
+  /// at the hub's neighbours.
+  std::vector<NodeId> toward_hub_;
 };
 
 namespace {
@@ -115,11 +118,10 @@ void HubScheme::compile(const graph::Graph& g) {
   if (rank_width_ > 64) {
     throw std::invalid_argument("HubScheme: rank width exceeds 64 bits");
   }
-  const auto hub_nbrs = g.neighbors(hub_);
-  model::PackedSparseArray hub_table = compile_compact_node(
-      function_bits_[hub_], n_, hub_, CompactNodeOptions{},
-      std::vector<NodeId>(hub_nbrs.begin(), hub_nbrs.end()));
-  std::vector<NodeId> toward_hub(n_, static_cast<NodeId>(-1));
+  model::PackedSparseArray hub_table =
+      compile_compact_node(function_bits_[hub_], n_, hub_,
+                           CompactNodeOptions{}, g.neighbors(hub_));
+  std::vector<NodeId> toward_hub(n_, hub_);
   for (NodeId v = 0; v < n_; ++v) {
     if (v == hub_) continue;
     bitio::BitReader r(function_bits_[v]);
@@ -154,7 +156,8 @@ NodeId HubScheme::reference_next_hop(const graph::Graph& g, NodeId u,
   if (g.has_edge(u, dest_label)) return dest_label;  // free under II
   const auto nbrs = g.neighbors(u);
   if (u == hub_) {
-    return compact_node_next_hop(function_bits_[u], n_, u, nbrs, dest_label);
+    return compact_node_next_hop(function_bits_[u], n_, u,
+                                 CompactNodeOptions{}, nbrs, dest_label);
   }
   if (g.has_edge(u, hub_)) return hub_;
   bitio::BitReader r(function_bits_[u]);

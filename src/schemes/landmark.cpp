@@ -27,9 +27,8 @@ class LandmarkFastPath final
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label) const override {
     const NodeId v = dest_label;
     if (v == u) throw std::invalid_argument("LandmarkScheme: routing to self");
-    const auto& vicinity = t_.listed[u];
-    if (vicinity.contains(v)) return t_.hop(u, vicinity.value(v));
-    return t_.hop(u, t_.port_toward_landmark(u, v));
+    // The vicinity port when v is listed, else the port toward l(v).
+    return t_.hop(u, t_.listed[u].value_or(v, t_.port_toward_landmark(u, v)));
   }
 
   [[nodiscard]] const LandmarkTables& tables() const { return t_; }

@@ -30,13 +30,14 @@ class RoutingCenterFastPath final
     if (dest_label == u) {
       throw std::invalid_argument("RoutingCenterScheme: routing to self");
     }
-    if (g_.has_edge(u, dest_label)) return dest_label;
-    if (slot_[u] < n_) return slot_[u];  // not a center: via its center
-    const auto& table = center_tables_[slot_[u] - n_];
-    if (table.contains(dest_label)) {
-      return static_cast<NodeId>(table.value(dest_label));
+    // The hop for a destination that is not a neighbour: via u's center,
+    // or from u's own table at one of the few centers.
+    NodeId far = slot_[u];
+    if (far >= n_) {
+      far = static_cast<NodeId>(
+          center_tables_[far - n_].value_or(dest_label, dest_label));
     }
-    return dest_label;
+    return model::select(g_.has_edge(u, dest_label), dest_label, far);
   }
 
  private:
@@ -134,10 +135,9 @@ void RoutingCenterScheme::compile(const graph::Graph& g) {
   tables.reserve(center_ids_.size());
   for (NodeId v = 0; v < n_; ++v) {
     if (is_center(v)) {
-      const auto nbrs = g.neighbors(v);
-      tables.push_back(compile_compact_node(
-          function_bits_[v], n_, v, CompactNodeOptions{},
-          std::vector<NodeId>(nbrs.begin(), nbrs.end())));
+      tables.push_back(compile_compact_node(function_bits_[v], n_, v,
+                                            CompactNodeOptions{},
+                                            g.neighbors(v)));
       continue;
     }
     bitio::BitReader r(function_bits_[v]);
@@ -173,7 +173,8 @@ NodeId RoutingCenterScheme::reference_next_hop(const graph::Graph& g, NodeId u,
   // Model II: direct neighbours are routed without any table.
   if (g.has_edge(u, dest_label)) return dest_label;
   if (std::binary_search(center_ids_.begin(), center_ids_.end(), u)) {
-    return compact_node_next_hop(function_bits_[u], n_, u, g.neighbors(u),
+    return compact_node_next_hop(function_bits_[u], n_, u,
+                                 CompactNodeOptions{}, g.neighbors(u),
                                  dest_label);
   }
   bitio::BitReader r(function_bits_[u]);

@@ -28,11 +28,14 @@ class SequentialSearchFastPath final
     if (dest_label == u) {
       throw std::invalid_argument("SequentialSearchScheme: routing to self");
     }
-    if (g_.has_edge(u, dest_label)) return dest_label;
+    // An isolated node has no edge, so testing its degree before the
+    // destination's adjacency throws for exactly the same pairs.
     if (g_.degree(u) == 0) {
       throw std::invalid_argument("SequentialSearchScheme: isolated node");
     }
-    return g_.neighbor_at(u, 0);  // launch the first probe
+    // A neighbour is delivered to; otherwise launch the first probe.
+    return model::select(g_.has_edge(u, dest_label), dest_label,
+                         g_.neighbor_at(u, 0));
   }
 
  private:

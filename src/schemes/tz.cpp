@@ -90,6 +90,10 @@ class TzFastPath final : public model::DirectBatchFastPath<TzFastPath> {
     return t_.landmark_of.size();
   }
 
+  // The one compiled form that still branches on membership (see
+  // model/fastpath.hpp): TZ clusters are small on the Internet-like graphs
+  // it serves, so the branch predicts well, and it routes uniform pairs as
+  // fast as pairs grouped by adjacency. The serve-bulk workload runs it.
   [[nodiscard]] NodeId next_hop(NodeId u, NodeId dest_label) const override {
     const NodeId v = dest_label;
     if (v == u) throw std::invalid_argument("TzScheme: routing to self");

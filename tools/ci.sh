@@ -44,16 +44,22 @@ fi
 # payloads in place, so the real daemon runs under ASan too:
 # cli_serve_test drives optrtd over a Unix socket with `optrt_cli query`
 # and `bench_serving --smoke`, which is why those three binaries are
-# built here.
+# built here. The compact-node table walk and its one-pass compile read
+# artifact bits a word at a time and fill each table's values at computed
+# ranks, and value_or reads a packed word at a non-member's rank (the
+# slack word past the last member), so compact_node_test, which drives
+# the walk and the compile on every table layout and on damaged tables,
+# runs under ASan beside rank_select_test.
 SANITIZED_TARGETS=(bitio_test graph_test budget_and_io_test edge_cases_test
   ports_labeling_test permutation_code_test algorithms_test landmark_test
-  schemes_test hierarchical_test lemma_codecs_test theorem_codecs_test
-  theorem9_test theorem7_aggregate_test simulator_test parallel_test
-  distance_cache_test verifier_test faults_test resilience_test obs_test
-  instrumentation_test serialization_test chaos_test fuzz_test
-  fastpath_test rank_select_test serve_test serve_chaos_test topology_test
-  tz_test route_fingerprint_test congest_test congest_chaos_test churn_test
-  churn_chaos_test optrt_cli optrtd bench_serving)
+  compact_node_test schemes_test hierarchical_test lemma_codecs_test
+  theorem_codecs_test theorem9_test theorem7_aggregate_test simulator_test
+  parallel_test distance_cache_test verifier_test faults_test
+  resilience_test obs_test instrumentation_test serialization_test
+  chaos_test fuzz_test fastpath_test rank_select_test serve_test
+  serve_chaos_test topology_test tz_test route_fingerprint_test congest_test
+  congest_chaos_test churn_test churn_chaos_test optrt_cli optrtd
+  bench_serving)
 
 for stage in "${STAGES[@]}"; do
   echo "=== [$stage] configure ==="
