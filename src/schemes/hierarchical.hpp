@@ -76,8 +76,9 @@ class HierarchicalScheme final : public model::RoutingScheme {
   [[nodiscard]] model::SpaceReport space() const override;
   [[nodiscard]] std::vector<NodeId> port_enumeration(NodeId u) const override;
   /// Compiled form, built in the constructor: per node, a rank-indexed
-  /// target membership vector with bit-packed ports, walking the bottom-up
-  /// pivot ladder of a fresh next_hop; it also holds the pivot label table.
+  /// target membership vector with bit-packed ports, from which a fresh
+  /// next_hop takes the first listed of the destination and its pivots
+  /// bottom-up; it also holds the pivot label table.
   [[nodiscard]] std::shared_ptr<const model::FastPath> compile_fast()
       const override;
 
