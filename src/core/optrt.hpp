@@ -16,9 +16,7 @@
 
 #include "bitio/bit_stream.hpp"
 #include "bitio/bit_vector.hpp"
-#include "bitio/arith.hpp"
 #include "bitio/codes.hpp"
-#include "bitio/entropy.hpp"
 #include "core/experiment.hpp"
 #include "core/parallel.hpp"
 #include "core/stats.hpp"

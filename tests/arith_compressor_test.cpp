@@ -1,13 +1,8 @@
-// Tests for the arithmetic coder, the whole-graph enumerative compressor,
-// the distributed construction protocol, and the sampled verifier.
+// Tests for the whole-graph enumerative compressor, the distributed
+// construction protocol, and the sampled verifier.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <random>
-
-#include "bitio/arith.hpp"
 #include "bitio/codes.hpp"
-#include "bitio/entropy.hpp"
 #include "core/experiment.hpp"
 #include "graph/generators.hpp"
 #include "incompressibility/graph_compressor.hpp"
@@ -21,53 +16,6 @@ namespace {
 
 using graph::Graph;
 using graph::Rng;
-
-// --- Arithmetic coder ---------------------------------------------------------
-
-TEST(Arithmetic, RoundTripsRandomStrings) {
-  std::mt19937_64 rng(1001);
-  for (std::size_t len : {0u, 1u, 2u, 33u, 64u, 1000u, 5000u}) {
-    bitio::BitVector bits;
-    for (std::size_t i = 0; i < len; ++i) bits.push_back(rng() & 1u);
-    const bitio::BitVector code = bitio::arithmetic_encode(bits);
-    EXPECT_EQ(bitio::arithmetic_decode(code, len), bits) << "len=" << len;
-  }
-}
-
-TEST(Arithmetic, RoundTripsSkewedStrings) {
-  std::mt19937_64 rng(1002);
-  for (double p : {0.01, 0.1, 0.35, 0.9, 0.99}) {
-    std::bernoulli_distribution coin(p);
-    bitio::BitVector bits;
-    for (int i = 0; i < 4000; ++i) bits.push_back(coin(rng));
-    const bitio::BitVector code = bitio::arithmetic_encode(bits);
-    ASSERT_EQ(bitio::arithmetic_decode(code, bits.size()), bits) << p;
-  }
-}
-
-TEST(Arithmetic, ApproachesEmpiricalEntropy) {
-  std::mt19937_64 rng(1003);
-  std::bernoulli_distribution coin(0.1);
-  bitio::BitVector bits;
-  for (int i = 0; i < 20000; ++i) bits.push_back(coin(rng));
-  const double h = bitio::empirical_entropy(bits);
-  const double coded = static_cast<double>(bitio::arithmetic_coded_bits(bits));
-  const double ideal = h * static_cast<double>(bits.size());
-  EXPECT_LE(coded, ideal + 0.5 * std::log2(20000.0) + 64.0);
-  EXPECT_GE(coded, ideal - 1.0);  // cannot beat entropy
-}
-
-TEST(Arithmetic, IncompressibleStringsStayIncompressible) {
-  std::mt19937_64 rng(1004);
-  bitio::BitVector bits;
-  for (int i = 0; i < 8192; ++i) bits.push_back(rng() & 1u);
-  EXPECT_GE(bitio::arithmetic_coded_bits(bits), bits.size() - 16);
-}
-
-TEST(Arithmetic, ConstantStringsCollapse) {
-  bitio::BitVector zeros(8192);
-  EXPECT_LT(bitio::arithmetic_coded_bits(zeros), 64u);
-}
 
 // --- Whole-graph compressor ----------------------------------------------------
 

@@ -1,7 +1,7 @@
 // Unit and property tests for the bitio substrate: BitVector, streams,
-// prefix codes (Definition 4), and the complexity estimators. The
-// word-level BitVector/BitReader/crc32 paths are checked against a
-// bit-serial reference at every word boundary.
+// prefix codes (Definition 4) and CRC-32. The word-level
+// BitVector/BitReader/crc32 paths are checked against a bit-serial
+// reference at every word boundary.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -11,7 +11,6 @@
 #include "bitio/bit_vector.hpp"
 #include "bitio/codes.hpp"
 #include "bitio/crc32.hpp"
-#include "bitio/entropy.hpp"
 #include "schemes/serialization.hpp"
 
 namespace optrt::bitio {
@@ -471,63 +470,6 @@ TEST(Codes, CeilLog2Values) {
   EXPECT_EQ(ceil_log2_plus1(1), 1u);
   EXPECT_EQ(ceil_log2_plus1(7), 3u);
   EXPECT_EQ(ceil_log2_plus1(8), 4u);
-}
-
-// --- Entropy & LZ estimators -------------------------------------------------
-
-TEST(Entropy, ConstantStringsHaveZeroEntropy) {
-  BitVector zeros(1000);
-  EXPECT_DOUBLE_EQ(empirical_entropy(zeros), 0.0);
-  BitVector ones;
-  for (int i = 0; i < 1000; ++i) ones.push_back(true);
-  EXPECT_DOUBLE_EQ(empirical_entropy(ones), 0.0);
-}
-
-TEST(Entropy, BalancedStringHasEntropyOne) {
-  BitVector v;
-  for (int i = 0; i < 1000; ++i) v.push_back(i % 2 == 0);
-  EXPECT_NEAR(empirical_entropy(v), 1.0, 1e-9);
-}
-
-TEST(Entropy, SkewedStringBetweenZeroAndOne) {
-  BitVector v;
-  for (int i = 0; i < 1000; ++i) v.push_back(i % 10 == 0);
-  const double h = empirical_entropy(v);
-  EXPECT_GT(h, 0.0);
-  EXPECT_LT(h, 0.6);
-}
-
-TEST(Lz78, PeriodicCompressesRandomDoesNot) {
-  std::mt19937_64 rng(42);
-  BitVector periodic, random;
-  for (int i = 0; i < 4096; ++i) {
-    periodic.push_back(i % 4 == 0);
-    random.push_back(rng() & 1u);
-  }
-  EXPECT_LT(lz78_coded_bits(periodic), lz78_coded_bits(random));
-  EXPECT_LT(lz78_coded_bits(periodic), periodic.size() / 2);
-  // Incompressibility: a uniform string resists LZ78 at these lengths.
-  EXPECT_GT(lz78_coded_bits(random), random.size() / 2);
-}
-
-TEST(Lz78, PhraseCountMatchesByHand) {
-  // "1 0 11 01 010 00 …" — check a tiny case computed by hand:
-  // 1|0|11|01|010|00 → 6 phrases for 101101010 00? Keep it simple:
-  const BitVector v = BitVector::from_string("1011010");
-  // Parse: 1 | 0 | 11 | 01 | 0(trailing) → 5 phrases.
-  EXPECT_EQ(lz78_phrase_count(v), 5u);
-}
-
-TEST(ComplexityUpperBound, NeverExceedsLiteralPlusHeader) {
-  std::mt19937_64 rng(7);
-  BitVector v;
-  for (int i = 0; i < 2048; ++i) v.push_back(rng() & 1u);
-  EXPECT_LE(complexity_upper_bound(v), static_cast<double>(v.size()) + 2.0);
-}
-
-TEST(ComplexityUpperBound, DetectsStructure) {
-  BitVector v(4096);  // all zeros
-  EXPECT_LT(complexity_upper_bound(v), 200.0);
 }
 
 }  // namespace

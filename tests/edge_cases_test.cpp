@@ -1,7 +1,6 @@
 // Boundary and degenerate-input tests across the public API.
 #include <gtest/gtest.h>
 
-#include "bitio/arith.hpp"
 #include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
 #include "graph/algorithms.hpp"
@@ -53,17 +52,6 @@ TEST(EdgeCases, BitWriterTakeLeavesEmpty) {
   EXPECT_EQ(w.bit_count(), 0u);
   w.write_bit(true);
   EXPECT_EQ(w.bit_count(), 1u);
-}
-
-TEST(EdgeCases, ArithmeticEmptyAndSingleBit) {
-  const bitio::BitVector empty;
-  EXPECT_EQ(bitio::arithmetic_decode(bitio::arithmetic_encode(empty), 0),
-            empty);
-  for (bool b : {false, true}) {
-    bitio::BitVector one;
-    one.push_back(b);
-    EXPECT_EQ(bitio::arithmetic_decode(bitio::arithmetic_encode(one), 1), one);
-  }
 }
 
 TEST(EdgeCases, EnumerativeDegenerateEnsembles) {

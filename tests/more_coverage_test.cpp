@@ -1,9 +1,9 @@
 // Cross-cutting coverage: simulator ordering and load accounting,
-// construction-protocol options, label introspection, arithmetic-coder
-// edge patterns, and scheme-option variants not exercised elsewhere.
+// construction-protocol options, label introspection, and scheme-option
+// variants not exercised elsewhere.
 #include <gtest/gtest.h>
 
-#include "bitio/arith.hpp"
+#include "bitio/bit_stream.hpp"
 #include "core/experiment.hpp"
 #include "graph/generators.hpp"
 #include "model/verifier.hpp"
@@ -134,30 +134,6 @@ TEST(NeighborLabelIntrospection, LabelsContainIdAndCover) {
       EXPECT_TRUE(g.has_edge(u, c));
     }
   }
-}
-
-// --- Arithmetic coder edge patterns ------------------------------------------------
-
-TEST(ArithmeticEdges, AlternatingAndBlockPatterns) {
-  for (int pattern = 0; pattern < 4; ++pattern) {
-    bitio::BitVector bits;
-    for (int i = 0; i < 3000; ++i) {
-      switch (pattern) {
-        case 0: bits.push_back(i % 2 == 0); break;           // alternating
-        case 1: bits.push_back((i / 100) % 2 == 0); break;   // blocks
-        case 2: bits.push_back(i == 1500); break;            // single one
-        case 3: bits.push_back(i % 97 == 0); break;          // sparse
-      }
-    }
-    const auto code = bitio::arithmetic_encode(bits);
-    ASSERT_EQ(bitio::arithmetic_decode(code, bits.size()), bits)
-        << "pattern " << pattern;
-  }
-  // The KT coder is order-0: alternating bits look balanced and stay
-  // ≈ 1 bit/symbol; a single one collapses.
-  bitio::BitVector single(3000);
-  single.set(1500, true);
-  EXPECT_LT(bitio::arithmetic_coded_bits(single), 40u);
 }
 
 // --- Compact scheme option matrix ---------------------------------------------------
