@@ -29,7 +29,7 @@ Theorem6Result theorem6_encode(const graph::Graph& g, NodeId u,
   node_opt.include_adjacency = false;  // model II: row is shipped separately
 
   const schemes::CompactNodeBits fn = schemes::build_compact_node(g, u, node_opt);
-  const schemes::DecodedCompactNode decoded = schemes::decode_compact_node(
+  const model::PackedSparseArray table = schemes::compile_compact_node(
       fn.bits, n, u, node_opt, g.neighbors(u));
 
   Theorem6Result result;
@@ -51,7 +51,7 @@ Theorem6Result theorem6_encode(const graph::Graph& g, NodeId u,
   std::vector<bool> deleted(n * (n - 1) / 2, false);
   for (NodeId v = 0; v < n; ++v) {
     if (v == u || g.has_edge(u, v)) continue;
-    const NodeId mid = decoded.next_of[v];
+    const auto mid = static_cast<NodeId>(table.value(v));
     deleted[graph::edge_index(n, mid, v)] = true;
     ++result.deleted_edge_bits;
   }
@@ -84,11 +84,10 @@ graph::Graph theorem6_decode(const bitio::BitVector& bits, std::size_t n,
     }
   }
   const auto fn_len = static_cast<std::size_t>(bitio::read_prime(r));
-  bitio::BitVector fn_bits;
-  for (std::size_t i = 0; i < fn_len; ++i) fn_bits.push_back(r.read_bit());
+  const bitio::BitVector fn_bits = r.read_vector(fn_len);
 
-  const schemes::DecodedCompactNode decoded =
-      schemes::decode_compact_node(fn_bits, n, u, node_opt, neighbors);
+  const model::PackedSparseArray table =
+      schemes::compile_compact_node(fn_bits, n, u, node_opt, neighbors);
 
   std::vector<graph::Edge> edges;
   for (NodeId v : neighbors) edges.emplace_back(u, v);
@@ -96,7 +95,7 @@ graph::Graph theorem6_decode(const bitio::BitVector& bits, std::size_t n,
   std::vector<bool> known(n * (n - 1) / 2, false);
   for (NodeId v = 0; v < n; ++v) {
     if (v == u || is_neighbor[v]) continue;
-    const NodeId mid = decoded.next_of[v];
+    const auto mid = static_cast<NodeId>(table.value(v));
     const std::size_t idx = graph::edge_index(n, mid, v);
     known[idx] = true;
     edges.emplace_back(mid, v);

@@ -94,7 +94,7 @@ NodeId CompactDiam2Scheme::reference_next_hop(const graph::Graph& g, NodeId u,
                                               NodeId dest_label) const {
   const NodeId hop = compact_node_next_hop(bits_[u].bits, n_, u, options_.node,
                                            free_neighbors(g, u), dest_label);
-  if (hop == DecodedCompactNode::kInvalid) {
+  if (hop == kNoHop) {
     throw std::invalid_argument("CompactDiam2Scheme: routing to self");
   }
   return hop;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
@@ -165,58 +166,6 @@ Neighbors read_neighbors(BitReader& r, const bitio::BitVector& bits,
   return Neighbors(free_neighbors, n, u);
 }
 
-/// A whole table, parsed once with every check: the routed set as an
-/// n-bit mask and each routed node's center, in increasing node order.
-struct ParsedTable {
-  bitio::BitVector routed;
-  std::vector<std::uint32_t> hops;
-};
-
-/// The one validating parse behind decode_compact_node and
-/// compile_compact_node. Throws std::out_of_range on a truncated or
-/// out-of-range field and std::invalid_argument on trailing bits.
-ParsedTable parse_table(const bitio::BitVector& bits, std::size_t n, NodeId u,
-                        const CompactNodeOptions& opt,
-                        std::span<const NodeId> free_neighbors) {
-  BitReader r(bits);
-  const Neighbors neighbors =
-      read_neighbors(r, bits, n, u, opt, free_neighbors);
-  const Centers centers(r, n, neighbors, opt.greedy_cover);
-  const std::size_t m = centers.count();
-  std::vector<NodeId> center(m);
-  for (std::size_t c = 0; c < m; ++c) {
-    center[c] = centers.at(bits, neighbors, c);
-  }
-
-  std::vector<std::uint64_t> routed((n + 63) / 64);
-  std::size_t entries = 0;
-  for (std::size_t i = 0; i < routed.size(); ++i) {
-    routed[i] = neighbors.routed_word(i);
-    entries += static_cast<std::size_t>(std::popcount(routed[i]));
-  }
-  // Table 1: a unary "center index + 1" per routed node, or 0 to defer the
-  // node to table 2, whose fixed-width indices follow in node order.
-  constexpr std::uint32_t kDeferred = DecodedCompactNode::kInvalid;
-  std::vector<std::uint32_t> hops(entries);
-  for (std::uint32_t& hop : hops) {
-    const std::uint64_t t = bitio::read_unary(r);
-    if (t > m) throw std::out_of_range("decode_compact_node: bad unary index");
-    hop = t > 0 ? center[static_cast<std::size_t>(t - 1)] : kDeferred;
-  }
-  const unsigned index_width = ceil_log2(std::max<std::size_t>(m, 1));
-  for (std::uint32_t& hop : hops) {
-    if (hop != kDeferred) continue;
-    const auto index = static_cast<std::size_t>(r.read_bits(index_width));
-    if (index >= m) throw std::out_of_range("decode_compact_node: bad index");
-    hop = center[index];
-  }
-  if (!r.exhausted()) {
-    throw std::invalid_argument(
-        "decode_compact_node: trailing bits in a node table");
-  }
-  return {bitio::BitVector(std::move(routed), n), std::move(hops)};
-}
-
 }  // namespace
 
 CompactNodeBits build_compact_node(const graph::Graph& g, NodeId u,
@@ -292,30 +241,12 @@ CompactNodeBits build_compact_node(const graph::Graph& g, NodeId u,
   return out;
 }
 
-DecodedCompactNode decode_compact_node(const bitio::BitVector& bits,
-                                       std::size_t n, NodeId u,
-                                       const CompactNodeOptions& opt,
-                                       std::span<const NodeId> free_neighbors) {
-  const ParsedTable table = parse_table(bits, n, u, opt, free_neighbors);
-  DecodedCompactNode node;
-  node.next_of.assign(n, DecodedCompactNode::kInvalid);
-  std::size_t entry = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (table.routed.get(v)) {
-      node.next_of[v] = table.hops[entry++];
-    } else if (v != u) {
-      node.next_of[v] = v;
-    }
-  }
-  return node;
-}
-
 NodeId compact_node_next_hop(const bitio::BitVector& bits, std::size_t n,
                              NodeId u, const CompactNodeOptions& opt,
                              std::span<const NodeId> free_neighbors,
                              NodeId dest) {
   if (dest >= n) throw std::out_of_range("compact_node_next_hop: bad node");
-  if (dest == u) return DecodedCompactNode::kInvalid;
+  if (dest == u) return kNoHop;
   BitReader r(bits);
   const Neighbors neighbors =
       read_neighbors(r, bits, n, u, opt, free_neighbors);
@@ -354,8 +285,43 @@ NodeId compact_node_next_hop(const bitio::BitVector& bits, std::size_t n,
 model::PackedSparseArray compile_compact_node(
     const bitio::BitVector& bits, std::size_t n, NodeId u,
     const CompactNodeOptions& opt, std::span<const NodeId> free_neighbors) {
-  const ParsedTable table = parse_table(bits, n, u, opt, free_neighbors);
-  return model::PackedSparseArray(table.routed, table.hops,
+  BitReader r(bits);
+  const Neighbors neighbors =
+      read_neighbors(r, bits, n, u, opt, free_neighbors);
+  const Centers centers(r, n, neighbors, opt.greedy_cover);
+  const std::size_t m = centers.count();
+  std::vector<NodeId> center(m);
+  for (std::size_t c = 0; c < m; ++c) {
+    center[c] = centers.at(bits, neighbors, c);
+  }
+
+  std::vector<std::uint64_t> routed((n + 63) / 64);
+  std::size_t entries = 0;
+  for (std::size_t i = 0; i < routed.size(); ++i) {
+    routed[i] = neighbors.routed_word(i);
+    entries += static_cast<std::size_t>(std::popcount(routed[i]));
+  }
+  // Table 1: a unary "center index + 1" per routed node, or 0 to defer the
+  // node to table 2, whose fixed-width indices follow in node order.
+  constexpr std::uint32_t kDeferred = kNoHop;
+  std::vector<std::uint32_t> hops(entries);
+  for (std::uint32_t& hop : hops) {
+    const std::uint64_t t = bitio::read_unary(r);
+    if (t > m) throw std::out_of_range("decode_compact_node: bad unary index");
+    hop = t > 0 ? center[static_cast<std::size_t>(t - 1)] : kDeferred;
+  }
+  const unsigned index_width = ceil_log2(std::max<std::size_t>(m, 1));
+  for (std::uint32_t& hop : hops) {
+    if (hop != kDeferred) continue;
+    const auto index = static_cast<std::size_t>(r.read_bits(index_width));
+    if (index >= m) throw std::out_of_range("decode_compact_node: bad index");
+    hop = center[index];
+  }
+  if (!r.exhausted()) {
+    throw std::invalid_argument(
+        "decode_compact_node: trailing bits in a node table");
+  }
+  return model::PackedSparseArray(bitio::BitVector(std::move(routed), n), hops,
                                   bitio::id_width(n));
 }
 

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "bitio/bit_vector.hpp"
 #include "graph/cover.hpp"
@@ -59,46 +58,37 @@ struct CompactNodeBits {
                                                  NodeId u,
                                                  const CompactNodeOptions& opt);
 
-/// Decoded routing view of a compact node table.
-struct DecodedCompactNode {
-  /// next_of[w] = next hop toward w (w itself if a neighbour, a center
-  /// otherwise), or graph::kNoCoverer-like sentinel kInvalid for w == u.
-  std::vector<NodeId> next_of;
-
-  static constexpr NodeId kInvalid = static_cast<NodeId>(-1);
-};
-
-/// Decodes a compact node table. `free_neighbors` must be the sorted
-/// neighbour list when the table was built without the adjacency prefix
-/// (model II); it is ignored (and may be empty) when the table embeds its
-/// interconnection vector (model IB). Throws std::out_of_range on a
-/// truncated or out-of-range field and std::invalid_argument when bits
-/// remain after the last table entry (tables are consumed exactly).
-[[nodiscard]] DecodedCompactNode decode_compact_node(
-    const bitio::BitVector& bits, std::size_t n, NodeId u,
-    const CompactNodeOptions& opt, std::span<const NodeId> free_neighbors);
+/// compact_node_next_hop's answer for dest == u: a table holds no hop
+/// toward its own node.
+inline constexpr NodeId kNoHop = static_cast<NodeId>(-1);
 
 /// The next hop toward `dest` that node u's table stores, found by walking
-/// the table to dest's entry with no allocation — what
-/// decode_compact_node(...).next_of[dest] holds, for a table that decoded
-/// cleanly. Reads every layout: under model IB the neighbours come from
-/// the table's presence bits, under a greedy cover the centers from its
-/// stored ranks. `free_neighbors` is as for decode_compact_node. Reads the
-/// neighbours, the center count and ranks with decode_compact_node's
-/// checks; of the two tables it checks only the fields it reads, so a
-/// corrupt table may answer where the decode throws, and where both throw
-/// they throw the same type.
+/// the table to dest's entry with no allocation: for dest ≠ u, what
+/// compile_compact_node(...).value_or(dest, dest) answers, for a table that
+/// compiles cleanly; kNoHop for dest == u. Reads every layout: under model
+/// IB the neighbours come from the table's presence bits, under a greedy
+/// cover the centers from its stored ranks. `free_neighbors` is as for
+/// compile_compact_node. Reads the neighbours, the center count and ranks
+/// with the compile's checks; of the two tables it checks only the fields
+/// it reads, so a corrupt table may answer where the compile throws, and
+/// where both throw they throw the same type.
 [[nodiscard]] NodeId compact_node_next_hop(
     const bitio::BitVector& bits, std::size_t n, NodeId u,
     const CompactNodeOptions& opt, std::span<const NodeId> free_neighbors,
     NodeId dest);
 
-/// Parses (with every decode_compact_node check, in one pass that
-/// allocates no per-destination scratch) and compiles one table into the
-/// sparse form the compiled fast paths read: a membership bit-vector of the
-/// destinations routed through a center, with O(1) rank into their
-/// bit-packed centers. A destination outside the set is u itself or a
-/// neighbour, which answers itself. decode_compact_node shares the parse.
+/// Parses one table in one pass that allocates no per-destination scratch
+/// and compiles it into the sparse form the compiled fast paths read: a
+/// membership bit-vector of the destinations routed through a center, with
+/// O(1) rank into their bit-packed centers. A destination outside the set
+/// is u itself or a neighbour, which answers itself. `free_neighbors` must
+/// be the sorted neighbour list when the table was built without the
+/// adjacency prefix (model II); it is ignored (and may be empty) when the
+/// table embeds its interconnection vector (model IB). Throws
+/// std::out_of_range on a truncated or out-of-range field and
+/// std::invalid_argument when bits remain after the last table entry
+/// (tables are consumed exactly); the messages, which artifact diagnostics
+/// print, start "decode_compact_node:".
 [[nodiscard]] model::PackedSparseArray compile_compact_node(
     const bitio::BitVector& bits, std::size_t n, NodeId u,
     const CompactNodeOptions& opt, std::span<const NodeId> free_neighbors);

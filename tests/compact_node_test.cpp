@@ -1,6 +1,7 @@
-// Tests for the Theorem 1 per-node table: build/decode round trips, routing
-// correctness of the decoded view, the 6n/7n size bounds, and the
-// allocation-free table walk held to the decode on every layout.
+// Tests for the Theorem 1 per-node table: build/compile round trips,
+// routing correctness of the compiled table, the 6n/7n size bounds, and
+// the allocation-free table walk held to the compiled table on every
+// layout.
 #include <gtest/gtest.h>
 
 #include <exception>
@@ -24,68 +25,6 @@ struct Variant {
   CompactNodeOptions options;
 };
 
-class CompactNodeVariants : public ::testing::TestWithParam<Variant> {};
-
-TEST_P(CompactNodeVariants, DecodedNextHopIsAShortestPathIntermediary) {
-  Rng rng(41);
-  const Graph g = graph::random_uniform(96, rng);
-  const CompactNodeOptions opt = GetParam().options;
-  for (graph::NodeId u = 0; u < 12; ++u) {
-    const CompactNodeBits table = build_compact_node(g, u, opt);
-    std::vector<graph::NodeId> free_nbrs;
-    if (!opt.include_adjacency) {
-      const auto nbrs = g.neighbors(u);
-      free_nbrs.assign(nbrs.begin(), nbrs.end());
-    }
-    const DecodedCompactNode node =
-        decode_compact_node(table.bits, 96, u, opt, free_nbrs);
-    for (graph::NodeId w = 0; w < 96; ++w) {
-      if (w == u) {
-        EXPECT_EQ(node.next_of[w], DecodedCompactNode::kInvalid);
-        continue;
-      }
-      const graph::NodeId hop = node.next_of[w];
-      if (g.has_edge(u, w)) {
-        EXPECT_EQ(hop, w);
-      } else {
-        // An intermediary on a length-2 (= shortest) path.
-        EXPECT_TRUE(g.has_edge(u, hop));
-        EXPECT_TRUE(g.has_edge(hop, w));
-      }
-    }
-  }
-}
-
-TEST_P(CompactNodeVariants, DecodeConsumesFromBitsOnly) {
-  // The decoded view must come entirely from the serialized bits (plus
-  // free neighbour knowledge): flipping a table-2 index bit changes the
-  // decode.
-  Rng rng(43);
-  const Graph g = graph::random_uniform(64, rng);
-  const CompactNodeOptions opt = GetParam().options;
-  const CompactNodeBits table = build_compact_node(g, 0, opt);
-  std::vector<graph::NodeId> free_nbrs;
-  if (!opt.include_adjacency) {
-    const auto nbrs = g.neighbors(0);
-    free_nbrs.assign(nbrs.begin(), nbrs.end());
-  }
-  const DecodedCompactNode before =
-      decode_compact_node(table.bits, 64, 0, opt, free_nbrs);
-  ASSERT_GT(table.table2_bits, 0u);
-  bitio::BitVector tampered = table.bits;
-  const std::size_t pos = tampered.size() - 1;  // inside table 2
-  tampered.set(pos, !tampered.get(pos));
-  // The tampered description either decodes to a different table or is
-  // rejected as malformed — never silently identical.
-  try {
-    const DecodedCompactNode after =
-        decode_compact_node(tampered, 64, 0, opt, free_nbrs);
-    EXPECT_NE(before.next_of, after.next_of);
-  } catch (const std::out_of_range&) {
-    SUCCEED();
-  }
-}
-
 /// The free neighbour list a table is read with: u's sorted neighbours
 /// under model II, nothing under IB (the table carries them).
 std::vector<graph::NodeId> free_neighbors(const Graph& g, graph::NodeId u,
@@ -95,51 +34,117 @@ std::vector<graph::NodeId> free_neighbors(const Graph& g, graph::NodeId u,
   return {nbrs.begin(), nbrs.end()};
 }
 
-TEST_P(CompactNodeVariants, WalkEqualsTheDecodeForEveryPair) {
+/// The hop node u's compiled table gives toward `dest`, as the walk
+/// answers it: kNoHop toward u itself, dest itself toward a neighbour.
+graph::NodeId compiled_hop(const model::PackedSparseArray& table,
+                           graph::NodeId u, graph::NodeId dest) {
+  if (dest == u) return kNoHop;
+  return static_cast<graph::NodeId>(table.value_or(dest, dest));
+}
+
+class CompactNodeVariants : public ::testing::TestWithParam<Variant> {};
+
+TEST_P(CompactNodeVariants, CompiledNextHopIsAShortestPathIntermediary) {
+  Rng rng(41);
+  const Graph g = graph::random_uniform(96, rng);
+  const CompactNodeOptions opt = GetParam().options;
+  for (graph::NodeId u = 0; u < 12; ++u) {
+    const CompactNodeBits bits = build_compact_node(g, u, opt);
+    const model::PackedSparseArray table =
+        compile_compact_node(bits.bits, 96, u, opt, free_neighbors(g, u, opt));
+    EXPECT_FALSE(table.contains(u));
+    for (graph::NodeId w = 0; w < 96; ++w) {
+      if (w == u) continue;
+      const auto hop = static_cast<graph::NodeId>(table.value_or(w, w));
+      if (g.has_edge(u, w)) {
+        EXPECT_FALSE(table.contains(w));
+        EXPECT_EQ(hop, w);
+      } else {
+        // An intermediary on a length-2 (= shortest) path.
+        EXPECT_TRUE(table.contains(w));
+        EXPECT_TRUE(g.has_edge(u, hop));
+        EXPECT_TRUE(g.has_edge(hop, w));
+      }
+    }
+  }
+}
+
+TEST_P(CompactNodeVariants, CompileConsumesFromBitsOnly) {
+  // The compiled table must come entirely from the serialized bits (plus
+  // free neighbour knowledge): flipping a table-2 index bit changes the
+  // compiled table.
+  Rng rng(43);
+  const Graph g = graph::random_uniform(64, rng);
+  const CompactNodeOptions opt = GetParam().options;
+  const CompactNodeBits table = build_compact_node(g, 0, opt);
+  const auto free = free_neighbors(g, 0, opt);
+  const model::PackedSparseArray before =
+      compile_compact_node(table.bits, 64, 0, opt, free);
+  ASSERT_GT(table.table2_bits, 0u);
+  bitio::BitVector tampered = table.bits;
+  const std::size_t pos = tampered.size() - 1;  // inside table 2
+  tampered.set(pos, !tampered.get(pos));
+  // The tampered description either compiles to a different table or is
+  // rejected as malformed — never silently identical.
+  try {
+    const model::PackedSparseArray after =
+        compile_compact_node(tampered, 64, 0, opt, free);
+    bool differs = false;
+    for (graph::NodeId w = 1; w < 64; ++w) {
+      differs |= compiled_hop(before, 0, w) != compiled_hop(after, 0, w);
+    }
+    EXPECT_TRUE(differs);
+  } catch (const std::out_of_range&) {
+    SUCCEED();
+  }
+}
+
+TEST_P(CompactNodeVariants, WalkEqualsTheCompiledTableForEveryPair) {
   // The allocation-free walk reads every layout: model IB's adjacency
   // prefix, a greedy cover's stored ranks, either cut.
   Rng rng(1996);
   const Graph g = core::certified_random_graph(96, rng);
   const CompactNodeOptions opt = GetParam().options;
   for (graph::NodeId u = 0; u < 96; ++u) {
-    const CompactNodeBits table = build_compact_node(g, u, opt);
+    const CompactNodeBits bits = build_compact_node(g, u, opt);
     const auto free = free_neighbors(g, u, opt);
-    const DecodedCompactNode decoded =
-        decode_compact_node(table.bits, 96, u, opt, free);
+    const model::PackedSparseArray table =
+        compile_compact_node(bits.bits, 96, u, opt, free);
     for (graph::NodeId dest = 0; dest < 96; ++dest) {
-      ASSERT_EQ(compact_node_next_hop(table.bits, 96, u, opt, free, dest),
-                decoded.next_of[dest])
+      ASSERT_EQ(compact_node_next_hop(bits.bits, 96, u, opt, free, dest),
+                compiled_hop(table, u, dest))
           << "u=" << u << " dest=" << dest;
     }
   }
 }
 
-/// A table damaged so that its decode throws: every walk either answers as
-/// the intact table does (it did not read the damage) or throws the
-/// decode's exception type, and some destination's walk reads the damage.
-void expect_walk_throws_like_decode(const Graph& g, graph::NodeId u,
-                                    const CompactNodeOptions& opt,
-                                    const bitio::BitVector& intact,
-                                    const bitio::BitVector& damaged) {
+/// A table damaged so that its compile throws: every walk either answers
+/// as the intact table does (it did not read the damage) or throws the
+/// compile's exception type, and some destination's walk reads the damage.
+void expect_walk_throws_like_compile(const Graph& g, graph::NodeId u,
+                                     const CompactNodeOptions& opt,
+                                     const bitio::BitVector& intact,
+                                     const bitio::BitVector& damaged) {
   const std::size_t n = g.node_count();
   const auto free = free_neighbors(g, u, opt);
-  const DecodedCompactNode before =
-      decode_compact_node(intact, n, u, opt, free);
-  const std::type_info* decode_threw = nullptr;
+  const model::PackedSparseArray before =
+      compile_compact_node(intact, n, u, opt, free);
+  const std::type_info* compile_threw = nullptr;
   try {
-    (void)decode_compact_node(damaged, n, u, opt, free);
+    (void)compile_compact_node(damaged, n, u, opt, free);
   } catch (const std::exception& e) {
-    decode_threw = &typeid(e);
+    compile_threw = &typeid(e);
   }
-  ASSERT_NE(decode_threw, nullptr) << "the damage must make the decode throw";
+  ASSERT_NE(compile_threw, nullptr)
+      << "the damage must make the compile throw";
   bool reached = false;
   for (graph::NodeId dest = 0; dest < n; ++dest) {
     try {
       EXPECT_EQ(compact_node_next_hop(damaged, n, u, opt, free, dest),
-                before.next_of[dest])
+                compiled_hop(before, u, dest))
           << "dest=" << dest;
     } catch (const std::exception& e) {
-      EXPECT_EQ(typeid(e), *decode_threw)
+      EXPECT_EQ(typeid(e), *compile_threw)
           << "dest=" << dest << ": " << e.what();
       reached = true;
     }
@@ -147,7 +152,7 @@ void expect_walk_throws_like_decode(const Graph& g, graph::NodeId u,
   EXPECT_TRUE(reached);
 }
 
-TEST_P(CompactNodeVariants, DamagedTablesThrowTheDecodesTypeFromTheWalk) {
+TEST_P(CompactNodeVariants, DamagedTablesThrowTheCompilesTypeFromTheWalk) {
   Rng rng(1996);
   const Graph g = core::certified_random_graph(96, rng);
   const unsigned count_width = bitio::ceil_log2_plus1(96);
@@ -156,12 +161,12 @@ TEST_P(CompactNodeVariants, DamagedTablesThrowTheDecodesTypeFromTheWalk) {
   const bitio::BitVector bits = build_compact_node(g, u, opt).bits;
   const std::size_t header = opt.include_adjacency ? 95 : 0;
   // Truncated: the last table-2 entry loses its last bit.
-  expect_walk_throws_like_decode(g, u, opt, bits,
-                                 bits.slice(0, bits.size() - 1));
+  expect_walk_throws_like_compile(g, u, opt, bits,
+                                  bits.slice(0, bits.size() - 1));
   // Tampered: a center count above u's degree.
   bitio::BitVector wide = bits;
   for (unsigned i = 0; i < count_width; ++i) wide.set(header + i, true);
-  expect_walk_throws_like_decode(g, u, opt, bits, wide);
+  expect_walk_throws_like_compile(g, u, opt, bits, wide);
   if (opt.greedy_cover) {
     // Tampered: a stored center rank equal to u's degree, one past the
     // last neighbour, and one of all ones.
@@ -173,12 +178,12 @@ TEST_P(CompactNodeVariants, DamagedTablesThrowTheDecodesTypeFromTheWalk) {
       for (unsigned i = 0; i < rank_width; ++i) {
         bad_rank.set(header + count_width + i, (rank >> i) & 1u);
       }
-      expect_walk_throws_like_decode(g, u, opt, bits, bad_rank);
+      expect_walk_throws_like_compile(g, u, opt, bits, bad_rank);
     }
   }
   if (opt.include_adjacency) {
     // Truncated inside the adjacency prefix.
-    expect_walk_throws_like_decode(g, u, opt, bits, bits.slice(0, 40));
+    expect_walk_throws_like_compile(g, u, opt, bits, bits.slice(0, 40));
   }
 }
 
@@ -240,18 +245,18 @@ TEST(CompactNode, WorksOnStarCenterAndLeaves) {
   const Graph g = graph::star(10);
   // Centre: all nodes are neighbours; table trivial.
   const CompactNodeBits centre = build_compact_node(g, 0, {});
-  const auto nbrs0 = g.neighbors(0);
-  const DecodedCompactNode c = decode_compact_node(
-      centre.bits, 10, 0, {}, {nbrs0.begin(), nbrs0.end()});
-  for (graph::NodeId w = 1; w < 10; ++w) EXPECT_EQ(c.next_of[w], w);
+  const model::PackedSparseArray c =
+      compile_compact_node(centre.bits, 10, 0, {}, g.neighbors(0));
+  EXPECT_EQ(c.member_count(), 0u);
+  for (graph::NodeId w = 1; w < 10; ++w) EXPECT_EQ(c.value_or(w, w), w);
   // Leaf: everything routed via the centre.
   const CompactNodeBits leaf = build_compact_node(g, 3, {});
-  const auto nbrs3 = g.neighbors(3);
-  const DecodedCompactNode l =
-      decode_compact_node(leaf.bits, 10, 3, {}, {nbrs3.begin(), nbrs3.end()});
+  const model::PackedSparseArray l =
+      compile_compact_node(leaf.bits, 10, 3, {}, g.neighbors(3));
   for (graph::NodeId w = 1; w < 10; ++w) {
     if (w == 3) continue;
-    EXPECT_EQ(l.next_of[w], 0u);
+    EXPECT_TRUE(l.contains(w));
+    EXPECT_EQ(l.value(w), 0u);
   }
 }
 
