@@ -11,6 +11,18 @@
 # with `ctest -L serve`. The live-churn repair suites (incremental-repair
 # differential oracle + churn chaos sweep) answer to `ctest -L churn`.
 #
+# The default stage also runs the fourteen paper benches that print
+# stdout tables, once each, and fails on a nonzero exit. Several of them
+# check what they print and exit 1 on a failed check: Theorem 6's round
+# trip, Claim 3's reconstruction and Theorem 8's port-permutation recovery
+# (bench_table1_lower), Theorem 9's permutation recovery
+# (bench_gb_lowerbound), the Theorem 3-5 stretch bounds
+# (bench_stretch_tradeoff), exactness and the round trip
+# (bench_full_information), and verify_scheme on every family swept
+# (bench_hierarchy, bench_interval). bench_table1_lower,
+# bench_average_case and bench_open_cells also run the Theorem 6 codec at
+# sizes no test uses. Together they take about a second in Release.
+#
 #   tools/ci.sh            # default + tsan + asan
 #   tools/ci.sh default    # just one stage
 set -euo pipefail
@@ -73,6 +85,13 @@ for stage in "${STAGES[@]}"; do
   echo "=== [$stage] test ==="
   ctest --preset "$stage"
   if [ "$stage" = default ]; then
+    # The paper benches: each exits nonzero on a failed check (see above).
+    for bench in table1 table1_lower gb_lowerbound theorem1 theorem2 \
+        stretch_tradeoff full_information average_case definition5 \
+        open_cells density interval hierarchy congestion; do
+      echo "=== [$stage] bench_$bench ==="
+      ./build/bench/bench_$bench
+    done
     # Smoke-run the lookup benchmark: the compiled fast paths must stay
     # bit-identical to the decode path (nonzero exit on divergence).
     echo "=== [$stage] bench_lookup --smoke ==="
