@@ -20,35 +20,40 @@
 //     the Simulator uses, so construction can run on a faulty network:
 //     fault events at time t apply before the round-t deliveries, and a
 //     message crossing a down link is silently lost (the send is still
-//     charged). A flight's link is its receiver's arrival arc, so the
-//     check is one O(1) read.
-//   · When no messages are in flight the engine declares *quiescence* and
-//     pulses every node's on_phase_end — the distributed analogue of the
-//     known-bound phase padding the CONGEST literature uses to separate
-//     protocol stages. Nodes open the next phase by sending; the run ends
-//     when a pulse produces no node that wants to continue.
+//     charged). Both arcs of a link share one liveness, so the check is one
+//     O(1) read per delivered message.
+//   · When the last activation charged no message the engine declares
+//     *quiescence* and pulses every node's on_phase_end — the distributed
+//     analogue of the known-bound phase padding the CONGEST literature
+//     uses to separate protocol stages. Nodes open the next phase by
+//     sending; the run ends when a pulse produces no node that wants to
+//     continue. A send_all from a node without links charges nothing and
+//     so keeps no round alive.
 //
-// Message plane: nothing on the send, delivery or staging path allocates
-// once the run's buffers have grown.
+// Message plane: copy-free after the send, and nothing on the send,
+// delivery or staging path allocates once the run's buffers have grown.
 //   · Each contiguous range of an activation list owns one outbox (its
-//     flights plus a word buffer) that lives for the whole run. send()
-//     copies the message's words into that buffer; send_all() copies them
-//     once and queues one flight per port. A flight is a plain record —
-//     sender, receiver, arrival port, type, bits, and the offset and
-//     length of its words. The arrival port comes from a per-arc table the
-//     Engine builds once, so sending searches nothing.
-//   · After the activations, the outboxes merge in range order into the
-//     round's one word arena, each range's offsets rebased onto it.
-//   · Delivery is one counting sort: flights over a down link are dropped
-//     (already charged), the rest go, stably by receiver, into one
-//     contiguous Received array, so each inbox is a slice in (sender,
-//     send) order. A Received's words view the delivered arena, which is
-//     overwritten by the next round: they are valid only during the
-//     on_round call that receives them. A node copies what it keeps.
+//     records plus a word buffer). send() copies the message's words into
+//     that buffer once and queues one record; so does send_all(), whose
+//     one record stands for a copy over every port. A record is a plain
+//     struct — sender, port (or "every port"), type, bits, and the offset
+//     and length of its words. Both sends charge `messages` and
+//     `message_bits` as they queue: one message per port they cover.
+//   · Two sets of outboxes alternate between activations. Delivery
+//     counting-sorts straight from the set the last activation filled, in
+//     range order, which is ascending sender order: a record expands over
+//     its sender's CSR arcs, each arc giving the receiver, its liveness and
+//     (from a per-arc table the Engine builds once) the arrival port. The
+//     messages over live arcs go, stably by receiver, into one contiguous
+//     Received array, so each inbox is a slice in (sender, send) order.
+//   · A Received's words view the sender's outbox buffer, which the next
+//     activation leaves alone (it fills the other set) and the one after
+//     that overwrites: they are valid only during the on_round call that
+//     receives them. A node copies what it keeps.
 //
 // Determinism contract (the congest-labelled tests enforce it at 1/2/8
-// threads): node activations run on a core::ThreadPool, but the outboxes
-// merge in range order, which is ascending node order at any thread
+// threads): node activations run on a core::ThreadPool, but delivery reads
+// the outboxes in range order, which is ascending node order at any thread
 // count; inboxes preserve (sender, send) order; all accounting is integer
 // sums; and a phase row takes the last label in node order. So every
 // RunStats field and every byte of protocol state is bit-identical for any
@@ -85,7 +90,7 @@ using graph::PortId;
 /// ⌈log₂ n⌉ even though `words` also carries a hop counter derivable from
 /// the round number); the accounting tests pin these charges to the
 /// closed forms documented in net/construction.hpp. `words` is a view:
-/// send() copies it, and in a Received it views the delivered arena, valid
+/// send() copies it, and in a Received it views the sender's outbox, valid
 /// only for the duration of the on_round call.
 struct Message {
   std::uint16_t type = 0;
@@ -119,7 +124,8 @@ class Context {
 
   /// Queues m for delivery over port p next round (copies m.words).
   void send(PortId p, const Message& m);
-  /// Queues one copy of m per incident port (stores m.words once).
+  /// Queues one copy of m per incident port (one record, m.words stored
+  /// once).
   void send_all(const Message& m);
   /// Names the current phase in the engine's per-phase stats breakdown
   /// (all nodes of a well-formed protocol pass the same label).
@@ -130,9 +136,9 @@ class Context {
   Context(const Engine* eng, NodeId id, Outbox* out)
       : eng_(eng), id_(id), out_(out) {}
 
-  /// Queues one flight over port p whose words start at `offset` of the
-  /// outbox buffer.
-  void queue(PortId p, const Message& m, std::size_t offset);
+  /// Queues one record over port p (or every port) charged as `copies`
+  /// messages, copying m.words into the outbox buffer.
+  void queue(PortId p, const Message& m, std::size_t copies);
 
   const Engine* eng_;
   NodeId id_;

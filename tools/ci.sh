@@ -127,9 +127,9 @@ for stage in "${STAGES[@]}"; do
       exit 1
     }
     # The construction and churn sweeps promise the same bytes at any
-    # thread count: the CONGEST engine's range-ordered outbox merge keeps
-    # the first, and each churn cell runs on its own seeds and counts work,
-    # not time.
+    # thread count: the CONGEST engine delivers from its outboxes in range
+    # order, which is ascending sender order at any width, and each churn
+    # cell runs on its own seeds and counts work, not time.
     for bench in construction churn; do
       for threads in 1 8; do
         echo "=== [$stage] bench_$bench --threads $threads ==="
