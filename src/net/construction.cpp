@@ -1,12 +1,13 @@
 #include "net/construction.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <compare>
 #include <limits>
 #include <map>
 #include <random>
-#include <set>
+#include <tuple>
 #include <utility>
 
 #include "bitio/bit_stream.hpp"
@@ -15,6 +16,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "schemes/errors.hpp"
 #include "schemes/landmark_table.hpp"
 
@@ -145,6 +147,7 @@ const char* to_string(ConstructStatus status) noexcept {
 ConstructionResult distributed_compact_construction(
     const graph::Graph& g, const schemes::CompactNodeOptions& options,
     const ProtocolOptions& protocol) {
+  const obs::TraceSpan span("net.construct.compact");
   const std::size_t n = g.node_count();
   const unsigned id_width = bitio::id_width(n);
 
@@ -195,6 +198,7 @@ ConstructionResult distributed_compact_construction(
   // Every node now builds its table from its exact 2-hop view. This is
   // pure local computation; parallelizing it is outside the CONGEST cost
   // model and deterministic (index-ordered merge).
+  const obs::TraceSpan encode_span("net.construct.encode");
   struct Built {
     bitio::BitVector bits;
     std::string error;
@@ -370,6 +374,7 @@ class FullTableNode final : public congest::ProtocolNode {
 
 FullTableConstructionResult distributed_full_table_construction(
     const graph::Graph& g, const ProtocolOptions& protocol) {
+  const obs::TraceSpan span("net.construct.full_table");
   const std::size_t n = g.node_count();
   const unsigned id_width = bitio::id_width(n);
   const unsigned cnt_width = bitio::ceil_log2_plus1(n);
@@ -408,6 +413,7 @@ FullTableConstructionResult distributed_full_table_construction(
     return result;
   }
 
+  const obs::TraceSpan encode_span("net.construct.encode");
   result.node_tables.resize(n);
   for (NodeId u = 0; u < n; ++u) {
     const unsigned width = bitio::port_width(g.degree(u));
@@ -437,8 +443,88 @@ struct TzShared {
   std::size_t cap = 0;
   std::size_t max_attempts = 0;
   double p = 1.0;
+  std::size_t expected_landmarks = 0;  // ⌈p·n⌉, what a sample holds
   std::vector<double> uniforms;  // max_attempts · n draws of Rng(seed)
+  /// Phase labels of attempt a, built once per attempt for every node.
+  struct AttemptLabels {
+    std::string flood, announce, veto;
+  };
+  std::vector<AttemptLabels> labels;  // max_attempts entries
 };
+
+/// A set of node ids in one open-addressed table sized by what it holds,
+/// never by n: O(1) membership for the per-message tests of the landmark
+/// flood and of the veto and registration forwards.
+class IdSet {
+ public:
+  [[nodiscard]] bool contains(NodeId v) const {
+    if (slots_.empty()) return false;
+    for (std::size_t i = slot(v);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == v) return true;
+      if (slots_[i] == kFree) return false;
+    }
+  }
+
+  /// Adds v; true when it was absent.
+  bool insert(NodeId v) {
+    if (2 * (size_ + 1) > slots_.size()) reserve(size_ + 1);
+    std::size_t i = slot(v);
+    for (; slots_[i] != kFree; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == v) return false;
+    }
+    slots_[i] = v;
+    ++size_;
+    return true;
+  }
+
+  /// Empties the set, keeping its table.
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), kFree);
+    size_ = 0;
+  }
+
+  /// Sizes the table to hold `count` ids at most half full.
+  void reserve(std::size_t count) {
+    const std::size_t want = std::bit_ceil(std::max<std::size_t>(16, 2 * count));
+    if (want <= slots_.size()) return;
+    const std::vector<NodeId> old =
+        std::exchange(slots_, std::vector<NodeId>(want, kFree));
+    shift_ = 64 - std::countr_zero(want);
+    size_ = 0;
+    for (const NodeId v : old) {
+      if (v != kFree) insert(v);
+    }
+  }
+
+ private:
+  static constexpr NodeId kFree = std::numeric_limits<NodeId>::max();
+
+  /// Fibonacci hashing: the top log2(slots) bits of v·2⁶⁴/φ.
+  [[nodiscard]] std::size_t slot(NodeId v) const {
+    return static_cast<std::size_t>((v * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  std::vector<NodeId> slots_;  // a power of two of them, or none
+  std::size_t size_ = 0;
+  unsigned shift_ = 64;
+};
+
+/// Merges `fresh` (ascending by `key`, no key in `into`) into `into`
+/// (ascending by `key`) from the back, in place.
+template <typename Entry, typename Key>
+void merge_fresh(std::vector<Entry>& into, const std::vector<Entry>& fresh,
+                 Key Entry::*key) {
+  std::size_t i = into.size();
+  std::size_t j = fresh.size();
+  into.resize(i + j);
+  for (std::size_t k = into.size(); j > 0;) {
+    if (i > 0 && into[i - 1].*key > fresh[j - 1].*key) {
+      into[--k] = into[--i];
+    } else {
+      into[--k] = fresh[--j];
+    }
+  }
+}
 
 class TzNode final : public congest::ProtocolNode {
  public:
@@ -562,17 +648,26 @@ class TzNode final : public congest::ProtocolNode {
     std::uint32_t parents_begin = 0;
     std::uint32_t parents_count = 0;
   };
+  /// What v's announcement taught this node: its hop count h = d(x, v),
+  /// d(v, A), and the least port it arrived over at hop h.
   struct AnnEntry {
+    NodeId node = 0;
     std::uint32_t h = 0;
     std::uint32_t dva = 0;
     PortId port = 0;
     bool in_cluster = false;
   };
+  /// The least port a registration for v arrived over, at landmarks.
+  struct ExitEntry {
+    NodeId node = 0;
+    PortId port = 0;
+    friend auto operator<=>(const ExitEntry&, const ExitEntry&) = default;
+  };
 
   std::vector<LmEntry> lm_;      // ascending by landmark
   std::vector<PortId> parents_;  // the BFS parents of every lm_ entry
-  std::map<NodeId, AnnEntry> ann_;
-  std::map<NodeId, PortId> exit_learned_;  // populated at landmarks
+  std::vector<AnnEntry> ann_;    // ascending by node
+  std::vector<ExitEntry> exit_learned_;  // ascending by node
   std::uint32_t dva_ = 0;
   NodeId l_of_ = 0;
   std::size_t attempt_ = 0;
@@ -602,6 +697,14 @@ class TzNode final : public congest::ProtocolNode {
         lm_.begin(), lm_.end(), l,
         [](const LmEntry& e, NodeId key) { return e.landmark < key; });
     return it != lm_.end() && it->landmark == l ? &*it : nullptr;
+  }
+
+  /// ann_'s entry for v, or nullptr when v's announcement never came.
+  [[nodiscard]] const AnnEntry* find_ann(NodeId v) const {
+    const auto it = std::lower_bound(
+        ann_.begin(), ann_.end(), v,
+        [](const AnnEntry& e, NodeId key) { return e.node < key; });
+    return it != ann_.end() && it->node == v ? &*it : nullptr;
   }
 
   [[nodiscard]] std::span<const PortId> parents_of(const LmEntry& e) const {
@@ -689,6 +792,8 @@ class TzNode final : public congest::ProtocolNode {
 
   void start_attempt(Context& ctx) {
     lm_.clear();
+    lm_known_.clear();
+    lm_known_.reserve(shared_->expected_landmarks);
     parents_.clear();
     ann_.clear();
     veto_seen_.clear();
@@ -696,10 +801,11 @@ class TzNode final : public congest::ProtocolNode {
     veto_any_ = false;
     state_ = St::kFlood;
     ctx.label_phase(degenerate_ ? "tz.flood degenerate"
-                                : "tz.flood a" + std::to_string(attempt_));
+                                : shared_->labels[attempt_].flood);
     lm_self_ = degenerate_ ? id_ == 0 : coin(attempt_);
     if (lm_self_) {
       lm_.push_back(LmEntry{.landmark = id_});
+      lm_known_.insert(id_);
       const std::uint32_t words[] = {token(), id_, 1};
       ctx.send_all(
           {.type = kMsgTzLm, .bits = shared_->id_width, .words = words});
@@ -715,7 +821,7 @@ class TzNode final : public congest::ProtocolNode {
     for (const Received& r : inbox) {
       if (!tagged(r, kMsgTzLm)) continue;
       const NodeId l = r.msg.words[1];
-      if (find_lm(l) == nullptr) hits_.push_back({l, r.msg.words[2], r.port});
+      if (!lm_known_.contains(l)) hits_.push_back({l, r.msg.words[2], r.port});
     }
     std::sort(hits_.begin(), hits_.end());
     fresh_.clear();
@@ -729,21 +835,12 @@ class TzNode final : public congest::ProtocolNode {
         ++e.parents_count;
       }
       fresh_.push_back(e);
+      lm_known_.insert(e.landmark);
       const std::uint32_t words[] = {token(), e.landmark, e.dist + 1};
       ctx.send_all(
           {.type = kMsgTzLm, .bits = shared_->id_width, .words = words});
     }
-    // Merge the new entries (ascending, none in lm_) into lm_ from the back.
-    std::size_t i = lm_.size();
-    std::size_t j = fresh_.size();
-    lm_.resize(i + j);
-    for (std::size_t k = lm_.size(); j > 0;) {
-      if (i > 0 && lm_[i - 1].landmark > fresh_[j - 1].landmark) {
-        lm_[--k] = lm_[--i];
-      } else {
-        lm_[--k] = fresh_[--j];
-      }
-    }
+    merge_fresh(lm_, fresh_, &LmEntry::landmark);
   }
 
   bool pulse_flood(Context& ctx) {
@@ -757,7 +854,7 @@ class TzNode final : public congest::ProtocolNode {
     }
     state_ = St::kAnnounce;
     ctx.label_phase(degenerate_ ? "tz.announce degenerate"
-                                : "tz.announce a" + std::to_string(attempt_));
+                                : shared_->labels[attempt_].announce);
     if (dva_ >= 1) {
       const std::uint32_t words[] = {token(), id_, dva_, 1};
       ctx.send_all({.type = kMsgTzAnn,
@@ -768,45 +865,45 @@ class TzNode final : public congest::ProtocolNode {
   }
 
   void round_announce(Context& ctx, std::span<const Received> inbox) {
-    struct Stage {
-      std::uint32_t h = graph::kUnreachable;
-      std::uint32_t dva = 0;
-      PortId port = 0;
-    };
-    std::map<NodeId, Stage> stage;
+    // Stage the announcements of nodes not yet heard from, then keep each
+    // node's least (hop, port) and forward in ascending node order.
+    ann_stage_.clear();
     for (const Received& r : inbox) {
       if (!tagged(r, kMsgTzAnn)) continue;
       const NodeId v = r.msg.words[1];
-      if (v == id_ || ann_.count(v) != 0) continue;
-      const std::uint32_t dva = r.msg.words[2];
-      const std::uint32_t h = r.msg.words[3];
-      Stage& s = stage[v];
-      if (h < s.h || (h == s.h && r.port < s.port)) {
-        s = Stage{h, dva, r.port};
-      }
+      if (v == id_ || find_ann(v) != nullptr) continue;
+      ann_stage_.push_back({.node = v,
+                            .h = r.msg.words[3],
+                            .dva = r.msg.words[2],
+                            .port = r.port});
     }
-    for (const auto& [v, s] : stage) {
-      AnnEntry e;
-      e.h = s.h;
-      e.dva = s.dva;
-      e.port = s.port;
-      e.in_cluster = s.h < s.dva;
-      ann_.emplace(v, e);
-      if (s.h < s.dva) {  // interior of v's strict ball: keep flooding
-        const std::uint32_t words[] = {token(), v, s.dva, s.h + 1};
+    std::sort(ann_stage_.begin(), ann_stage_.end(),
+              [](const AnnEntry& a, const AnnEntry& b) {
+                return std::tie(a.node, a.h, a.port) <
+                       std::tie(b.node, b.h, b.port);
+              });
+    ann_fresh_.clear();
+    for (std::size_t i = 0; i < ann_stage_.size(); ++i) {
+      AnnEntry e = ann_stage_[i];
+      if (i > 0 && ann_stage_[i - 1].node == e.node) continue;
+      e.in_cluster = e.h < e.dva;
+      ann_fresh_.push_back(e);
+      if (e.in_cluster) {  // interior of v's strict ball: keep flooding
+        const std::uint32_t words[] = {token(), e.node, e.dva, e.h + 1};
         ctx.send_all({.type = kMsgTzAnn,
                       .bits = shared_->id_width + shared_->cnt_width,
                       .words = words});
       }
     }
+    merge_fresh(ann_, ann_fresh_, &AnnEntry::node);
   }
 
   bool pulse_announce(Context& ctx) {
     if (degenerate_) return accept_attempt(ctx);  // fallback skips the cap
     std::size_t cluster = 0;
-    for (const auto& [v, e] : ann_) cluster += e.in_cluster ? 1 : 0;
+    for (const AnnEntry& e : ann_) cluster += e.in_cluster ? 1 : 0;
     state_ = St::kVeto;
-    ctx.label_phase("tz.veto a" + std::to_string(attempt_));
+    ctx.label_phase(shared_->labels[attempt_].veto);
     if (cluster > shared_->cap) {
       veto_any_ = true;
       veto_max_ = std::max(veto_max_, cluster);
@@ -826,7 +923,7 @@ class TzNode final : public congest::ProtocolNode {
       const NodeId origin = r.msg.words[1];
       veto_any_ = true;
       veto_max_ = std::max<std::size_t>(veto_max_, r.msg.words[2]);
-      if (veto_seen_.insert(origin).second) ctx.send_all(r.msg);
+      if (veto_seen_.insert(origin)) ctx.send_all(r.msg);
     }
   }
 
@@ -900,13 +997,10 @@ class TzNode final : public congest::ProtocolNode {
       const NodeId v = r.msg.words[1];
       const NodeId l = r.msg.words[2];
       if (l == id_) {
-        // All shortest-path successors toward v report in the same round;
-        // keep the least port = least id.
-        const auto [it, fresh] = exit_learned_.try_emplace(v, r.port);
-        if (!fresh && r.port < it->second) it->second = r.port;
+        exit_stage_.push_back({v, r.port});
         continue;
       }
-      if (!reg_seen_.insert(v).second) continue;
+      if (!reg_seen_.insert(v)) continue;
       const LmEntry* e = find_lm(l);
       if (e == nullptr) {
         flag_.raise(ConstructStatus::kInconsistent,
@@ -919,6 +1013,19 @@ class TzNode final : public congest::ProtocolNode {
                      .words = words});
       }
     }
+    // All shortest-path successors toward v report in the same round; keep
+    // the least port = least id.
+    if (exit_stage_.empty()) return;
+    exit_learned_.insert(exit_learned_.end(), exit_stage_.begin(),
+                         exit_stage_.end());
+    exit_stage_.clear();
+    std::sort(exit_learned_.begin(), exit_learned_.end());
+    exit_learned_.erase(
+        std::unique(exit_learned_.begin(), exit_learned_.end(),
+                    [](const ExitEntry& a, const ExitEntry& b) {
+                      return a.node == b.node;
+                    }),
+        exit_learned_.end());
   }
 
   void enter_audit(Context& ctx) {
@@ -933,29 +1040,33 @@ class TzNode final : public congest::ProtocolNode {
     }
     std::vector<std::uint32_t> words{token(),
                                      static_cast<std::uint32_t>(lm_.size())};
+    words.reserve(3 + 2 * lm_.size() + 3 * (ann_.size() + 1));
     for (const LmEntry& e : lm_) {
       words.push_back(e.landmark);
       words.push_back(e.dist);
     }
-    // Cluster entries (v, d̂(v), d(v, A)) plus a self entry — the seed of
-    // the neighbour-by-neighbour completeness induction.
-    std::vector<std::array<std::uint32_t, 3>> entries;
-    for (const auto& [v, e] : ann_) {
-      if (e.in_cluster) entries.push_back({v, e.h, e.dva});
+    // Cluster entries (v, d̂(v), d(v, A)) ascending by v, plus a self entry
+    // — the seed of the neighbour-by-neighbour completeness induction.
+    const std::size_t count_at = words.size();
+    words.push_back(0);  // the entry count, patched below
+    bool self = dva_ >= 1 && dva_ != graph::kUnreachable;
+    for (const AnnEntry& e : ann_) {
+      if (self && e.node > id_) {
+        words.insert(words.end(), {id_, 0, dva_});
+        self = false;
+      }
+      if (e.in_cluster) words.insert(words.end(), {e.node, e.h, e.dva});
     }
-    if (dva_ >= 1 && dva_ != graph::kUnreachable) {
-      entries.push_back({id_, 0, dva_});
-      std::sort(entries.begin(), entries.end());
-    }
-    words.push_back(static_cast<std::uint32_t>(entries.size()));
-    for (const auto& e : entries) words.insert(words.end(), e.begin(), e.end());
+    if (self) words.insert(words.end(), {id_, 0, dva_});
+    const auto entries =
+        static_cast<std::uint32_t>((words.size() - count_at - 1) / 3);
+    words[count_at] = entries;
     ctx.send_all(
         {.type = kMsgTzAudit,
          .bits = 2 * shared_->cnt_width +
                  static_cast<std::uint32_t>(lm_.size()) *
                      (shared_->id_width + shared_->cnt_width) +
-                 static_cast<std::uint32_t>(entries.size()) *
-                     (shared_->id_width + 2 * shared_->cnt_width),
+                 entries * (shared_->id_width + 2 * shared_->cnt_width),
          .words = words});
   }
 
@@ -990,7 +1101,9 @@ class TzNode final : public congest::ProtocolNode {
                     "landmark sets disagree across a link");
         continue;
       }
+      // The entries ascend by node (enter_audit), so one cursor walks ann_.
       const std::size_t entries = r.msg.words[i++];
+      auto it = ann_.begin();
       for (std::size_t k = 0; k < entries; ++k) {
         const NodeId v = r.msg.words[i++];
         const std::uint32_t h_they = r.msg.words[i++];
@@ -1002,17 +1115,17 @@ class TzNode final : public congest::ProtocolNode {
           }
           continue;
         }
-        const auto it = ann_.find(v);
-        if (it == ann_.end()) {
+        while (it != ann_.end() && it->node < v) ++it;
+        if (it == ann_.end() || it->node != v) {
           if (h_they + 1 < dva_v) {
             flag_.raise(ConstructStatus::kInconsistent,
                         "cluster completeness violation");
           }
           continue;
         }
-        const std::uint32_t h_mine = it->second.h;
+        const std::uint32_t h_mine = it->h;
         if ((h_they > h_mine ? h_they - h_mine : h_mine - h_they) > 1 ||
-            it->second.dva != dva_v) {
+            it->dva != dva_v) {
           flag_.raise(ConstructStatus::kInconsistent,
                       "ball distance Lipschitz violation");
         }
@@ -1040,7 +1153,7 @@ class TzNode final : public congest::ProtocolNode {
   // Election.
   bool lm_self_ = false;
   bool degenerate_ = false;
-  std::set<NodeId> veto_seen_;
+  IdSet veto_seen_;
   std::size_t veto_max_ = 0;
   bool veto_any_ = false;
   bool have_best_ = false;
@@ -1048,22 +1161,26 @@ class TzNode final : public congest::ProtocolNode {
   std::size_t best_max_ = std::numeric_limits<std::size_t>::max();
   std::vector<LmEntry> best_lm_;
   std::vector<PortId> best_parents_;
-  std::map<NodeId, AnnEntry> best_ann_;
+  std::vector<AnnEntry> best_ann_;
   bool best_lm_self_ = false;
 
   // Registration / audit.
-  std::set<NodeId> reg_seen_;
+  IdSet reg_seen_;
+  std::vector<ExitEntry> exit_stage_;
   std::size_t audit_msgs_ = 0;
 
-  // Landmark-flood staging, reused every round.
+  // Landmark-flood and announce staging, reused every round.
   struct Hit {
     NodeId landmark = 0;
     std::uint32_t hop = 0;
     PortId port = 0;
     friend auto operator<=>(const Hit&, const Hit&) = default;
   };
+  IdSet lm_known_;  // lm_'s landmarks, while the flood runs
   std::vector<Hit> hits_;
   std::vector<LmEntry> fresh_;
+  std::vector<AnnEntry> ann_stage_;
+  std::vector<AnnEntry> ann_fresh_;
 };
 
 /// Sum of `rounds` over phase rows whose label starts with `prefix`.
@@ -1081,6 +1198,7 @@ std::size_t rounds_for(const std::vector<congest::PhaseStats>& rows,
 TzConstructionResult distributed_tz_construction(
     const graph::Graph& g, const schemes::TzOptions& options,
     const ProtocolOptions& protocol) {
+  const obs::TraceSpan span("net.construct.tz");
   const std::size_t n = g.node_count();
   if (!graph::is_connected(g)) {
     throw schemes::SchemeInapplicable("tz: graph disconnected");
@@ -1096,6 +1214,8 @@ TzConstructionResult distributed_tz_construction(
                                                   n)) /
                                               static_cast<double>(n)))
                     : 1.0;
+  shared.expected_landmarks =
+      static_cast<std::size_t>(std::ceil(shared.p * static_cast<double>(n)));
   // The exact stream the centralized sampler consumes: n draws per
   // attempt, in node order, from one mt19937_64(seed).
   graph::Rng rng(options.seed);
@@ -1103,6 +1223,11 @@ TzConstructionResult distributed_tz_construction(
   shared.uniforms.reserve(shared.max_attempts * n);
   for (std::size_t i = 0; i < shared.max_attempts * n; ++i) {
     shared.uniforms.push_back(unit(rng));
+  }
+  for (std::size_t a = 0; a < shared.max_attempts; ++a) {
+    const std::string suffix = " a" + std::to_string(a);
+    shared.labels.push_back({"tz.flood" + suffix, "tz.announce" + suffix,
+                             "tz.veto" + suffix});
   }
 
   std::vector<std::unique_ptr<TzNode>> nodes;
@@ -1161,26 +1286,29 @@ TzConstructionResult distributed_tz_construction(
 
   // Encode each node's table from its learned state through the encoder
   // TzScheme's central build uses.
-  std::vector<bitio::BitVector> node_bits(n);
-  for (NodeId w = 0; w < n; ++w) {
-    std::vector<PortId> ports;
-    for (const auto& e : nodes[w]->lm_) {  // the landmark set, in order
-      ports.push_back(e.landmark == w ? 0 : e.least_port);
+  {
+    const obs::TraceSpan encode_span("net.construct.encode");
+    std::vector<bitio::BitVector> node_bits(n);
+    for (NodeId w = 0; w < n; ++w) {
+      std::vector<PortId> ports;
+      for (const auto& e : nodes[w]->lm_) {  // the landmark set, in order
+        ports.push_back(e.landmark == w ? 0 : e.least_port);
+      }
+      std::vector<schemes::TableEntry> cluster;
+      for (const auto& e : nodes[w]->ann_) {
+        if (e.in_cluster) cluster.push_back({e.node, e.port});
+      }
+      node_bits[w] = schemes::build_landmark_node_bits(g, w, ports, cluster);
     }
-    std::vector<schemes::TableEntry> cluster;
-    for (const auto& [v, e] : nodes[w]->ann_) {
-      if (e.in_cluster) cluster.push_back({v, e.port});
+    try {
+      result.scheme = std::make_unique<schemes::TzScheme>(
+          g, landmarks, std::move(node_bits));
+    } catch (const std::invalid_argument& e) {
+      result.status = ConstructStatus::kInvalidTables;
+      result.detail = e.what();
+      account("tz", run, result.status);
+      return result;
     }
-    node_bits[w] = schemes::build_landmark_node_bits(g, w, ports, cluster);
-  }
-  try {
-    result.scheme = std::make_unique<schemes::TzScheme>(
-        g, landmarks, std::move(node_bits));
-  } catch (const std::invalid_argument& e) {
-    result.status = ConstructStatus::kInvalidTables;
-    result.detail = e.what();
-    account("tz", run, result.status);
-    return result;
   }
   // Learned per-node data the differential tests compare against the
   // centralized builder. Each exit port l(v) learned must be the one the
@@ -1194,18 +1322,20 @@ TzConstructionResult distributed_tz_construction(
     if (nodes[v]->dva_ == 0) continue;
     const NodeId l = result.landmark_of[v];
     const auto& learned = nodes[l]->exit_learned_;
-    const auto it = learned.find(v);
+    const auto it = std::lower_bound(
+        learned.begin(), learned.end(), v,
+        [](const auto& e, NodeId key) { return e.node < key; });
     ConstructStatus bad = ConstructStatus::kOk;
     std::string what;
-    if (it == learned.end()) {
+    if (it == learned.end() || it->node != v) {
       bad = ConstructStatus::kIncompleteInfo;
       what = "landmark " + std::to_string(l) + " never learned its exit port";
     } else {
-      result.exit_ports[v] = it->second;
-      if (it->second != result.scheme->exit_port(v)) {
+      result.exit_ports[v] = it->port;
+      if (it->port != result.scheme->exit_port(v)) {
         bad = ConstructStatus::kInconsistent;
         what = "landmark " + std::to_string(l) + " learned exit port " +
-               std::to_string(it->second) + ", the label carries " +
+               std::to_string(it->port) + ", the label carries " +
                std::to_string(result.scheme->exit_port(v));
       }
     }

@@ -63,6 +63,11 @@
 // into kStalled). Message loss is charged to the sender; `dropped`
 // reports it.
 //
+// Tracing: under an obs::TraceScope each protocol records one span,
+// net.construct.compact, net.construct.full_table or net.construct.tz,
+// around the engine's net.congest.* spans, plus one net.construct.encode
+// child around its post-run table encode (and, for TZ, the scheme build).
+//
 // TZ exit ports: a fault during the registration flood can pass the audit
 // and still leave l(v) without v's label exit port (no registration
 // arrived) or holding a non-least successor's port (the least one's copy
