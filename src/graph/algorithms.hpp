@@ -31,13 +31,26 @@ inline constexpr std::uint32_t kUnreachable =
 /// passes of up to 64; a pass of more than 2e sources runs as one
 /// bit-parallel BFS (Then et al., "The More the Merrier: Efficient
 /// Multi-Source Graph Traversal", PVLDB 8(4), 2014) — a 64-bit seen and
-/// frontier mask per node, the neighbour slices swept once per level, at
-/// most 2e sweeps where per-row BFS would take one per source. Every other
-/// pass, and every pass on a disconnected graph, runs per-row BFS.
-/// Returns how many rows came from bit-parallel passes.
-/// Precondition: out.size() == sources.size() · n.
+/// frontier mask per node, one pull sweep per level in which each node ORs
+/// its neighbours' frontier words, at most 2e sweeps where per-row BFS
+/// would take one per source. Every other pass, and every pass on a
+/// disconnected graph, runs per-row BFS. least_ports runs the same passes
+/// and the same sweep. Returns how many rows came from bit-parallel
+/// passes. Precondition: out.size() == sources.size() · n.
 std::size_t bfs_rows(const Graph& g, std::span<const NodeId> sources,
                      std::span<std::uint32_t> out);
+
+/// Every node's port toward every target, k = targets.size():
+/// out[w·k + i] receives the rank, in w's sorted neighbours, of w's least
+/// neighbour one step closer to targets[i], so w's ports are one row in
+/// target order. Nothing is written at a target itself or at a node the
+/// target does not reach. The passes are bfs_rows': in a bit-parallel
+/// pass's sweep, node w scans its ports in order and takes, for each
+/// target bit, the first port whose neighbour carries that bit in the
+/// frontier; a per-row pass scans w's neighbours against one BFS row.
+/// Precondition: out.size() == k · n.
+void least_ports(const Graph& g, std::span<const NodeId> targets,
+                 std::span<std::uint32_t> out);
 
 /// All-pairs shortest-path distances, as a flat n×n row-major matrix.
 /// The one all-pairs type: DistanceCache shares immutable instances, and

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <compare>
 #include <limits>
-#include <map>
 #include <random>
 #include <tuple>
 #include <utility>
@@ -270,26 +269,25 @@ class FullTableNode final : public congest::ProtocolNode {
   void on_round(Context& ctx, std::span<const Received> inbox) override {
     if (state_ == St::kFlood) {
       // First receptions only; within the round take the least hop, then
-      // the least arrival port (= least sender id: ports are sorted).
-      std::map<NodeId, std::pair<std::uint32_t, PortId>> stage;
+      // the least arrival port (= least sender id: ports are sorted), and
+      // forward in ascending source order.
+      stage_.clear();
       for (const Received& r : inbox) {
         if (r.msg.type != kMsgFtFlood) {
           flag_.raise(ConstructStatus::kInconsistent, "unexpected message");
           continue;
         }
         const NodeId v = r.msg.words[0];
-        const std::uint32_t h = r.msg.words[1];
         if (dist_[v] != graph::kUnreachable) continue;
-        auto [it, fresh] = stage.try_emplace(v, h, r.port);
-        if (!fresh && (h < it->second.first ||
-                       (h == it->second.first && r.port < it->second.second))) {
-          it->second = {h, r.port};
-        }
+        stage_.push_back({v, r.msg.words[1], r.port});
       }
-      for (const auto& [v, hp] : stage) {
-        dist_[v] = hp.first;
-        port_[v] = hp.second;
-        const std::uint32_t words[] = {v, hp.first + 1};
+      std::sort(stage_.begin(), stage_.end());
+      for (std::size_t i = 0; i < stage_.size(); ++i) {
+        const Staged& e = stage_[i];
+        if (i > 0 && stage_[i - 1].source == e.source) continue;
+        dist_[e.source] = e.hop;
+        port_[e.source] = e.port;
+        const std::uint32_t words[] = {e.source, e.hop + 1};
         ctx.send_all({.type = kMsgFtFlood, .bits = id_width_, .words = words});
       }
       return;
@@ -362,12 +360,20 @@ class FullTableNode final : public congest::ProtocolNode {
 
  private:
   enum class St : std::uint8_t { kFlood, kAudit, kDone };
+  // One flood reception, staged for the round; reused every round.
+  struct Staged {
+    NodeId source = 0;
+    std::uint32_t hop = 0;
+    PortId port = 0;
+    friend auto operator<=>(const Staged&, const Staged&) = default;
+  };
   std::size_t n_;
   unsigned id_width_;
   unsigned cnt_width_;
   St state_ = St::kFlood;
   std::size_t audit_msgs_ = 0;
   NodeFlag flag_;
+  std::vector<Staged> stage_;
 };
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <compare>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "bitio/bit_stream.hpp"
@@ -220,13 +221,33 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
   };
   std::vector<std::vector<Entry>> entries(n_);
 
-  // (T) every node resolves every top pivot: one BFS per top pivot.
-  for (NodeId t : pivot_sets_[levels_ - 1]) {
-    const std::vector<std::uint32_t> row = graph::bfs_distances(g, t);
-    for (NodeId w = 0; w < n_; ++w) {
-      if (w != t) entries[w].push_back({t, false, least_port(g, row, w)});
+  // Every node's ports toward up to 64 targets at a time from
+  // graph::least_ports, so no more than 64·n ports are held:
+  // use(pass, ports) finds w's port toward pass[i] at ports[w·|pass| + i].
+  using Ports = std::span<const graph::PortId>;
+  const auto in_port_passes = [&](std::span<const NodeId> targets,
+                                  const auto& use) {
+    constexpr std::size_t kPass = 64;
+    for (std::size_t first = 0; first < targets.size(); first += kPass) {
+      const auto pass =
+          targets.subspan(first, std::min(kPass, targets.size() - first));
+      std::vector<graph::PortId> ports(n_ * pass.size(), 0);
+      graph::least_ports(g, pass, ports);
+      use(pass, Ports(ports));
     }
-  }
+  };
+
+  // (T) every node resolves every top pivot.
+  in_port_passes(pivot_sets_[levels_ - 1], [&](std::span<const NodeId> pass,
+                                               Ports ports) {
+    for (NodeId w = 0; w < n_; ++w) {
+      for (std::size_t i = 0; i < pass.size(); ++i) {
+        if (w != pass[i]) {
+          entries[w].push_back({pass[i], false, ports[w * pass.size() + i]});
+        }
+      }
+    }
+  });
   // (V) vicinity C(w) = {v : d(w, v) ≤ d(v, p₁(v))}, i.e. the cluster
   // under r = d(·, A₁) + 1.
   std::vector<std::uint32_t> radius =
@@ -240,7 +261,7 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
   }
   // (H) installed handoff paths: for i ≥ 2, one shortest path from every
   // level-i pivot t to each child pivot x = p_{i−1}(v) of its members.
-  // Legs are grouped by x, so one BFS row from x at a time serves them.
+  // Legs are grouped by x, and one port pass serves up to 64 of the x.
   std::vector<std::pair<NodeId, NodeId>> legs;  // (x, t)
   for (std::size_t i = 2; i < levels_; ++i) {
     for (NodeId v = 0; v < n_; ++v) {
@@ -251,18 +272,27 @@ HierarchicalScheme::HierarchicalScheme(const graph::Graph& g, Options options)
   }
   std::sort(legs.begin(), legs.end());
   legs.erase(std::unique(legs.begin(), legs.end()), legs.end());
-  std::vector<std::uint32_t> row;
-  for (std::size_t j = 0; j < legs.size(); ++j) {
-    const auto [x, t] = legs[j];
-    if (j == 0 || legs[j - 1].first != x) row = graph::bfs_distances(g, x);
-    // Walk the canonical (least-successor) shortest path t → x, installing
-    // an entry for x at every node before x.
-    for (NodeId at = t; at != x;) {
-      const graph::PortId port = least_port(g, row, at);
-      entries[at].push_back({x, true, port});
-      at = g.neighbor_at(at, port);
+  std::vector<NodeId> children;  // the distinct x, ascending
+  for (const auto& leg : legs) {
+    if (children.empty() || children.back() != leg.first) {
+      children.push_back(leg.first);
     }
   }
+  std::size_t j = 0;  // the first leg not yet walked
+  in_port_passes(children, [&](std::span<const NodeId> pass, Ports ports) {
+    for (std::size_t c = 0; c < pass.size(); ++c) {
+      const NodeId x = pass[c];
+      // Walk the canonical (least-successor) shortest path t → x of each
+      // leg, installing an entry for x at every node before x.
+      for (; j < legs.size() && legs[j].first == x; ++j) {
+        for (NodeId at = legs[j].second; at != x;) {
+          const graph::PortId port = ports[at * pass.size() + c];
+          entries[at].push_back({x, true, port});
+          at = g.neighbor_at(at, port);
+        }
+      }
+    }
+  });
 
   // Serialize: a prime-coded entry count, then (target, port, installed)
   // in increasing target order.

@@ -13,10 +13,10 @@
 //     entry for x at every node of one fixed shortest t→x path (the
 //     label-switched-path trick real hierarchies use).
 // Every port is the rank of the least shortest-path successor, read from
-// the cluster layer (schemes/landmark_table.hpp): (T) from one BFS per
-// top pivot, (V) from ClusterBfs under r = d(·, A₁) + 1, and (H) from one
-// BFS per child pivot, one row alive at a time. No all-pairs matrix is
-// built or read.
+// the cluster layer (schemes/landmark_table.hpp): (T) from
+// graph::least_ports over the top pivots, (V) from ClusterBfs under
+// r = d(·, A₁) + 1, and (H) from graph::least_ports over up to 64 child
+// pivots at a time. No all-pairs matrix is built or read.
 //
 // Routing (waypoint in the message header): head for the lowest-level
 // pivot of the destination you can resolve — vicinity entries self-sustain

@@ -5,6 +5,7 @@
 
 #include "bitio/bit_stream.hpp"
 #include "bitio/codes.hpp"
+#include "obs/trace.hpp"
 
 namespace optrt::schemes {
 
@@ -44,17 +45,6 @@ NearestLandmarks nearest_landmarks(
     }
   }
   return out;
-}
-
-graph::PortId least_port(const graph::Graph& g,
-                         std::span<const std::uint32_t> row, graph::NodeId w) {
-  // Ports are sorted, so the port of the least successor is its rank.
-  const auto nbrs = g.neighbors(w);
-  const std::uint32_t next = row[w] - 1;
-  return static_cast<graph::PortId>(
-      std::find_if(nbrs.begin(), nbrs.end(),
-                   [&](graph::NodeId x) { return row[x] == next; }) -
-      nbrs.begin());
 }
 
 ClusterBfs::ClusterBfs(const graph::Graph& g, std::vector<std::uint32_t> r)
@@ -112,17 +102,12 @@ bitio::BitVector build_landmark_node_bits(
 std::vector<bitio::BitVector> build_landmark_tables(
     const graph::Graph& g, const std::vector<graph::NodeId>& landmarks,
     const std::vector<std::uint32_t>& r) {
+  const obs::TraceSpan span("schemes.landmark_tables.build");
   const std::size_t n = g.node_count();
   const std::size_t k = landmarks.size();
   // ports[w·k + i]: w's port toward landmark i (0 at the landmark itself).
   std::vector<graph::PortId> ports(n * k, 0);
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::vector<std::uint32_t> row =
-        graph::bfs_distances(g, landmarks[i]);
-    for (graph::NodeId w = 0; w < n; ++w) {
-      if (w != landmarks[i]) ports[w * k + i] = least_port(g, row, w);
-    }
-  }
+  graph::least_ports(g, landmarks, ports);
   ClusterBfs cluster_bfs(g, r);
   std::vector<TableEntry> listed;
   std::vector<bitio::BitVector> bits(n);

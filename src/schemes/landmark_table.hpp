@@ -12,8 +12,10 @@
 // node u on a shortest w–v path to a member v is itself a member:
 // d(w, u) = d(w, v) − d(u, v) < r(v) − d(u, v) ≤ r(u). So a BFS from w that
 // expands only members (ClusterBfs) finds each member at its exact distance
-// with its least first hop, and a port toward one pivot is read off one
-// distance row (least_port). No builder needs an all-pairs matrix.
+// with its least first hop. Ports toward the pivots come from
+// graph::least_ports, one bit-parallel sweep per BFS level for up to 64
+// pivots at a time, with no distance row kept per pivot. No builder needs
+// an all-pairs matrix.
 //
 // Node w of LandmarkScheme and TzScheme stores, at port width ⌈log₂ d(w)⌉
 // (ports in sorted neighbour order):
@@ -95,13 +97,6 @@ struct TableEntry {
   friend bool operator==(const TableEntry&, const TableEntry&) = default;
 };
 
-/// w's port toward one target t, read off the row d(·, t) of a BFS from t:
-/// the rank of w's least neighbour one step closer to t. Precondition:
-/// 0 < row[w] < ∞.
-[[nodiscard]] graph::PortId least_port(const graph::Graph& g,
-                                       std::span<const std::uint32_t> row,
-                                       graph::NodeId w);
-
 /// The bounded BFS over clusters C(w) = {v : d(w, v) < r(v)}. Exact when r
 /// meets the closure precondition above (r(v) = graph::kUnreachable admits
 /// every node reachable from w). A member u is expanded only while another
@@ -135,9 +130,10 @@ class ClusterBfs {
     std::span<const graph::PortId> landmark_ports,
     std::span<const TableEntry> listed);
 
-/// Every node's table: ports toward each landmark from one BFS per
-/// landmark, and the cluster C(w) under radii `r` from ClusterBfs. `g` must
-/// be connected and `r` must meet the closure precondition.
+/// Every node's table: ports toward each landmark from graph::least_ports,
+/// and the cluster C(w) under radii `r` from ClusterBfs. `g` must be
+/// connected and `r` must meet the closure precondition. Runs inside a
+/// `schemes.landmark_tables.build` span.
 [[nodiscard]] std::vector<bitio::BitVector> build_landmark_tables(
     const graph::Graph& g, const std::vector<graph::NodeId>& landmarks,
     const std::vector<std::uint32_t>& r);

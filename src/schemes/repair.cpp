@@ -9,6 +9,7 @@
 #include "graph/ports.hpp"
 #include "model/verifier.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "schemes/errors.hpp"
 
 namespace optrt::schemes {
@@ -67,6 +68,7 @@ void RepairableFullTable::encode(const std::vector<NodeId>& nodes) {
 
 model::RepairOutcome RepairableFullTable::apply_event(
     const model::TopologyEvent& event) {
+  const obs::TraceSpan span("schemes.repair.apply_event");
   toggle_edge(event);
   if (config_.force_rebuild) {
     dist_ = graph::DistanceMatrix(live_);
@@ -100,6 +102,7 @@ model::RepairOutcome RepairableFullTable::apply_event(
 template <class Scheme>
 model::RepairOutcome RepairableByRebuild<Scheme>::apply_event(
     const model::TopologyEvent& event) {
+  const obs::TraceSpan span("schemes.repair.apply_event");
   toggle_edge(event);
   try {
     scheme_ = std::make_unique<Scheme>(live_, options_);

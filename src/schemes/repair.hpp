@@ -14,6 +14,9 @@
 // encoder a fresh build calls. That is why the differential oracle can
 // demand bit-identity of every kind. RepairConfig::force_rebuild makes
 // full-table recompute every row and re-encode every table instead.
+//
+// Every apply_event, of either path, runs inside one
+// `schemes.repair.apply_event` span.
 #pragma once
 
 #include <memory>

@@ -21,8 +21,15 @@ std::size_t TzScheme::cluster_cap(std::size_t n) {
   return static_cast<std::size_t>(std::ceil(4.0 * std::sqrt(nd * std::log(nd))));
 }
 
-std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
-                                        const TzOptions& options) {
+namespace {
+
+/// The elected landmark set, ascending, and its nearest-landmark BFS.
+struct TzSample {
+  std::vector<NodeId> landmarks;
+  NearestLandmarks nearest;
+};
+
+TzSample tz_sample_landmarks(const graph::Graph& g, const TzOptions& options) {
   // Sample A with per-node probability √(ln n / n), tilted by normalized
   // degree (p_v ∝ deg(v), E|A| unchanged): the stretch-3 argument only
   // needs l(v) to be v's nearest landmark, so A is a free choice, and on
@@ -50,7 +57,7 @@ std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
   const std::size_t cap = TzScheme::cluster_cap(n);
   graph::Rng rng(options.seed);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
-  std::vector<NodeId> best;
+  TzSample best;
   std::size_t best_max = std::numeric_limits<std::size_t>::max();
   std::uint64_t resamples = 0;
   const std::size_t attempts = std::max<std::size_t>(options.max_resamples, 1);
@@ -63,22 +70,28 @@ std::vector<NodeId> tz_sample_landmarks(const graph::Graph& g,
       ++resamples;
       continue;
     }
-    ClusterBfs cluster_bfs(g, nearest_landmarks(g, sample).distance);
+    NearestLandmarks nearest = nearest_landmarks(g, sample);
+    ClusterBfs cluster_bfs(g, nearest.distance);
     std::size_t max_cluster = 0;
     for (NodeId w = 0; w < n; ++w) {
       max_cluster = std::max(max_cluster, cluster_bfs(w).size());
     }
     if (max_cluster < best_max) {
-      best = std::move(sample);
+      best = {std::move(sample), std::move(nearest)};
       best_max = max_cluster;
     }
     if (max_cluster <= cap) break;
     ++resamples;
   }
-  if (best.empty()) best.push_back(0);  // degenerate fallback: node 0
+  if (best.landmarks.empty()) {  // degenerate fallback: node 0
+    best.landmarks.push_back(0);
+    best.nearest = nearest_landmarks(g, best.landmarks);
+  }
   obs::counter("schemes.tz.resamples").inc(resamples);
-  return best;  // ascending by construction
+  return best;  // landmarks ascending by construction
 }
+
+}  // namespace
 
 class TzFastPath final : public model::DirectBatchFastPath<TzFastPath> {
  public:
@@ -119,11 +132,11 @@ TzScheme::TzScheme(const graph::Graph& g, Options options)
   if (!graph::is_connected(g)) {
     throw SchemeInapplicable("tz: graph disconnected");
   }
-  landmarks_ = tz_sample_landmarks(g, options);
-  NearestLandmarks nearest = nearest_landmarks(g, landmarks_);
+  TzSample sample = tz_sample_landmarks(g, options);
+  landmarks_ = std::move(sample.landmarks);
   std::vector<bitio::BitVector> bits =
-      build_landmark_tables(g, landmarks_, nearest.distance);
-  compile(g, std::move(bits), std::move(nearest));
+      build_landmark_tables(g, landmarks_, sample.nearest.distance);
+  compile(g, std::move(bits), std::move(sample.nearest));
 }
 
 TzScheme::TzScheme(const graph::Graph& g, std::vector<NodeId> landmarks,

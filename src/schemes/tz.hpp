@@ -42,16 +42,6 @@ struct TzOptions {
   std::size_t max_resamples = 32;
 };
 
-/// The landmark election, factored out of the constructor so incremental
-/// repair (schemes/repair.hpp) can replay it on every event: a pure
-/// function of (g, options) with a draw sequence pinned by tz_test —
-/// identical inputs yield the identical sorted landmark set the TzScheme
-/// constructor would sample. Each sample's cluster sizes come from one
-/// ClusterBfs under r = d(·, A) (schemes/landmark_table.hpp); no all-pairs
-/// matrix is read.
-[[nodiscard]] std::vector<NodeId> tz_sample_landmarks(
-    const graph::Graph& g, const TzOptions& options);
-
 class TzFastPath;
 struct NearestLandmarks;
 
@@ -59,11 +49,13 @@ class TzScheme final : public model::RoutingScheme {
  public:
   using Options = TzOptions;
 
-  /// Builds the tables from the cluster layer (schemes/landmark_table.hpp):
-  /// one BFS per landmark for the landmark ports and one ClusterBfs under
-  /// r = d(·, A) per node. No all-pairs matrix is built or read from
-  /// DistanceCache::global(). Throws SchemeInapplicable on disconnected
-  /// graphs.
+  /// Elects A: each sample's cluster sizes come from one ClusterBfs under
+  /// r = d(·, A), and the elected sample's nearest-landmark BFS serves the
+  /// build and the label tables. Builds the tables from the cluster layer
+  /// (schemes/landmark_table.hpp): graph::least_ports for the landmark
+  /// ports and one ClusterBfs per node. No all-pairs matrix is built or
+  /// read from DistanceCache::global(). Throws SchemeInapplicable on
+  /// disconnected graphs.
   explicit TzScheme(const graph::Graph& g, Options options = {});
 
   /// Reconstructs from serialized state: the sorted landmark set plus

@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/optrt.hpp"
@@ -487,6 +489,51 @@ TEST(ChurnWork, RebuildKindsHaveOnePath) {
     }
     EXPECT_EQ(reports[0], reports[1]);
   }
+}
+
+TEST(ChurnSession, SpansCountRepairsAndTzBuilds) {
+  // One schemes.repair.apply_event span per effective delta, of either
+  // repair path, and one schemes.landmark_tables.build span per TZ build:
+  // the repairable's own, one per rebuilt event and one per quiesce
+  // oracle's fresh build. Link churn keeps ba:2 connected, so no build
+  // is inapplicable. The counts do not depend on the thread count.
+  const Graph g = connected_member(TopologyFamily::power_law(2), 24, 31);
+  net::ChurnOptions copt;
+  copt.seed = 5;
+  copt.events = 12;
+  copt.mean_gap = 2;
+  copt.quiesce_every = 4;
+  const net::ChurnPlan plan = net::make_churn_plan(g, copt);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> per_threads;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(threads);
+    obs::Trace trace;
+    net::ChurnReport tz;
+    net::ChurnReport full;
+    {
+      const obs::TraceScope scope(trace);
+      net::ChurnSessionConfig cfg;
+      cfg.threads = threads;
+      cfg.messages = 32;
+      auto tz_rs = schemes::make_repairable("tz", g, 9);
+      tz = net::run_churn_session(*tz_rs, plan, cfg);
+      auto full_rs = schemes::make_repairable("full-table", g, 9);
+      full = net::run_churn_session(*full_rs, plan, cfg);
+    }
+    ASSERT_EQ(tz.quiesce_mismatches, 0u) << tz.first_mismatch;
+    ASSERT_EQ(full.quiesce_mismatches, 0u) << full.first_mismatch;
+    ASSERT_GT(tz.deltas_applied, 0u);
+    EXPECT_EQ(tz.repair.inapplicable, 0u);
+    std::map<std::string, std::uint64_t> counts;
+    for (const auto& row : trace.summary()) counts[row.name] = row.count;
+    EXPECT_EQ(counts["schemes.repair.apply_event"],
+              tz.deltas_applied + full.deltas_applied);
+    EXPECT_EQ(counts["schemes.landmark_tables.build"],
+              1 + tz.repair.rebuilt + tz.quiesce_points);
+    per_threads.emplace_back(counts["schemes.repair.apply_event"],
+                             counts["schemes.landmark_tables.build"]);
+  }
+  EXPECT_EQ(per_threads[0], per_threads[1]);
 }
 
 // --- Repairable surface edge cases ----------------------------------------

@@ -1,12 +1,15 @@
 // Landmark (stretch-3, §1.2 related-work baseline) scheme tests: delivery
 // and the stretch-<3 guarantee on arbitrary connected graphs, vicinity
 // semantics, the size regimes against Theorem 1, and the shared cluster
-// layer — the nearest-landmark BFS, ClusterBfs and least_port — against a
-// distance-matrix oracle.
+// layer — the nearest-landmark BFS, ClusterBfs, and the ports of
+// graph::least_ports with the rows of graph::bfs_rows, on target lists
+// that straddle their 64-target passes — against a distance-matrix
+// oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -188,7 +191,7 @@ TEST(LandmarkTable, NearestLandmarksMatchADistanceMatrixOracle) {
   }
 }
 
-TEST(LandmarkTable, ClusterBfsAndLeastPortMatchADistanceMatrixOracle) {
+TEST(LandmarkTable, ClusterBfsAndLeastPortsMatchADistanceMatrixOracle) {
   // Radii r = d(·, S) + c, with seeded random S and c ∈ {0, 1, 2}, meet the
   // closure precondition r(v) ≤ r(u) + d(u, v). Nodes S never reaches get
   // r = ∞ and admit their whole component.
@@ -215,15 +218,40 @@ TEST(LandmarkTable, ClusterBfsAndLeastPortMatchADistanceMatrixOracle) {
       return static_cast<graph::PortId>(
           std::find(nbrs.begin(), nbrs.end(), succ) - nbrs.begin());
     };
-    for (graph::NodeId t = 0; t < n; ++t) {
-      const std::vector<std::uint32_t> bfs_row = graph::bfs_distances(g, t);
-      for (graph::NodeId w = 0; w < n; ++w) {
-        const std::uint32_t d = dist.at(w, t);
-        if (d == 0 || d == graph::kUnreachable) continue;
-        ASSERT_EQ(least_port(g, dist.row(t), w), oracle_port(w, t))
-            << which << " " << w << " " << t;
-        ASSERT_EQ(least_port(g, bfs_row, w), oracle_port(w, t))
-            << which << " " << w << " " << t;
+    // The first target runs alone, then passes of up to 64: 65 targets
+    // fill one 64-bit pass, 130 end on a one-target pass. Lists are
+    // unsorted, and the shorter graphs' lists repeat targets. Ports are
+    // checked at every (node, target) pair: unwritten where d is 0 or ∞.
+    constexpr std::uint32_t kUnwritten = 0xdeadbeef;
+    for (const std::size_t k : {std::size_t{1}, std::size_t{63},
+                                std::size_t{64}, std::size_t{65},
+                                std::size_t{130}, n}) {
+      std::vector<graph::NodeId> targets(k);
+      if (k == n) {
+        std::iota(targets.begin(), targets.end(), graph::NodeId{0});
+        std::shuffle(targets.begin(), targets.end(), rng);
+      } else {
+        for (auto& t : targets) t = static_cast<graph::NodeId>(rng() % n);
+      }
+      std::vector<std::uint32_t> rows(k * n);
+      const std::size_t swept = graph::bfs_rows(g, targets, rows);
+      std::vector<std::uint32_t> ports(k * n, kUnwritten);
+      graph::least_ports(g, targets, ports);
+      for (std::size_t i = 0; i < k; ++i) {
+        const graph::NodeId t = targets[i];
+        for (graph::NodeId w = 0; w < n; ++w) {
+          const std::uint32_t d = dist.at(w, t);
+          ASSERT_EQ(rows[i * n + w], d) << which << " " << w << " " << t;
+          const std::uint32_t want = d == 0 || d == graph::kUnreachable
+                                         ? kUnwritten
+                                         : oracle_port(w, t);
+          ASSERT_EQ(ports[w * k + i], want)
+              << which << " k=" << k << " " << w << " " << t;
+        }
+      }
+      // Every connected graph here has 2·ecc < 64, so a full pass sweeps.
+      if (k == 65 && dist.connected()) {
+        EXPECT_EQ(swept, 64u) << which;
       }
     }
     for (std::uint32_t c = 0; c < 3; ++c) {

@@ -61,7 +61,11 @@ fi
 # ranks, and value_or reads a packed word at a non-member's rank (the
 # slack word past the last member), so compact_node_test, which drives
 # the walk and the compile on every table layout and on damaged tables,
-# runs under ASan beside rank_select_test.
+# runs under ASan beside rank_select_test. bench_lookup replaces the
+# global operator new and delete, the nothrow forms too, to count
+# allocations, and the standard library's algorithms allocate through
+# them; a counting delete that freed the wrong block escaped every suite
+# once, so the asan stage builds bench_lookup and runs it with --smoke.
 SANITIZED_TARGETS=(bitio_test graph_test budget_and_io_test edge_cases_test
   ports_labeling_test permutation_code_test algorithms_test landmark_test
   compact_node_test schemes_test hierarchical_test lemma_codecs_test
@@ -71,7 +75,7 @@ SANITIZED_TARGETS=(bitio_test graph_test budget_and_io_test edge_cases_test
   chaos_test fuzz_test fastpath_test rank_select_test serve_test
   serve_chaos_test topology_test tz_test route_fingerprint_test congest_test
   congest_chaos_test churn_test churn_chaos_test optrt_cli optrtd
-  bench_serving)
+  bench_serving bench_lookup)
 
 for stage in "${STAGES[@]}"; do
   echo "=== [$stage] configure ==="
@@ -84,6 +88,10 @@ for stage in "${STAGES[@]}"; do
   fi
   echo "=== [$stage] test ==="
   ctest --preset "$stage"
+  if [ "$stage" = asan ]; then
+    echo "=== [$stage] bench_lookup --smoke ==="
+    ./build-asan/bench/bench_lookup --smoke -o build-asan/BENCH_lookup_smoke.json
+  fi
   if [ "$stage" = default ]; then
     # The paper benches: each exits nonzero on a failed check (see above).
     for bench in table1 table1_lower gb_lowerbound theorem1 theorem2 \
