@@ -6,30 +6,35 @@
 // answered in deterministic work units (tables rebuilt + distance rows
 // refreshed), never wall-clock, so every row is bit-identical across
 // reruns and --threads values. Traffic stretch during convergence is
-// measured too (mean_stretch in each row's simulator block). TZ and
-// compact-diam2 repair by fresh build in both modes, so full-table's rows
-// are the ones that compare the two.
+// measured too (mean_stretch in each row's simulator block).
 //
-// Emits BENCH_churn.json (schema optrt.bench_churn.v1):
+// One cell per (family, scheme). Each row's `rebuild_work` is what
+// rebuilding from scratch on every delta costs in the same units, in
+// closed form: full-table, the one kind that keeps distance rows, would
+// re-run n BFS rows and re-encode n tables per delta it repairs, 2n each;
+// TZ and compact-diam2 repair by fresh build, so theirs is their own
+// `work`.
 //
-//   {"schema":"optrt.bench_churn.v1","seed":…,"churn":"uniform:E,G,Q",
-//    "rows":[{"family":…, "n":…, "scheme":…, "mode":"incremental|rebuild",
+// Emits BENCH_churn.json (schema optrt.bench_churn.v2):
+//
+//   {"schema":"optrt.bench_churn.v2","seed":…,"churn":"uniform:E,G,Q",
+//    "rows":[{"family":…, "n":…, "scheme":…,
 //             "status":"certified|stale", "events":…, "deltas":…,
 //             "plan_fingerprint":…, "quiesce_points":…,
-//             "quiesce_mismatches":0, "work":…, "tables_touched":…,
-//             "dist_rows_bfs":…, "dist_rows_patched":…, "patched":…,
-//             "rebuilt":…, "noops":…, "stale_sent":…,
-//             … simulator stats block …}, …],
+//             "quiesce_mismatches":0, "work":…, "rebuild_work":…,
+//             "tables_touched":…, "dist_rows_bfs":…,
+//             "dist_rows_patched":…, "patched":…, "rebuilt":…,
+//             "stale_sent":…, … simulator stats block …}, …],
 //    "metrics":{…}}
 //
 // Exit 1 if any quiesce check diverged, or if incremental repair failed
-// to beat the rebuild baseline on total work for at least one family.
+// to beat the rebuild baseline (work < rebuild_work) on at least one
+// (family, scheme) cell.
 //
 //   bench_churn [--seed 1996] [--smoke] [--threads N] [-o BENCH_churn.json]
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -51,7 +56,6 @@ struct Cell {
   std::string family;
   std::size_t n = 0;
   const char* kind = "";
-  bool force_rebuild = false;
 };
 
 struct Row {
@@ -75,8 +79,7 @@ Row run_cell(const Cell& cell, const net::ChurnOptions& copt,
       graph::TopologyFamily::parse(cell.family), cell.n, seed);
   const net::ChurnPlan plan = net::make_churn_plan(g, copt);
 
-  auto rs = schemes::make_repairable(cell.kind, g, seed,
-                                     {.force_rebuild = cell.force_rebuild});
+  auto rs = schemes::make_repairable(cell.kind, g, seed);
   net::ChurnSessionConfig cfg;
   cfg.messages = messages;
   cfg.traffic_seed = seed;
@@ -136,10 +139,7 @@ int main(int argc, char** argv) {
   std::vector<Cell> cells;
   for (const FamilySpec& spec : specs) {
     for (const char* kind : spec.kinds) {
-      for (const bool force : {false, true}) {
-        cells.push_back(
-            {spec.family, cfg.smoke ? spec.smoke_n : spec.n, kind, force});
-      }
+      cells.push_back({spec.family, cfg.smoke ? spec.smoke_n : spec.n, kind});
     }
   }
 
@@ -148,33 +148,32 @@ int main(int argc, char** argv) {
         return run_cell(cells[idx], copt, cfg.seed, messages);
       });
 
+  // Rebuilding from scratch on every delta, in the rows' work units: n
+  // BFS rows and n tables per full-table delta; TZ and compact-diam2 only
+  // ever rebuild.
+  const auto rebuild_work = [](const Row& row) -> std::uint64_t {
+    const model::RepairStats& r = row.report.repair;
+    if (std::string(row.cell.kind) != "full-table") return r.work();
+    return 2 * row.cell.n * row.report.deltas_applied;
+  };
   bool mismatch = false;
-  // (family, kind) → work in {incremental, rebuild} mode.
-  std::map<std::pair<std::string, std::string>,
-           std::pair<std::uint64_t, std::uint64_t>>
-      work;
+  std::size_t incremental_wins = 0;
   for (const Row& row : rows) {
     mismatch = mismatch || row.report.quiesce_mismatches > 0;
-    auto& w = work[{row.cell.family, row.cell.kind}];
-    (row.cell.force_rebuild ? w.second : w.first) = row.report.repair.work();
+    if (row.report.repair.work() < rebuild_work(row)) ++incremental_wins;
     std::cerr << row.cell.family << " n=" << row.cell.n << " "
               << row.cell.kind
-              << (row.cell.force_rebuild ? " rebuild" : " incremental")
               << ": status=" << net::to_string(row.report.status)
               << " work=" << row.report.repair.work()
+              << " rebuild_work=" << rebuild_work(row)
               << " patched=" << row.report.repair.patched
               << " rebuilt=" << row.report.repair.rebuilt
               << " stale_sent=" << row.report.stale_sent << "\n";
   }
 
-  std::size_t incremental_wins = 0;
-  for (const auto& [key, w] : work) {
-    if (w.first < w.second) ++incremental_wins;
-  }
-
   obs::JsonWriter w;
   w.begin_object();
-  w.key("schema").value("optrt.bench_churn.v1");
+  w.key("schema").value("optrt.bench_churn.v2");
   w.key("seed").value(cfg.seed);
   w.key("churn").value(copt.name());
   w.key("messages").value(static_cast<std::uint64_t>(messages));
@@ -185,7 +184,6 @@ int main(int argc, char** argv) {
     w.key("family").value(row.cell.family);
     w.key("n").value(static_cast<std::uint64_t>(row.cell.n));
     w.key("scheme").value(row.cell.kind);
-    w.key("mode").value(row.cell.force_rebuild ? "rebuild" : "incremental");
     w.key("status").value(net::to_string(r.status));
     w.key("events").value(static_cast<std::uint64_t>(r.events_applied));
     w.key("deltas").value(static_cast<std::uint64_t>(r.deltas_applied));
@@ -194,12 +192,12 @@ int main(int argc, char** argv) {
     w.key("quiesce_mismatches")
         .value(static_cast<std::uint64_t>(r.quiesce_mismatches));
     w.key("work").value(r.repair.work());
+    w.key("rebuild_work").value(rebuild_work(row));
     w.key("tables_touched").value(r.repair.tables_touched);
     w.key("dist_rows_bfs").value(r.repair.dist_rows_bfs);
     w.key("dist_rows_patched").value(r.repair.dist_rows_patched);
     w.key("patched").value(r.repair.patched);
     w.key("rebuilt").value(r.repair.rebuilt);
-    w.key("noops").value(r.repair.noops);
     w.key("stale_sent").value(static_cast<std::uint64_t>(r.stale_sent));
     net::write_stats_fields(w, r.traffic);
     w.end_object();
@@ -226,7 +224,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cerr << "bench_churn: incremental repair beats full rebuild on "
-            << incremental_wins << "/" << work.size()
+            << incremental_wins << "/" << rows.size()
             << " (family, scheme) cells; every quiesce point certified\n";
   return 0;
 }

@@ -39,7 +39,6 @@ struct TopologyEvent {
 
 /// What apply_event did.
 enum class RepairOutcome : std::uint8_t {
-  kNoOp,          ///< the event cannot affect any table (empty dirty set)
   kPatched,       ///< only the dirty tables were rebuilt
   kRebuilt,       ///< every table was rebuilt
   kInapplicable,  ///< the scheme cannot exist on the new topology; tables
@@ -50,6 +49,8 @@ enum class RepairOutcome : std::uint8_t {
 /// wall-clock, so bench rows are bit-identical at any thread count.
 struct RepairStats {
   std::uint64_t events = 0;
+  /// Always 0: every real link delta changes some table. Kept only while
+  /// the end-to-end benchmark's report comparison reads it.
   std::uint64_t noops = 0;
   std::uint64_t patched = 0;
   std::uint64_t rebuilt = 0;
@@ -63,13 +64,6 @@ struct RepairStats {
   [[nodiscard]] std::uint64_t work() const noexcept {
     return tables_touched + dist_rows_bfs + dist_rows_patched;
   }
-};
-
-struct RepairConfig {
-  /// Always rebuild from scratch — the baseline mode bench_churn measures
-  /// full-table's incremental repair against. The kinds that always
-  /// rebuild ignore it.
-  bool force_rebuild = false;
 };
 
 /// A routing scheme that can follow a stream of topology events.

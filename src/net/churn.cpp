@@ -292,7 +292,6 @@ ChurnReport run_churn_session(model::RepairableScheme& rs,
 
   obs::counter("churn.events").inc(report.events_applied);
   obs::counter("churn.deltas").inc(report.deltas_applied);
-  obs::counter("churn.noops").inc(report.repair.noops);
   obs::counter("churn.patched").inc(report.repair.patched);
   obs::counter("churn.rebuilt").inc(report.repair.rebuilt);
   obs::counter("churn.inapplicable").inc(report.repair.inapplicable);

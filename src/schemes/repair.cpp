@@ -36,25 +36,14 @@ model::RepairOutcome RepairableBase::rebuilt() {
 
 // ---- full-table -----------------------------------------------------------
 
-namespace {
-
-/// 0, 1, …, n − 1: every table.
-std::vector<NodeId> every_node(std::size_t n) {
-  std::vector<NodeId> all(n);
-  std::iota(all.begin(), all.end(), NodeId{0});
-  return all;
-}
-
-}  // namespace
-
-RepairableFullTable::RepairableFullTable(const graph::Graph& base,
-                                         model::RepairConfig config)
+RepairableFullTable::RepairableFullTable(const graph::Graph& base)
     : RepairableBase(base),
-      config_(config),
       dist_(base),
       labeling_(graph::Labeling::identity(base.node_count())),
       tables_(base.node_count()) {
-  encode(every_node(live_.node_count()));
+  std::vector<NodeId> all(base.node_count());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  encode(all);
 }
 
 void RepairableFullTable::encode(const std::vector<NodeId>& nodes) {
@@ -70,12 +59,6 @@ model::RepairOutcome RepairableFullTable::apply_event(
     const model::TopologyEvent& event) {
   const obs::TraceSpan span("schemes.repair.apply_event");
   toggle_edge(event);
-  if (config_.force_rebuild) {
-    dist_ = graph::DistanceMatrix(live_);
-    stats_.dist_rows_bfs += live_.node_count();
-    encode(every_node(live_.node_count()));
-    return rebuilt();
-  }
   const graph::DistanceMatrix::LinkDelta delta =
       dist_.apply_link_delta(live_, event.u, event.v, event.up);
   stats_.dist_rows_bfs += delta.rows_bfs;
@@ -120,10 +103,9 @@ template class RepairableByRebuild<CompactDiam2Scheme>;
 // ---- factory + differential oracle ----------------------------------------
 
 std::unique_ptr<model::RepairableScheme> make_repairable(
-    const std::string& kind, const graph::Graph& base, std::uint64_t seed,
-    model::RepairConfig config) {
+    const std::string& kind, const graph::Graph& base, std::uint64_t seed) {
   if (kind == "full-table") {
-    return std::make_unique<RepairableFullTable>(base, config);
+    return std::make_unique<RepairableFullTable>(base);
   }
   if (kind == "compact-diam2") {
     return std::make_unique<RepairableCompactDiam2>(base);

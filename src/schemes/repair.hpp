@@ -12,8 +12,7 @@
 // on insert, a BFS of exactly the rows a delete can change) and re-encodes
 // exactly the tables an event can change through full_table_node_bits, the
 // encoder a fresh build calls. That is why the differential oracle can
-// demand bit-identity of every kind. RepairConfig::force_rebuild makes
-// full-table recompute every row and re-encode every table instead.
+// demand bit-identity of every kind.
 //
 // Every apply_event, of either path, runs inside one
 // `schemes.repair.apply_event` span.
@@ -64,8 +63,7 @@ class RepairableBase : public model::RepairableScheme {
 /// (unreachable entries store port 0, like the fresh builder).
 class RepairableFullTable final : public RepairableBase {
  public:
-  explicit RepairableFullTable(const graph::Graph& base,
-                               model::RepairConfig config = {});
+  explicit RepairableFullTable(const graph::Graph& base);
 
   [[nodiscard]] std::string kind_name() const override { return "full-table"; }
   [[nodiscard]] const model::RoutingScheme& scheme() const override {
@@ -78,7 +76,6 @@ class RepairableFullTable final : public RepairableBase {
   /// re-materializes scheme_.
   void encode(const std::vector<graph::NodeId>& nodes);
 
-  model::RepairConfig config_;
   graph::DistanceMatrix dist_;
   graph::Labeling labeling_;  // identity
   std::vector<bitio::BitVector> tables_;
@@ -121,11 +118,9 @@ using RepairableTz = RepairableByRebuild<TzScheme>;
 using RepairableCompactDiam2 = RepairableByRebuild<CompactDiam2Scheme>;
 
 /// Factory keyed by kind_name; throws std::invalid_argument on an unknown
-/// kind. `seed` feeds the TZ landmark election and is ignored elsewhere;
-/// `config` applies to full-table, the one kind with two paths.
+/// kind. `seed` feeds the TZ landmark election and is ignored elsewhere.
 [[nodiscard]] std::unique_ptr<model::RepairableScheme> make_repairable(
-    const std::string& kind, const graph::Graph& base, std::uint64_t seed,
-    model::RepairConfig config = {});
+    const std::string& kind, const graph::Graph& base, std::uint64_t seed);
 
 /// The churn differential oracle: compares the repaired scheme against a
 /// fresh centralized build on rs.topology(). Bit-identical function bits

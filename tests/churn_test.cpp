@@ -4,7 +4,7 @@
 // repaired scheme must equal a fresh centralized build, bit-identical
 // tables for full-table/compact-diam2 and route-fingerprint-identical for
 // TZ, at 1, 2, and 8 threads — plus staleness-window pins and the
-// incremental-vs-force-rebuild work accounting bench_churn relies on.
+// incremental-vs-rebuild work accounting bench_churn relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -316,10 +316,11 @@ TEST(ChurnSession, ReportIsDeterministicAcrossRuns) {
 
 // --- Work accounting ------------------------------------------------------
 
-TEST(ChurnWork, IncrementalBeatsForceRebuildOnSparseFamilies) {
+TEST(ChurnWork, IncrementalBeatsRebuildWorkOnSparseFamilies) {
   // The bench_churn acceptance claim, pinned as a test: on at least the
   // sparse families, the incremental repair stream does strictly less
-  // total work (tables + distance rows) than rebuild-everything-always.
+  // total work (tables + distance rows) than rebuilding everything on
+  // every delta, which costs n BFS rows and n tables per delta.
   for (const char* family : {"ba:2", "ring"}) {
     SCOPED_TRACE(family);
     const Graph g = connected_member(TopologyFamily::parse(family), 24, 4);
@@ -328,32 +329,16 @@ TEST(ChurnWork, IncrementalBeatsForceRebuildOnSparseFamilies) {
     copt.mean_gap = 2;
     const net::ChurnPlan plan = net::make_churn_plan(g, copt);
 
-    std::vector<std::uint64_t> work;
-    for (const bool force : {false, true}) {
-      auto rs = schemes::make_repairable("full-table", g, 1,
-                                         {.force_rebuild = force});
-      net::ChurnSessionConfig cfg;
-      cfg.messages = 16;
-      const net::ChurnReport r = net::run_churn_session(*rs, plan, cfg);
-      EXPECT_EQ(r.quiesce_mismatches, 0u) << r.first_mismatch;
-      work.push_back(r.repair.work());
-    }
-    EXPECT_LT(work[0], work[1])
-        << "incremental=" << work[0] << " force=" << work[1];
+    auto rs = schemes::make_repairable("full-table", g, 1);
+    net::ChurnSessionConfig cfg;
+    cfg.messages = 16;
+    const net::ChurnReport r = net::run_churn_session(*rs, plan, cfg);
+    EXPECT_EQ(r.quiesce_mismatches, 0u) << r.first_mismatch;
+    ASSERT_GT(r.deltas_applied, 0u);
+    const std::uint64_t rebuild = 2 * g.node_count() * r.deltas_applied;
+    EXPECT_LT(r.repair.work(), rebuild)
+        << "incremental=" << r.repair.work() << " rebuild=" << rebuild;
   }
-}
-
-TEST(ChurnWork, ForceRebuildCountsEveryEventAsRebuilt) {
-  const Graph g = connected_member(TopologyFamily::uniform(), 16, 9);
-  net::ChurnOptions copt;
-  copt.events = 8;
-  const net::ChurnPlan plan = net::make_churn_plan(g, copt);
-  auto rs =
-      schemes::make_repairable("full-table", g, 1, {.force_rebuild = true});
-  const net::ChurnReport r = net::run_churn_session(*rs, plan, {});
-  EXPECT_EQ(r.repair.rebuilt, r.repair.events);
-  EXPECT_EQ(r.repair.patched, 0u);
-  EXPECT_EQ(r.repair.noops, 0u);
 }
 
 TEST(ChurnWork, FullTableRepairsExactlyWhatChanged) {
@@ -414,37 +399,11 @@ TEST(ChurnWork, FullTableRepairsExactlyWhatChanged) {
   EXPECT_TRUE(schemes::repaired_matches_fresh(*rs).match);
 }
 
-/// Every deterministic field of a session report, for equality checks.
-std::string report_fields(const net::ChurnReport& r) {
-  const model::RepairStats& s = r.repair;
-  obs::JsonWriter w;
-  w.begin_object();
-  net::write_stats_fields(w, r.traffic);
-  w.key("repair").begin_array();
-  for (const std::uint64_t x :
-       {s.events, s.noops, s.patched, s.rebuilt, s.inapplicable,
-        s.tables_touched, s.dist_rows_bfs, s.dist_rows_patched}) {
-    w.value(x);
-  }
-  w.end_array();
-  w.key("session").begin_array();
-  for (const std::size_t x :
-       {r.events_applied, r.deltas_applied, r.quiesce_points,
-        r.quiesce_mismatches, r.stale_sent}) {
-    w.value(std::uint64_t{x});
-  }
-  w.end_array();
-  w.key("status").value(net::to_string(r.status));
-  w.key("first_mismatch").value(r.first_mismatch);
-  w.end_object();
-  return w.str();
-}
-
 TEST(ChurnWork, RebuildKindsHaveOnePath) {
   // TZ and compact-diam2 repair by fresh build: every event is rebuilt or
-  // inapplicable, each rebuild books n tables and no distance rows, and
-  // force_rebuild leaves a session's report as it is. Node churn on the
-  // dense family makes compact-diam2 inapplicable at times.
+  // inapplicable, and each rebuild books n tables and no distance rows.
+  // Node churn on the dense family makes compact-diam2 inapplicable at
+  // times.
   for (const char* kind : {"tz", "compact-diam2"}) {
     SCOPED_TRACE(kind);
     const Graph g = connected_member(TopologyFamily::uniform(), 24, 6);
@@ -477,17 +436,6 @@ TEST(ChurnWork, RebuildKindsHaveOnePath) {
     if (std::string(kind) == "compact-diam2") {
       EXPECT_GT(inapplicable, 0u);
     }
-
-    std::vector<std::string> reports;
-    for (const bool force : {false, true}) {
-      auto session_rs =
-          schemes::make_repairable(kind, g, 7, {.force_rebuild = force});
-      net::ChurnSessionConfig cfg;
-      cfg.messages = 64;
-      reports.push_back(
-          report_fields(net::run_churn_session(*session_rs, plan, cfg)));
-    }
-    EXPECT_EQ(reports[0], reports[1]);
   }
 }
 
@@ -547,35 +495,30 @@ TEST(Repairable, UnknownKindThrows) {
 TEST(Repairable, CompactGoesStaleAndRecovers) {
   // Drive compact-diam2 through node churn until it reports inapplicable
   // at least once, then repair everything: it must recover, and the
-  // oracle must hold at the end — incrementally and in the rebuild
-  // baseline mode alike (a failed forced rebuild must go stale too).
+  // oracle must hold at the end.
   const Graph g = connected_member(TopologyFamily::uniform(), 14, 6);
-  for (const bool force : {false, true}) {
-    SCOPED_TRACE(force ? "force_rebuild" : "incremental");
-    auto rs = schemes::make_repairable("compact-diam2", g, 1,
-                                       {.force_rebuild = force});
-    net::LiveTopology live(g);
-    // Fail node 0 — losing a whole star is the quickest way to break the
-    // diam-2 neighbour-domination condition.
-    std::vector<model::TopologyEvent> deltas =
-        live.apply({1, net::FaultKind::kNodeFail, 0, 0});
-    std::size_t inapplicable = 0;
-    for (const auto& d : deltas) {
-      if (rs->apply_event(d) == model::RepairOutcome::kInapplicable) {
-        ++inapplicable;
-      }
+  auto rs = schemes::make_repairable("compact-diam2", g, 1);
+  net::LiveTopology live(g);
+  // Fail node 0 — losing a whole star is the quickest way to break the
+  // diam-2 neighbour-domination condition.
+  std::vector<model::TopologyEvent> deltas =
+      live.apply({1, net::FaultKind::kNodeFail, 0, 0});
+  std::size_t inapplicable = 0;
+  for (const auto& d : deltas) {
+    if (rs->apply_event(d) == model::RepairOutcome::kInapplicable) {
+      ++inapplicable;
     }
-    EXPECT_GT(inapplicable, 0u);
-    EXPECT_FALSE(rs->available());
-    schemes::RepairMatch m = schemes::repaired_matches_fresh(*rs);
-    EXPECT_TRUE(m.match) << m.detail;  // parity even when both inapplicable
-    // Bring it back: available again and bit-identical to fresh.
-    deltas = live.apply({2, net::FaultKind::kNodeRepair, 0, 0});
-    for (const auto& d : deltas) rs->apply_event(d);
-    EXPECT_TRUE(rs->available());
-    m = schemes::repaired_matches_fresh(*rs);
-    EXPECT_TRUE(m.match) << m.detail;
   }
+  EXPECT_GT(inapplicable, 0u);
+  EXPECT_FALSE(rs->available());
+  schemes::RepairMatch m = schemes::repaired_matches_fresh(*rs);
+  EXPECT_TRUE(m.match) << m.detail;  // parity even when both inapplicable
+  // Bring it back: available again and bit-identical to fresh.
+  deltas = live.apply({2, net::FaultKind::kNodeRepair, 0, 0});
+  for (const auto& d : deltas) rs->apply_event(d);
+  EXPECT_TRUE(rs->available());
+  m = schemes::repaired_matches_fresh(*rs);
+  EXPECT_TRUE(m.match) << m.detail;
 }
 
 }  // namespace
