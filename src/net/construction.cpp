@@ -44,7 +44,7 @@ constexpr std::uint16_t kMsgTzVeto = 16;
 constexpr std::uint16_t kMsgTzReg = 17;
 constexpr std::uint16_t kMsgTzAudit = 18;
 
-/// Sticky per-node failure flag; merge keeps the most severe.
+/// Sticky per-node failure flag; it and the driver keep the most severe.
 struct NodeFlag {
   ConstructStatus status = ConstructStatus::kOk;
   std::string detail;
@@ -56,20 +56,6 @@ struct NodeFlag {
     }
   }
 };
-
-/// Folds per-node flags into one report (worst status wins; the detail
-/// names the least node that raised it — deterministic).
-template <typename Nodes>
-void merge_flags(const Nodes& nodes, ConstructStatus& status,
-                 std::string& detail) {
-  for (std::size_t v = 0; v < nodes.size(); ++v) {
-    const NodeFlag& f = nodes[v]->flag();
-    if (static_cast<int>(f.status) > static_cast<int>(status)) {
-      status = f.status;
-      detail = "node " + std::to_string(v) + ": " + f.detail;
-    }
-  }
-}
 
 // --- Theorem 1 compact tables: one neighbour-exchange round ---------------
 
@@ -109,16 +95,57 @@ class CompactNode final : public congest::ProtocolNode {
   NodeFlag flag_;
 };
 
-void account(const char* proto, const congest::RunStats& stats,
-             ConstructStatus status) {
+/// The driver of the three protocols. Runs `nodes` as the network's nodes
+/// on the engine and fills the report from the run: its traffic, a run
+/// that exhausted an engine budget as kStalled, and the node flags folded
+/// (worst status wins; the detail names the least node that raised it;
+/// kStalled is the worst status, so no flag overrides a stall). When that
+/// leaves the report kOk, `finish(nodes, report)` builds the tables from
+/// the nodes' state, pure local computation. The build is booked last,
+/// from the final report, under construction.<proto>.*.
+template <typename Report, typename Node, typename Finish>
+Report construct(const char* proto, const graph::Graph& g,
+                 std::vector<Node> nodes, const ProtocolOptions& protocol,
+                 Finish&& finish) {
+  std::vector<congest::ProtocolNode*> ptrs;
+  ptrs.reserve(nodes.size());
+  for (Node& node : nodes) ptrs.push_back(&node);
+  congest::Engine engine(
+      g, {.threads = protocol.threads, .max_rounds = protocol.max_rounds});
+  if (protocol.faults != nullptr) engine.schedule(*protocol.faults);
+  congest::RunStats run = engine.run(ptrs);
+
+  Report report;
+  report.rounds = run.rounds;
+  report.messages = run.messages;
+  report.message_bits = run.message_bits;
+  report.dropped = run.dropped;
+  report.phases = run.phases;
+  report.phase_stats = std::move(run.phase_stats);
+  if (run.status != congest::RunStatus::kOk) {
+    report.status = ConstructStatus::kStalled;
+    report.detail = to_string(run.status);
+  }
+  for (std::size_t v = 0; v < nodes.size(); ++v) {
+    const NodeFlag& flag = nodes[v].flag();
+    if (flag.status > report.status) {
+      report.status = flag.status;
+      report.detail = "node " + std::to_string(v) + ": " + flag.detail;
+    }
+  }
+  if (report.status == ConstructStatus::kOk) {
+    finish(std::as_const(nodes), report);
+  }
+
   const std::string base = std::string("construction.") + proto;
   obs::counter(base + ".builds").inc();
-  obs::counter(base + ".rounds").inc(stats.rounds);
-  obs::counter(base + ".messages").inc(stats.messages);
-  obs::counter(base + ".message_bits").inc(stats.message_bits);
-  if (status != ConstructStatus::kOk) {
+  obs::counter(base + ".rounds").inc(report.rounds);
+  obs::counter(base + ".messages").inc(report.messages);
+  obs::counter(base + ".message_bits").inc(report.message_bits);
+  if (report.status != ConstructStatus::kOk) {
     obs::counter(base + ".failures").inc();
   }
+  return report;
 }
 
 }  // namespace
@@ -148,103 +175,76 @@ ConstructionResult distributed_compact_construction(
     const ProtocolOptions& protocol) {
   const obs::TraceSpan span("net.construct.compact");
   const std::size_t n = g.node_count();
-  const unsigned id_width = bitio::id_width(n);
-
-  std::vector<std::unique_ptr<CompactNode>> nodes;
-  nodes.reserve(n);
-  std::vector<congest::ProtocolNode*> ptrs;
-  ptrs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    nodes.push_back(std::make_unique<CompactNode>(id_width));
-    ptrs.push_back(nodes.back().get());
-  }
-
-  congest::EngineOptions eng_opt;
-  eng_opt.threads = protocol.threads;
-  eng_opt.max_rounds = protocol.max_rounds;
-  congest::Engine engine(g, eng_opt);
-  if (protocol.faults != nullptr) engine.schedule(*protocol.faults);
-  const auto run = engine.run(ptrs);
-
-  ConstructionResult result;
-  result.rounds = run.rounds;
-  result.messages = run.messages;
-  result.message_bits = run.message_bits;
-  result.dropped = run.dropped;
-  result.phase_stats = run.phase_stats;
-  if (run.status != congest::RunStatus::kOk) {
-    result.status = ConstructStatus::kStalled;
-    result.detail = to_string(run.status);
-    account("compact", run, result.status);
-    return result;
-  }
-  merge_flags(nodes, result.status, result.detail);
-
-  // Local completeness: a node knows its neighbour set, so a dropped list
-  // is locally detectable.
-  for (NodeId u = 0; u < n && result.status == ConstructStatus::kOk; ++u) {
-    if (nodes[u]->lists_.size() != g.degree(u)) {
-      result.status = ConstructStatus::kIncompleteInfo;
-      result.detail =
-          "node " + std::to_string(u) + ": neighbour list lost to a fault";
-    }
-  }
-  if (result.status != ConstructStatus::kOk) {
-    account("compact", run, result.status);
-    return result;
-  }
-
-  // Every node now builds its table from its exact 2-hop view. This is
-  // pure local computation; parallelizing it is outside the CONGEST cost
-  // model and deterministic (index-ordered merge).
-  const obs::TraceSpan encode_span("net.construct.encode");
-  struct Built {
-    bitio::BitVector bits;
-    std::string error;
-    bool ok = false;
-  };
-  auto built = core::parallel_map<Built>(
-      protocol.threads, n, [&](std::size_t u) {
-        Built b;
-        std::vector<graph::Edge> edges;
-        for (NodeId v : g.neighbors(static_cast<NodeId>(u))) {
-          edges.emplace_back(static_cast<NodeId>(u), v);
-        }
-        for (const auto& [v, list] : nodes[u]->lists_) {
-          for (const std::uint32_t w : list) {
-            const auto x = static_cast<NodeId>(w);
-            if (x != u) edges.emplace_back(std::min(v, x), std::max(v, x));
-          }
-        }
-        // Two neighbours of u each report the edge between them.
-        std::sort(edges.begin(), edges.end());
-        edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-        try {
-          b.bits = schemes::build_compact_node(graph::Graph(n, edges),
-                                               static_cast<NodeId>(u), options)
-                       .bits;
-          b.ok = true;
-        } catch (const schemes::SchemeInapplicable& e) {
-          b.error = e.what();
-        }
-        return b;
-      });
-  result.node_tables.resize(n);
-  for (NodeId u = 0; u < n; ++u) {
-    if (!built[u].ok) {
-      if (protocol.faults == nullptr) {
-        account("compact", run, ConstructStatus::kInapplicable);
-        throw schemes::SchemeInapplicable(built[u].error);
+  const auto finish = [&](const std::vector<CompactNode>& nodes,
+                          ConstructionResult& result) {
+    // Local completeness: a node knows its neighbour set, so a dropped
+    // list is locally detectable.
+    for (NodeId u = 0; u < n; ++u) {
+      if (nodes[u].lists_.size() != g.degree(u)) {
+        result.status = ConstructStatus::kIncompleteInfo;
+        result.detail =
+            "node " + std::to_string(u) + ": neighbour list lost to a fault";
+        return;
       }
-      result.status = ConstructStatus::kInapplicable;
-      result.detail = "node " + std::to_string(u) + ": " + built[u].error;
-      result.node_tables.clear();
-      account("compact", run, result.status);
-      return result;
     }
-    result.node_tables[u] = std::move(built[u].bits);
+
+    // Every node now builds its table from its exact 2-hop view. This is
+    // pure local computation; parallelizing it is outside the CONGEST cost
+    // model and deterministic (index-ordered merge).
+    const obs::TraceSpan encode_span("net.construct.encode");
+    struct Built {
+      bitio::BitVector bits;
+      std::string error;
+      bool ok = false;
+    };
+    auto built = core::parallel_map<Built>(
+        protocol.threads, n, [&](std::size_t u) {
+          Built b;
+          std::vector<graph::Edge> edges;
+          for (NodeId v : g.neighbors(static_cast<NodeId>(u))) {
+            edges.emplace_back(static_cast<NodeId>(u), v);
+          }
+          for (const auto& [v, list] : nodes[u].lists_) {
+            for (const std::uint32_t w : list) {
+              const auto x = static_cast<NodeId>(w);
+              if (x != u) edges.emplace_back(std::min(v, x), std::max(v, x));
+            }
+          }
+          // Two neighbours of u each report the edge between them.
+          std::sort(edges.begin(), edges.end());
+          edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+          try {
+            b.bits = schemes::build_compact_node(graph::Graph(n, edges),
+                                                 static_cast<NodeId>(u),
+                                                 options)
+                         .bits;
+            b.ok = true;
+          } catch (const schemes::SchemeInapplicable& e) {
+            b.error = e.what();
+          }
+          return b;
+        });
+    result.node_tables.resize(n);
+    for (NodeId u = 0; u < n; ++u) {
+      if (!built[u].ok) {
+        result.status = ConstructStatus::kInapplicable;
+        result.detail = "node " + std::to_string(u) + ": " + built[u].error;
+        result.node_tables.clear();
+        return;
+      }
+      result.node_tables[u] = std::move(built[u].bits);
+    }
+  };
+  ConstructionResult result = construct<ConstructionResult>(
+      "compact", g,
+      std::vector<CompactNode>(n, CompactNode(bitio::id_width(n))), protocol,
+      finish);
+  // Fault-free, only the centralized builder's own precondition makes a
+  // table inapplicable: throw where it would (the build is booked).
+  if (protocol.faults == nullptr &&
+      result.status == ConstructStatus::kInapplicable) {
+    throw schemes::SchemeInapplicable(result.detail);
   }
-  account("compact", run, result.status);
   return result;
 }
 
@@ -378,61 +378,28 @@ class FullTableNode final : public congest::ProtocolNode {
 
 }  // namespace
 
-FullTableConstructionResult distributed_full_table_construction(
+ConstructionResult distributed_full_table_construction(
     const graph::Graph& g, const ProtocolOptions& protocol) {
   const obs::TraceSpan span("net.construct.full_table");
   const std::size_t n = g.node_count();
-  const unsigned id_width = bitio::id_width(n);
-  const unsigned cnt_width = bitio::ceil_log2_plus1(n);
-
-  std::vector<std::unique_ptr<FullTableNode>> nodes;
-  nodes.reserve(n);
-  std::vector<congest::ProtocolNode*> ptrs;
-  ptrs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    nodes.push_back(std::make_unique<FullTableNode>(n, id_width, cnt_width));
-    ptrs.push_back(nodes.back().get());
-  }
-
-  congest::EngineOptions eng_opt;
-  eng_opt.threads = protocol.threads;
-  eng_opt.max_rounds = protocol.max_rounds;
-  congest::Engine engine(g, eng_opt);
-  if (protocol.faults != nullptr) engine.schedule(*protocol.faults);
-  const auto run = engine.run(ptrs);
-
-  FullTableConstructionResult result;
-  result.rounds = run.rounds;
-  result.messages = run.messages;
-  result.message_bits = run.message_bits;
-  result.dropped = run.dropped;
-  result.phase_stats = run.phase_stats;
-  if (run.status != congest::RunStatus::kOk) {
-    result.status = ConstructStatus::kStalled;
-    result.detail = to_string(run.status);
-    account("full_table", run, result.status);
-    return result;
-  }
-  merge_flags(nodes, result.status, result.detail);
-  if (result.status != ConstructStatus::kOk) {
-    account("full_table", run, result.status);
-    return result;
-  }
-
-  const obs::TraceSpan encode_span("net.construct.encode");
-  result.node_tables.resize(n);
-  for (NodeId u = 0; u < n; ++u) {
-    const unsigned width = bitio::port_width(g.degree(u));
-    bitio::BitWriter w;
-    for (NodeId v = 0; v < n; ++v) {
-      const bool self_or_unreachable =
-          v == u || nodes[u]->dist_[v] == graph::kUnreachable;
-      w.write_bits(self_or_unreachable ? 0 : nodes[u]->port_[v], width);
-    }
-    result.node_tables[u] = w.take();
-  }
-  account("full_table", run, result.status);
-  return result;
+  const FullTableNode node(n, bitio::id_width(n), bitio::ceil_log2_plus1(n));
+  return construct<ConstructionResult>(
+      "full_table", g, std::vector<FullTableNode>(n, node), protocol,
+      [&](const std::vector<FullTableNode>& nodes,
+          ConstructionResult& result) {
+        const obs::TraceSpan encode_span("net.construct.encode");
+        result.node_tables.resize(n);
+        for (NodeId u = 0; u < n; ++u) {
+          const unsigned width = bitio::port_width(g.degree(u));
+          bitio::BitWriter w;
+          for (NodeId v = 0; v < n; ++v) {
+            const bool self_or_unreachable =
+                v == u || nodes[u].dist_[v] == graph::kUnreachable;
+            w.write_bits(self_or_unreachable ? 0 : nodes[u].port_[v], width);
+          }
+          result.node_tables[u] = w.take();
+        }
+      });
 }
 
 // --- Thorup-Zwick k = 2: election, floods, announcements, audit -----------
@@ -1236,147 +1203,115 @@ TzConstructionResult distributed_tz_construction(
                              "tz.veto" + suffix});
   }
 
-  std::vector<std::unique_ptr<TzNode>> nodes;
-  nodes.reserve(n);
-  std::vector<congest::ProtocolNode*> ptrs;
-  ptrs.reserve(n);
+  std::vector<TzNode> tz_nodes;
+  tz_nodes.reserve(n);
   for (NodeId v = 0; v < n; ++v) {
-    nodes.push_back(std::make_unique<TzNode>(&shared, v, g.degree(v)));
-    ptrs.push_back(nodes.back().get());
+    tz_nodes.emplace_back(&shared, v, g.degree(v));
   }
-
-  congest::EngineOptions eng_opt;
-  eng_opt.threads = protocol.threads;
-  eng_opt.max_rounds = protocol.max_rounds;
-  congest::Engine engine(g, eng_opt);
-  if (protocol.faults != nullptr) engine.schedule(*protocol.faults);
-  const auto run = engine.run(ptrs);
-
-  TzConstructionResult result;
-  result.rounds = run.rounds;
-  result.messages = run.messages;
-  result.message_bits = run.message_bits;
-  result.dropped = run.dropped;
-  result.phases = run.phases;
-  result.phase_stats = run.phase_stats;
-  if (run.status != congest::RunStatus::kOk) {
-    result.status = ConstructStatus::kStalled;
-    result.detail = to_string(run.status);
-    account("tz", run, result.status);
-    return result;
-  }
-  merge_flags(nodes, result.status, result.detail);
-
-  // A consistent run has every node holding the same landmark set.
-  std::vector<NodeId> landmarks;
-  if (!nodes.empty()) {
-    for (const auto& e : nodes[0]->lm_) landmarks.push_back(e.landmark);
-  }
-  if (result.status == ConstructStatus::kOk) {
+  const auto finish = [&](const std::vector<TzNode>& nodes,
+                          TzConstructionResult& result) {
+    // A consistent run has every node holding the same landmark set.
+    std::vector<NodeId> landmarks;
+    if (!nodes.empty()) {
+      for (const auto& e : nodes[0].lm_) landmarks.push_back(e.landmark);
+    }
     for (NodeId v = 1; v < n; ++v) {
-      if (nodes[v]->lm_.size() != landmarks.size() ||
-          !std::equal(landmarks.begin(), landmarks.end(),
-                      nodes[v]->lm_.begin(),
+      if (nodes[v].lm_.size() != landmarks.size() ||
+          !std::equal(landmarks.begin(), landmarks.end(), nodes[v].lm_.begin(),
                       [](NodeId l, const auto& e) { return l == e.landmark; })) {
         result.status = ConstructStatus::kInconsistent;
         result.detail = "node " + std::to_string(v) +
                         ": landmark set disagrees with node 0";
-        break;
+        return;
       }
     }
-  }
-  if (result.status != ConstructStatus::kOk) {
-    account("tz", run, result.status);
-    return result;
-  }
 
-  // Encode each node's table from its learned state through the encoder
-  // TzScheme's central build uses.
-  {
-    const obs::TraceSpan encode_span("net.construct.encode");
-    std::vector<bitio::BitVector> node_bits(n);
-    for (NodeId w = 0; w < n; ++w) {
-      std::vector<PortId> ports;
-      for (const auto& e : nodes[w]->lm_) {  // the landmark set, in order
-        ports.push_back(e.landmark == w ? 0 : e.least_port);
+    // Encode each node's table from its learned state through the encoder
+    // TzScheme's central build uses.
+    {
+      const obs::TraceSpan encode_span("net.construct.encode");
+      std::vector<bitio::BitVector> node_bits(n);
+      for (NodeId w = 0; w < n; ++w) {
+        std::vector<PortId> ports;
+        for (const auto& e : nodes[w].lm_) {  // the landmark set, in order
+          ports.push_back(e.landmark == w ? 0 : e.least_port);
+        }
+        std::vector<schemes::TableEntry> cluster;
+        for (const auto& e : nodes[w].ann_) {
+          if (e.in_cluster) cluster.push_back({e.node, e.port});
+        }
+        node_bits[w] = schemes::build_landmark_node_bits(g, w, ports, cluster);
       }
-      std::vector<schemes::TableEntry> cluster;
-      for (const auto& e : nodes[w]->ann_) {
-        if (e.in_cluster) cluster.push_back({e.node, e.port});
-      }
-      node_bits[w] = schemes::build_landmark_node_bits(g, w, ports, cluster);
-    }
-    try {
-      result.scheme = std::make_unique<schemes::TzScheme>(
-          g, landmarks, std::move(node_bits));
-    } catch (const std::invalid_argument& e) {
-      result.status = ConstructStatus::kInvalidTables;
-      result.detail = e.what();
-      account("tz", run, result.status);
-      return result;
-    }
-  }
-  // Learned per-node data the differential tests compare against the
-  // centralized builder. Each exit port l(v) learned must be the one the
-  // decoded label carries: a registration lost to a fault leaves it
-  // unlearned, or learned from a non-least successor, while the audit and
-  // the stretch check can still pass (the decoder derives its own).
-  result.landmark_of.resize(n);
-  result.exit_ports.assign(n, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    result.landmark_of[v] = nodes[v]->dva_ == 0 ? v : nodes[v]->l_of_;
-    if (nodes[v]->dva_ == 0) continue;
-    const NodeId l = result.landmark_of[v];
-    const auto& learned = nodes[l]->exit_learned_;
-    const auto it = std::lower_bound(
-        learned.begin(), learned.end(), v,
-        [](const auto& e, NodeId key) { return e.node < key; });
-    ConstructStatus bad = ConstructStatus::kOk;
-    std::string what;
-    if (it == learned.end() || it->node != v) {
-      bad = ConstructStatus::kIncompleteInfo;
-      what = "landmark " + std::to_string(l) + " never learned its exit port";
-    } else {
-      result.exit_ports[v] = it->port;
-      if (it->port != result.scheme->exit_port(v)) {
-        bad = ConstructStatus::kInconsistent;
-        what = "landmark " + std::to_string(l) + " learned exit port " +
-               std::to_string(it->port) + ", the label carries " +
-               std::to_string(result.scheme->exit_port(v));
+      try {
+        result.scheme = std::make_unique<schemes::TzScheme>(
+            g, landmarks, std::move(node_bits));
+      } catch (const std::invalid_argument& e) {
+        result.status = ConstructStatus::kInvalidTables;
+        result.detail = e.what();
+        return;
       }
     }
-    if (static_cast<int>(bad) > static_cast<int>(result.status)) {
-      result.status = bad;
-      result.detail = "node " + std::to_string(v) + ": " + what;
+    // Learned per-node data the differential tests compare against the
+    // centralized builder. Each exit port l(v) learned must be the one the
+    // decoded label carries: a registration lost to a fault leaves it
+    // unlearned, or learned from a non-least successor, while the audit and
+    // the stretch check can still pass (the decoder derives its own).
+    result.landmark_of.resize(n);
+    result.exit_ports.assign(n, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      result.landmark_of[v] = nodes[v].dva_ == 0 ? v : nodes[v].l_of_;
+      if (nodes[v].dva_ == 0) continue;
+      const NodeId l = result.landmark_of[v];
+      const auto& learned = nodes[l].exit_learned_;
+      const auto it = std::lower_bound(
+          learned.begin(), learned.end(), v,
+          [](const auto& e, NodeId key) { return e.node < key; });
+      ConstructStatus bad = ConstructStatus::kOk;
+      std::string what;
+      if (it == learned.end() || it->node != v) {
+        bad = ConstructStatus::kIncompleteInfo;
+        what = "landmark " + std::to_string(l) + " never learned its exit port";
+      } else {
+        result.exit_ports[v] = it->port;
+        if (it->port != result.scheme->exit_port(v)) {
+          bad = ConstructStatus::kInconsistent;
+          what = "landmark " + std::to_string(l) + " learned exit port " +
+                 std::to_string(it->port) + ", the label carries " +
+                 std::to_string(result.scheme->exit_port(v));
+        }
+      }
+      if (bad > result.status) {
+        result.status = bad;
+        result.detail = "node " + std::to_string(v) + ": " + what;
+      }
     }
-  }
-  if (result.status != ConstructStatus::kOk) {
-    result.scheme.reset();
-    account("tz", run, result.status);
-    return result;
-  }
-  result.landmark_count = landmarks.size();
+    if (result.status != ConstructStatus::kOk) {
+      result.scheme.reset();
+      return;
+    }
+    result.landmark_count = landmarks.size();
 
-  // Attempt bookkeeping + per-phase rounds for the accepted attempt.
-  const std::size_t raw_attempt = nodes.empty() ? 0 : nodes[0]->attempt_;
-  result.accepted_attempt = raw_attempt >= shared.max_attempts
-                                ? raw_attempt - shared.max_attempts
-                                : raw_attempt;
-  bool degenerate = false;
-  for (const auto& row : run.phase_stats) {
-    if (row.label.rfind("tz.flood degenerate", 0) == 0) degenerate = true;
-  }
-  const std::string suffix =
-      degenerate ? std::string("degenerate")
-                 : "a" + std::to_string(result.accepted_attempt);
-  result.tree_rounds = rounds_for(run.phase_stats, "tz.tree");
-  result.flood_rounds = rounds_for(run.phase_stats, "tz.flood " + suffix);
-  result.announce_rounds =
-      rounds_for(run.phase_stats, "tz.announce " + suffix);
-  result.register_rounds = rounds_for(run.phase_stats, "tz.register");
-  result.audit_rounds = rounds_for(run.phase_stats, "tz.audit");
-  account("tz", run, result.status);
-  return result;
+    // Attempt bookkeeping + per-phase rounds for the accepted attempt.
+    const std::size_t raw_attempt = nodes.empty() ? 0 : nodes[0].attempt_;
+    result.accepted_attempt = raw_attempt >= shared.max_attempts
+                                  ? raw_attempt - shared.max_attempts
+                                  : raw_attempt;
+    bool degenerate = false;
+    for (const auto& row : result.phase_stats) {
+      if (row.label.rfind("tz.flood degenerate", 0) == 0) degenerate = true;
+    }
+    const std::string suffix =
+        degenerate ? std::string("degenerate")
+                   : "a" + std::to_string(result.accepted_attempt);
+    const auto& rows = result.phase_stats;
+    result.tree_rounds = rounds_for(rows, "tz.tree");
+    result.flood_rounds = rounds_for(rows, "tz.flood " + suffix);
+    result.announce_rounds = rounds_for(rows, "tz.announce " + suffix);
+    result.register_rounds = rounds_for(rows, "tz.register");
+    result.audit_rounds = rounds_for(rows, "tz.audit");
+  };
+  return construct<TzConstructionResult>("tz", g, std::move(tz_nodes),
+                                         protocol, finish);
 }
 
 }  // namespace optrt::net

@@ -55,6 +55,16 @@
 //     rows locally; diameter + 1 rounds, n·2|E| messages of I bits, plus
 //     an audit round of 2|E| messages and Σ_u d(u)·(W + n·(I+W)) bits.
 //
+// One driver runs all three: it holds the protocol's nodes by value, runs
+// them on the engine, and fills one report type, ProtocolReport, which
+// ConstructionResult (compact and full-table) and TzConstructionResult
+// extend with their tables. The protocol then builds its tables locally
+// from its nodes' state, and the driver books the construction.<proto>.*
+// counters once per build from the final report: builds, rounds,
+// messages, message_bits, and failures when the status is not kOk. A
+// fault-free compact build that throws SchemeInapplicable is booked as one
+// build and one failure first.
+//
 // Fault behaviour: pass a seeded FaultPlan through ProtocolOptions and
 // the protocols run on the degraded network. Each run either converges
 // to tables the audit phase accepts (transient faults: repaired links,
@@ -115,21 +125,32 @@ struct ProtocolOptions {
   std::size_t max_rounds = 0;
 };
 
-struct ConstructionResult {
-  /// Per-node serialized Theorem 1 tables (bit-identical to
-  /// schemes::build_compact_node on the full graph).
-  std::vector<bitio::BitVector> node_tables;
+/// What every protocol reports: its outcome and the engine run's traffic,
+/// as the one driver fills them (see above). Unless the status is kOk,
+/// node_tables is empty and TZ's scheme is null.
+struct ProtocolReport {
   ConstructStatus status = ConstructStatus::kOk;
   std::string detail;
-  /// Synchronous rounds used (always 1: neighbour-list exchange).
+  /// Synchronous rounds with messages in flight.
   std::size_t rounds = 0;
-  /// Point-to-point messages sent (one per directed edge).
+  /// Point-to-point messages sent, dropped ones included.
   std::size_t messages = 0;
-  /// Total payload bits: Σ_v d(v)² · ⌈log₂ n⌉.
+  /// Total charged payload bits.
   std::uint64_t message_bits = 0;
   /// Messages lost to down links (0 on a fault-free network).
   std::size_t dropped = 0;
+  /// Quiescence pulses the engine took.
+  std::size_t phases = 0;
+  /// Per-phase traffic, quiescence to quiescence (rejected TZ attempts
+  /// included).
   std::vector<congest::PhaseStats> phase_stats;
+};
+
+/// The compact and full-table protocols' report: per-node serialized
+/// tables, bit-identical to the centralized builder on the full graph
+/// (schemes::build_compact_node, schemes::FullTableScheme::standard).
+struct ConstructionResult : ProtocolReport {
+  std::vector<bitio::BitVector> node_tables;
 };
 
 /// Runs the one-round neighbour-exchange protocol and builds every node's
@@ -141,7 +162,14 @@ struct ConstructionResult {
     const graph::Graph& g, const schemes::CompactNodeOptions& options = {},
     const ProtocolOptions& protocol = {});
 
-struct TzConstructionResult {
+/// Runs all n BFS floods simultaneously and writes every node's
+/// full-table row locally — the always-applicable oracle protocol (the
+/// in-network analogue of FullTableScheme::standard, intended for small
+/// n: traffic is n·2|E| messages).
+[[nodiscard]] ConstructionResult distributed_full_table_construction(
+    const graph::Graph& g, const ProtocolOptions& protocol = {});
+
+struct TzConstructionResult : ProtocolReport {
   /// The stitched scheme (null unless status == kOk): each node's learned
   /// landmark ports and cluster entries, written by the same node-table
   /// encoder the centralized build uses (schemes::build_landmark_node_bits)
@@ -150,15 +178,6 @@ struct TzConstructionResult {
   /// options on a fault-free network.
   std::unique_ptr<schemes::TzScheme> scheme;
   std::size_t landmark_count = 0;
-  ConstructStatus status = ConstructStatus::kOk;
-  std::string detail;
-  /// Aggregate traffic across every phase (rejected attempts included).
-  std::size_t rounds = 0;
-  std::size_t messages = 0;
-  std::uint64_t message_bits = 0;
-  std::size_t dropped = 0;
-  /// Quiescence pulses the engine took.
-  std::size_t phases = 0;
   /// 0-based index of the accepted election attempt; matches the
   /// centralized resample loop.
   std::size_t accepted_attempt = 0;
@@ -175,35 +194,15 @@ struct TzConstructionResult {
   /// registration flood (0 for landmarks themselves, and where l(v) never
   /// learned it).
   std::vector<graph::PortId> exit_ports;
-  std::vector<congest::PhaseStats> phase_stats;
 };
 
 /// Elects a Thorup-Zwick landmark set in-network and assembles every
 /// node's k = 2 labels/tables from received messages only (phases above).
 /// Throws schemes::SchemeInapplicable on disconnected graphs (mirroring
-/// the centralized constructor's precondition).
+/// the centralized constructor's precondition), before any round runs and
+/// before any counter is booked.
 [[nodiscard]] TzConstructionResult distributed_tz_construction(
     const graph::Graph& g, const schemes::TzOptions& options = {},
     const ProtocolOptions& protocol = {});
-
-struct FullTableConstructionResult {
-  /// Per-node full-table rows (bit-identical to
-  /// schemes::FullTableScheme::standard on the full graph).
-  std::vector<bitio::BitVector> node_tables;
-  ConstructStatus status = ConstructStatus::kOk;
-  std::string detail;
-  std::size_t rounds = 0;
-  std::size_t messages = 0;
-  std::uint64_t message_bits = 0;
-  std::size_t dropped = 0;
-  std::vector<congest::PhaseStats> phase_stats;
-};
-
-/// Runs all n BFS floods simultaneously and writes every node's
-/// full-table row locally — the always-applicable oracle protocol (the
-/// in-network analogue of FullTableScheme::standard, intended for small
-/// n: traffic is n·2|E| messages).
-[[nodiscard]] FullTableConstructionResult distributed_full_table_construction(
-    const graph::Graph& g, const ProtocolOptions& protocol = {});
 
 }  // namespace optrt::net

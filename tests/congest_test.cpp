@@ -539,7 +539,7 @@ TEST(CongestEngine, SpansCountRunsRoundsAndPulses) {
     // The other two protocols: one construct span, one encode span.
     obs::Trace others;
     net::ConstructionResult compact;
-    net::FullTableConstructionResult full;
+    net::ConstructionResult full;
     {
       const obs::TraceScope scope(others);
       compact =
