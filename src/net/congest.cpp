@@ -86,9 +86,6 @@ Engine::Engine(const graph::Graph& g, EngineOptions options)
   if (options_.max_rounds == 0) {
     options_.max_rounds = 64 * g.node_count() + 256;
   }
-  if (options_.max_phases == 0) {
-    options_.max_phases = 8 * g.node_count() + 512;
-  }
   // Walking every slice in order meets each node's ports in ascending
   // order, so the next free port at the far end is the one back here.
   std::vector<PortId> next_port(g.node_count(), 0);
@@ -189,11 +186,14 @@ RunStats Engine::run(std::span<ProtocolNode* const> nodes) {
     return true;
   });
 
+  // The pulse budget: a protocol that keeps asking to continue without
+  // sending ends in kPhaseLimit, never a hang.
+  const std::size_t max_phases = 8 * n + 512;
   std::vector<NodeId> receivers;
   for (;;) {
     if (charged == 0) {
       // Quiescence: pulse every node; stop when none wants to continue.
-      if (++stats.phases > options_.max_phases) {
+      if (++stats.phases > max_phases) {
         stats.status = RunStatus::kPhaseLimit;
         break;
       }

@@ -167,7 +167,7 @@ class ProtocolNode {
 enum class RunStatus : std::uint8_t {
   kOk,          ///< every node declined to continue at a pulse
   kRoundLimit,  ///< max_rounds exhausted — the protocol stalled
-  kPhaseLimit,  ///< max_phases exhausted — a pulse loop never converged
+  kPhaseLimit,  ///< 8·n + 512 pulses taken — a pulse loop never converged
 };
 [[nodiscard]] const char* to_string(RunStatus status) noexcept;
 
@@ -195,10 +195,9 @@ struct EngineOptions {
   /// results are bit-identical for every value).
   std::size_t threads = 0;
   /// Round budget; 0 = 64·n + 256. Exceeding it is a typed failure
-  /// (kRoundLimit), never a hang.
+  /// (kRoundLimit), never a hang. The pulse budget is fixed at 8·n + 512;
+  /// exceeding it is kPhaseLimit.
   std::size_t max_rounds = 0;
-  /// Pulse budget; 0 = 8·n + 512.
-  std::size_t max_phases = 0;
 };
 
 /// The synchronous scheduler. Construct over a graph, optionally schedule
