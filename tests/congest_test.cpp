@@ -9,8 +9,11 @@
 // net/construction.hpp, predicted independently from the distance matrix.
 // The engine half drives the message plane with a synthetic protocol and
 // holds every inbox to a plain reference model, checks that a send_all
-// from a node without links keeps no round alive, and checks the engine's
-// and the constructions' trace spans against their run statistics.
+// from a node without links keeps no round alive and that endless pulses
+// end in the phase limit, pins what the constructions' shared driver
+// reports and books when a build stalls or throws, and checks the
+// engine's and the constructions' trace spans against their run
+// statistics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,12 +22,14 @@
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bitio/codes.hpp"
 #include "core/optrt.hpp"
 #include "net/congest.hpp"
 #include "net/construction.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace optrt {
@@ -92,17 +97,24 @@ const net::congest::PhaseStats& row(
 // --- Compact: bit-identical on dense (diameter ≤ 2) families --------------
 
 TEST(CongestDifferential, CompactBitIdenticalAcrossFamilies) {
-  const std::size_t n = 48;
-  const std::vector<TopologyFamily> families = {
-      TopologyFamily::uniform(), TopologyFamily::gnp(0.5),
-      TopologyFamily::gnp(0.7), TopologyFamily::gnp(0.9)};
-  for (const auto& family : families) {
-    SCOPED_TRACE(family.name());
-    const Graph g = family.make(n, 404);
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (const auto& family :
+       {TopologyFamily::uniform(), TopologyFamily::gnp(0.5),
+        TopologyFamily::gnp(0.7), TopologyFamily::gnp(0.9)}) {
+    graphs.emplace_back(family.name(), family.make(48, 404));
+  }
+  // Certified G(n, ½) members, the graphs Theorem 1 is stated for.
+  for (const std::size_t n : {48, 64, 96}) {
+    Rng rng(n + 1007);
+    graphs.emplace_back("certified n=" + std::to_string(n),
+                        core::certified_random_graph(n, rng));
+  }
+  for (const auto& [name, g] : graphs) {
+    SCOPED_TRACE(name);
     const auto built = net::distributed_compact_construction(g);
     ASSERT_EQ(built.status, net::ConstructStatus::kOk);
     EXPECT_EQ(built.rounds, 1u);
-    for (NodeId u = 0; u < n; ++u) {
+    for (NodeId u = 0; u < g.node_count(); ++u) {
       EXPECT_EQ(built.node_tables[u], schemes::build_compact_node(g, u, {}).bits)
           << "node " << u;
     }
@@ -235,16 +247,77 @@ TEST(CongestDifferential, BitIdenticalAtOneTwoEightThreads) {
 
 TEST(CongestEngine, ExhaustedRoundBudgetIsATypedFailureNotAHang) {
   const Graph g = connected_member(TopologyFamily::grid(), 36, 1);
-  const auto built = net::distributed_full_table_construction(g,
-                                                              {.max_rounds = 2});
-  EXPECT_EQ(built.status, net::ConstructStatus::kStalled);
-  EXPECT_EQ(built.detail, "round-limit");
-  EXPECT_TRUE(built.node_tables.empty());
+  const auto full = net::distributed_full_table_construction(g,
+                                                             {.max_rounds = 2});
+  EXPECT_EQ(full.status, net::ConstructStatus::kStalled);
+  EXPECT_EQ(full.detail, "round-limit");
+  EXPECT_TRUE(full.node_tables.empty());
+  const auto tz = net::distributed_tz_construction(g, {}, {.max_rounds = 2});
+  EXPECT_EQ(tz.status, net::ConstructStatus::kStalled);
+  EXPECT_EQ(tz.detail, "round-limit");
+  EXPECT_EQ(tz.scheme, nullptr);
 }
 
 TEST(CongestEngine, DisconnectedTzStillThrowsLikeTheCentralizedBuilder) {
   EXPECT_THROW((void)net::distributed_tz_construction(graph::Graph(8)),
                schemes::SchemeInapplicable);
+}
+
+TEST(CongestEngine, FailedBuildsBookOneBuildAndOneFailure) {
+  // A stalled run and a fault-free compact build that throws where the
+  // centralized builder would each book one build and one failure under
+  // construction.<proto>.*; a disconnected TZ graph throws before any
+  // round runs and books nothing.
+  const Graph g = connected_member(TopologyFamily::grid(), 36, 1);
+  using Booked = std::pair<std::uint64_t, std::uint64_t>;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(threads);
+    obs::ScopedRegistry scope;
+    const auto booked = [&](const std::string& proto) {
+      const std::string base = "construction." + proto;
+      return Booked{scope.registry().counter_value(base + ".builds"),
+                    scope.registry().counter_value(base + ".failures")};
+    };
+    const net::ProtocolOptions stall{.threads = threads, .max_rounds = 2};
+    EXPECT_EQ(net::distributed_full_table_construction(g, stall).status,
+              net::ConstructStatus::kStalled);
+    EXPECT_EQ(net::distributed_tz_construction(g, {}, stall).status,
+              net::ConstructStatus::kStalled);
+    EXPECT_THROW((void)net::distributed_compact_construction(
+                     graph::chain(10), {}, {.threads = threads}),
+                 schemes::SchemeInapplicable);
+    EXPECT_EQ(booked("full_table"), Booked(1, 1));
+    EXPECT_EQ(booked("tz"), Booked(1, 1));
+    EXPECT_EQ(booked("compact"), Booked(1, 1));
+    EXPECT_THROW((void)net::distributed_tz_construction(graph::Graph(8), {},
+                                                        {.threads = threads}),
+                 schemes::SchemeInapplicable);
+    EXPECT_EQ(booked("tz"), Booked(1, 1));
+  }
+}
+
+/// Asks to continue at every pulse and never sends.
+class RestlessNode final : public net::congest::ProtocolNode {
+ public:
+  void on_round(net::congest::Context&,
+                std::span<const net::congest::Received>) override {}
+  bool on_phase_end(net::congest::Context&) override { return true; }
+};
+
+TEST(CongestEngine, EndlessPulsesEndInThePhaseLimit) {
+  const Graph g = connected_member(TopologyFamily::ring(), 12, 1);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    SCOPED_TRACE(threads);
+    std::vector<RestlessNode> nodes(g.node_count());
+    std::vector<net::congest::ProtocolNode*> ptrs;
+    for (RestlessNode& node : nodes) ptrs.push_back(&node);
+    const auto stats = net::congest::Engine(g, {.threads = threads}).run(ptrs);
+    EXPECT_EQ(stats.status, net::congest::RunStatus::kPhaseLimit);
+    EXPECT_STREQ(net::congest::to_string(stats.status), "phase-limit");
+    EXPECT_EQ(stats.rounds, 0u);
+    EXPECT_EQ(stats.messages, 0u);
+    EXPECT_EQ(stats.message_bits, 0u);
+  }
 }
 
 // --- Engine message plane: a synthetic protocol against a reference model -
@@ -561,8 +634,14 @@ TEST(CongestEngine, SpansCountRunsRoundsAndPulses) {
 // --- Property: accounting matches the documented closed forms -------------
 
 TEST(CongestProperty, CompactTrafficClosedForms) {
-  for (const std::uint64_t seed : {404u, 405u}) {
-    const Graph g = TopologyFamily::uniform().make(48, seed);
+  std::vector<Graph> graphs = {TopologyFamily::uniform().make(48, 404),
+                               TopologyFamily::uniform().make(48, 405)};
+  for (const std::size_t n : {48, 96}) {  // certified G(n, ½) members
+    Rng rng(n + 1008);
+    graphs.push_back(core::certified_random_graph(n, rng));
+  }
+  for (const Graph& g : graphs) {
+    SCOPED_TRACE(g.node_count());
     const auto built = net::distributed_compact_construction(g);
     const unsigned id_width = bitio::ceil_log2(g.node_count());
     std::uint64_t bits = 0;

@@ -1,6 +1,7 @@
 // Verifier tests: the §1 route/stretch semantics, including detection of
-// misbehaving schemes, plus the differential harness pinning the sharded
-// verifier to the serial reference on every scheme in src/schemes.
+// misbehaving schemes, the sampled verifier against the exhaustive one,
+// plus the differential harness pinning the sharded verifier to the
+// serial reference on every scheme in src/schemes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "graph/generators.hpp"
 #include "graph/ports.hpp"
 #include "model/verifier.hpp"
+#include "schemes/compact_diam2.hpp"
 #include "schemes/compiler.hpp"
 #include "schemes/errors.hpp"
 #include "schemes/full_information.hpp"
@@ -145,6 +147,29 @@ TEST(Verifier, DefaultHopBudgetPinned) {
       verify_scheme(g, scheme, default_hop_budget(g.node_count()));
   EXPECT_EQ(implicit.pairs_failed, explicit_budget.pairs_failed);
   EXPECT_EQ(implicit.total_route_edges, explicit_budget.total_route_edges);
+}
+
+// --- Sampled verifier ------------------------------------------------------
+
+TEST(SampledVerifier, AgreesWithExhaustiveOnCorrectSchemes) {
+  graph::Rng rng(1010);
+  const Graph g = core::certified_random_graph(96, rng);
+  const schemes::CompactDiam2Scheme scheme(g, {});
+  const auto sampled = verify_scheme_sampled(g, scheme, 2000, 7);
+  EXPECT_TRUE(sampled.all_delivered);
+  EXPECT_EQ(sampled.pairs_checked, 2000u);
+  EXPECT_DOUBLE_EQ(sampled.max_stretch, 1.0);
+}
+
+TEST(SampledVerifier, ScalesToLargeN) {
+  graph::Rng rng(1011);
+  const Graph g = core::certified_random_graph(512, rng);
+  const schemes::CompactDiam2Scheme scheme(g, {});
+  const auto sampled = verify_scheme_sampled(g, scheme, 3000, 11);
+  EXPECT_TRUE(sampled.all_delivered);
+  EXPECT_DOUBLE_EQ(sampled.max_stretch, 1.0);
+  // Theorem 1 bound holds at this scale too.
+  EXPECT_LE(scheme.space().max_node_bits(), 6u * 512);
 }
 
 // --- Differential harness: sharded verify_scheme vs the serial reference -
