@@ -21,7 +21,12 @@
 # (bench_full_information), and verify_scheme on every family swept
 # (bench_hierarchy, bench_interval). bench_table1_lower,
 # bench_average_case and bench_open_cells also run the Theorem 6 codec at
-# sizes no test uses. Together they take about a second in Release.
+# sizes no test uses. Together they take about a second in Release. It
+# then runs the six example programs once each at their default sizes
+# (ctest runs them smaller), again failing on a nonzero exit:
+# distributed_build prints both construction reports and exits 1 on a
+# failed build or verification, stretch_tradeoff exits 1 on a failed
+# check. Together they take about 0.1 s.
 #
 #   tools/ci.sh            # default + tsan + asan
 #   tools/ci.sh default    # just one stage
@@ -99,6 +104,12 @@ for stage in "${STAGES[@]}"; do
         open_cells density interval hierarchy congestion; do
       echo "=== [$stage] bench_$bench ==="
       ./build/bench/bench_$bench
+    done
+    # The example programs at their default sizes (see above).
+    for example in quickstart model_explorer stretch_tradeoff \
+        failure_routing incompressibility_tour distributed_build; do
+      echo "=== [$stage] examples/$example ==="
+      ./build/examples/$example
     done
     # Smoke-run the lookup benchmark: the compiled fast paths must stay
     # bit-identical to the decode path (nonzero exit on divergence).
