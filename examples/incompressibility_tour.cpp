@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   std::cout
       << "\nRound-trip guarantee: every description above decodes back to "
          "the exact\ninput graph — run the test suite to see it checked "
-         "(lemma_codecs_test,\ntheorem_codecs_test, arith_compressor_test, "
+         "(lemma_codecs_test,\ntheorem_codecs_test, graph_compressor_test, "
          "permutation_code_test).\n";
   return recovered ? 0 : 1;
 }
